@@ -239,7 +239,9 @@ class ExperimentConfig:
     out_dir: str
     seeds: tuple[int, ...]
     checkpoints: bool = True
-    workers: int = 1
+    # seed processes; None sizes the pool to the machine. It cannot change
+    # a result, so to_dict (and with it config.json and the hash) omits it
+    workers: int | None = None
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -255,8 +257,8 @@ class ExperimentConfig:
             raise ArgumentError("config.seeds: expected a nonempty list of ints >= 0")
         if len(set(seeds)) != len(seeds):
             raise ArgumentError("config.seeds: duplicate seeds")
-        workers = _typed(d, "config", "workers", int, 1)
-        if workers < 1:
+        workers = _typed(d, "config", "workers", int, None)
+        if workers is not None and workers < 1:
             raise ArgumentError(f"config.workers: must be >= 1, got {workers}")
         cfg = cls(
             dataset=DatasetConfig.from_dict(d.get("dataset", {})),
@@ -319,7 +321,6 @@ class ExperimentConfig:
             "out_dir": self.out_dir,
             "seeds": list(self.seeds),
             "checkpoints": self.checkpoints,
-            "workers": self.workers,
         }
         return d
 
@@ -333,6 +334,8 @@ class RunManifest:
     artifacts: list[str] = field(default_factory=list)
     versions: dict = field(default_factory=dict)
     created: str = ""
+    # seed -> "ok" or the one-line error that seed ended with
+    seeds: dict[str, str] = field(default_factory=dict)
 
     def add(self, path: str) -> None:
         if path not in self.artifacts:
@@ -345,6 +348,7 @@ class RunManifest:
                 "artifacts": sorted(self.artifacts),
                 "versions": self.versions,
                 "created": self.created,
+                "seeds": self.seeds,
             },
             indent=2,
             sort_keys=True,

@@ -34,9 +34,12 @@ class MissingCheckpointError(GapLabError):
 
     def __init__(self, missing_iterations):
         self.missing_iterations = list(missing_iterations)
-        super().__init__(
-            f"missing checkpoints for iterations: {self.missing_iterations}"
-        )
+        # args holds the constructor argument, not the message, so that
+        # unpickling (as when a pool worker raises) rebuilds the same error
+        super().__init__(self.missing_iterations)
+
+    def __str__(self):
+        return f"missing checkpoints for iterations: {self.missing_iterations}"
 
 
 class InsufficientTraceError(GapLabError):

@@ -18,10 +18,12 @@ Run directory layout (one subdirectory per seed):
 from __future__ import annotations
 
 import math
+import os
 import shutil
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -173,18 +175,94 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
                          boundaries=boundaries, gap=gap)
 
 
+def _run_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> GapMetrics | None:
+    """One seed as a pool task: the seed directory is written here and only
+    the gap metrics travel back, never the trace."""
+    return run_single_seed(cfg, seed, run_dir).gap
+
+
+def _attempt(call):
+    """The call's result, or the exception it raised, so that one failing
+    seed does not stop the others."""
+    try:
+        return call()
+    except Exception as err:
+        return err
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _pool_size(cfg: ExperimentConfig) -> int:
+    """Seed processes for this run: one per seed, at most one per usable
+    CPU, at most `cfg.workers` when it is set."""
+    cpus = _usable_cpus()
+    return min(len(cfg.seeds), cpus, cfg.workers or cpus)
+
+
+# BLAS libraries read these once, when numpy is imported. One thread per
+# seed process: a second thread spins on these small matrices and competes
+# with the other seeds for the cores.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_env():
+    """Set each BLAS thread variable the user has not set to 1, and restore
+    os.environ on exit. Spawned processes inherit the environment as it
+    was when they started."""
+    added = [k for k in _BLAS_THREAD_VARS if k not in os.environ]
+    for key in added:
+        os.environ[key] = "1"
+    try:
+        yield
+    finally:
+        for key in added:
+            del os.environ[key]
+
+
+def _run_seeds_in_pool(cfg: ExperimentConfig, out: Path, n_procs: int) -> list:
+    # imported here so that importing the CLI does not pay for them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=n_procs,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        # a spawning executor starts its worker processes inside submit(),
+        # so every worker starts while the overlay is in place
+        with _one_blas_thread_env():
+            futures = [pool.submit(_run_seed, cfg, s, out / f"seed{s}")
+                       for s in cfg.seeds]
+        return [_attempt(f.result) for f in futures]
+
+
+def _status(outcome) -> str:
+    if isinstance(outcome, Exception):
+        return " ".join(f"{type(outcome).__name__}: {outcome}".split())
+    return "ok"
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
-    """All seeds of one configuration, plus aggregate artifacts."""
+    """All seeds of one configuration, plus aggregate artifacts.
+
+    Seeds run in spawned processes when more than one can run at once,
+    and in this process otherwise; both write the same bytes. A failing
+    seed does not stop the others: every seed's status goes into the
+    manifest, and then the first failing seed's error is raised.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(run_single_seed, cfg, s, out / f"seed{s}")
-                       for s in cfg.seeds]
-            results = [f.result() for f in futures]
+    n_procs = _pool_size(cfg)
+    if n_procs > 1:
+        outcomes = _run_seeds_in_pool(cfg, out, n_procs)
     else:
-        results = [run_single_seed(cfg, s, out / f"seed{s}") for s in cfg.seeds]
+        outcomes = [_attempt(partial(_run_seed, cfg, s, out / f"seed{s}"))
+                    for s in cfg.seeds]
 
     manifest = RunManifest(
         config_hash=cfg.hash(),
@@ -197,15 +275,20 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     (out / "config.json").write_text(canonical_json(cfg.to_dict()) + "\n")
     manifest.add("config.json")
 
-    per_seed = {r.seed: r.gap for r in results if r.gap is not None}
+    per_seed = {seed: gap for seed, gap in zip(cfg.seeds, outcomes)
+                if isinstance(gap, GapMetrics)}
     if per_seed:
         (out / "gap.txt").write_text(format_gap_docs(per_seed))
         manifest.add("gap.txt")
 
-    for result in results:
-        for item in sorted(result.run_dir.rglob("*")):
+    for seed, outcome in zip(cfg.seeds, outcomes):
+        manifest.seeds[str(seed)] = _status(outcome)
+        for item in sorted((out / f"seed{seed}").rglob("*")):
             if item.is_file():
                 manifest.add(str(item.relative_to(out)))
 
     (out / "manifest.json").write_text(manifest.to_json())
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
     return out

@@ -208,8 +208,13 @@ class CheckpointStore:
     def open(cls, directory: str | Path) -> "CheckpointStore":
         store = cls(directory)
         for path in sorted(store.directory.glob("task*_iter*.ckpt")):
-            task_part, iter_part = path.stem.split("_iter")
-            key = (int(task_part[4:]), int(iter_part))
+            try:
+                task_part, iter_part = path.stem.split("_iter")
+                key = (int(task_part[4:]), int(iter_part))
+            except ValueError:
+                raise FormatError(
+                    f"{path}: bad checkpoint name, expected task<k>_iter<n>.ckpt"
+                ) from None
             store.index[key] = path
             store._by_iteration[key[1]] = path
         return store

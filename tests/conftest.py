@@ -1,7 +1,10 @@
-"""Shared test helpers: finite-difference gradients and trace builders."""
+"""Shared test helpers: finite-difference gradients, trace builders and
+run-directory comparison."""
 
 import numpy as np
+import pytest
 
+from gaplab import experiment
 from gaplab.autodiff import ParamVector, backward
 from gaplab.instrument import TraceRecord, TrainTrace
 
@@ -47,3 +50,16 @@ def eval_trace(pre_accs, post_accs, boundary=100, spacing=10, task_len=None):
                                    test_loss=1.0, test_acc=acc))
     end = task_len if task_len is not None else records[-1].iteration
     return TrainTrace(records=records, boundaries=[boundary, end])
+
+
+def run_files(out):
+    """Every file of a run by relative path, except the two that name the
+    run itself (criterion 8's exclusions)."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name not in ("manifest.json", "config.json")}
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Let two seeds run in a pool of two even on a one-CPU machine."""
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)

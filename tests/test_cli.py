@@ -1,13 +1,18 @@
 """Command line surface: artifacts, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaplab
 from gaplab.cli import main
 from gaplab.instrument import write_trace_csv
 
-from conftest import eval_trace
+from conftest import eval_trace, run_files
 
 CONFIG = {
     "dataset": {"kind": "blobs", "classes": 3, "per_class": 40, "dim": 4,
@@ -92,6 +97,40 @@ def test_train_unknown_config_key_exit_2(tmp_path):
     assert main(["train", "--config", str(path)]) == 2
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("overrides, code", [
+    ({"model": {"name": "smallcnn"}}, 2),            # seed-time ArgumentError
+    ({"train": dict(CONFIG["train"], lr=1e4)}, 4),   # seed 0 diverges
+], ids=["argument-error", "divergence"])
+def test_train_seed_error_exit_codes_in_pool(tmp_path, two_cpus, capsys,
+                                             overrides, code):
+    cfg = write_config(tmp_path, seeds=[0, 2], workers=2, **overrides)
+    assert main(["train", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: error: ") and err.count("\n") == 1
+
+
+def test_train_as_module_runs_seed_processes(tmp_path):
+    # started the way users start it, so a spawned seed process must be
+    # able to import the package and must not re-run the command
+    for sub in ("pool", "serial"):
+        (tmp_path / sub).mkdir()
+    cfg = write_config(tmp_path / "pool", seeds=[0, 1], workers=2)
+    src = str(Path(gaplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-m", "gaplab.cli", "train", "--config", str(cfg)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("run complete: ")
+
+    ref = write_config(tmp_path / "serial", seeds=[0, 1], workers=1)
+    assert main(["train", "--config", str(ref)]) == 0
+    pool_files = run_files(tmp_path / "pool" / "exp")
+    assert "seed1/trace.csv" in pool_files
+    assert pool_files == run_files(tmp_path / "serial" / "exp")
+
+
 # --- gap ------------------------------------------------------------------------
 
 def test_gap_reads_trace_and_writes_doc(tmp_path, capsys):
@@ -174,6 +213,19 @@ def test_lmc_with_sgd_path_overlay(trained, tmp_path):
                  "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "path.csv").is_file()
+
+
+def test_lmc_sgd_path_bad_checkpoint_name_exit_4(trained, tmp_path, capsys):
+    run_tmp, cfg = trained
+    ckpts = sorted((run_tmp / "exp" / "seed0" / "checkpoints").glob("*.ckpt"))
+    odd = tmp_path / "odd"
+    odd.mkdir()
+    (odd / "taskX_iter1.ckpt").write_bytes(ckpts[0].read_bytes())
+    code = main(["lmc", "--config", str(cfg),
+                 "--ckpt-a", str(ckpts[0]), "--ckpt-b", str(ckpts[-1]),
+                 "--sgd-path", str(odd), "--out", str(tmp_path / "figs")])
+    assert code == 4
+    assert "taskX_iter1.ckpt" in capsys.readouterr().err
 
 
 def test_report_renders_figures(trained):

@@ -39,7 +39,7 @@ def test_minimal_config_gets_defaults():
     assert cfg.train.lr == 0.01 and cfg.train.momentum == 0.9
     assert cfg.train.batch_size == 64
     assert cfg.analysis.baseline_evals == 5 and cfg.analysis.lmc_step == 0.01
-    assert cfg.seeds == (0,) and cfg.checkpoints and cfg.workers == 1
+    assert cfg.seeds == (0,) and cfg.checkpoints and cfg.workers is None
 
 
 def test_unknown_keys_rejected_everywhere():

@@ -165,6 +165,15 @@ def test_store_naming_reopen_and_missing(tmp_path):
         reopened.load_many([13, 99])
 
 
+def test_store_open_rejects_bad_checkpoint_names(tmp_path):
+    for name in ("taskX_iter1.ckpt", "task0_iter1_iter2.ckpt", "task0_iterY.ckpt"):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / name).write_bytes(b"")
+        with pytest.raises(FormatError, match="bad checkpoint name"):
+            CheckpointStore.open(directory)
+
+
 # --- training loop -----------------------------------------------------------
 
 def small_problem(seed=0, joint=True, fractions=(50, 50)):
