@@ -87,12 +87,19 @@ class Flatten:
 Layer = Dense | ReLU | Conv3x3 | MaxPool2x2 | Flatten
 
 
-def _layer_param_count(layer: Layer) -> int:
+def _weight_shape(layer: Layer) -> tuple[int, ...] | None:
+    """Shape of a layer's weights, outputs first; each output also has one
+    bias. None for layers without parameters."""
     if isinstance(layer, Dense):
-        return layer.n_in * layer.n_out + layer.n_out
+        return (layer.n_out, layer.n_in)
     if isinstance(layer, Conv3x3):
-        return layer.in_channels * layer.out_channels * 9 + layer.out_channels
-    return 0
+        return (layer.out_channels, layer.in_channels, 3, 3)
+    return None
+
+
+def _layer_param_count(layer: Layer) -> int:
+    shape = _weight_shape(layer)
+    return 0 if shape is None else math.prod(shape) + shape[0]
 
 
 def _layer_out_shape(layer: Layer, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -156,16 +163,24 @@ class ModelSpec:
         return sum(_layer_param_count(layer) for layer in self.layers)
 
 
-def mlp(input_dim: int, hidden: list[int], n_classes: int) -> ModelSpec:
-    """Fully connected ReLU network input_dim -> hidden... -> n_classes."""
+def _dense_head(n_in: int, hidden: list[int], n_classes: int) -> list[Layer]:
+    """Dense-ReLU layers through the `hidden` widths, then the output layer."""
     layers: list[Layer] = []
-    prev = input_dim
     for width in hidden:
-        layers.append(Dense(prev, width))
+        layers.append(Dense(n_in, width))
         layers.append(ReLU())
-        prev = width
-    layers.append(Dense(prev, n_classes))
-    return ModelSpec(tuple(layers), (input_dim,), n_classes)
+        n_in = width
+    layers.append(Dense(n_in, n_classes))
+    return layers
+
+
+def mlp(input_shape: int | tuple[int, ...], hidden: list[int], n_classes: int) -> ModelSpec:
+    """Fully connected ReLU network input -> hidden... -> n_classes; input
+    with more than one dimension is flattened first."""
+    shape = (input_shape,) if np.ndim(input_shape) == 0 else tuple(input_shape)
+    layers: list[Layer] = [Flatten()] if len(shape) > 1 else []
+    layers += _dense_head(math.prod(shape), hidden, n_classes)
+    return ModelSpec(tuple(layers), shape, n_classes)
 
 
 def small_cnn(
@@ -186,12 +201,7 @@ def small_cnn(
         h //= 2
         w //= 2
     layers.append(Flatten())
-    prev = prev_c * h * w
-    for width in hidden:
-        layers.append(Dense(prev, width))
-        layers.append(ReLU())
-        prev = width
-    layers.append(Dense(prev, n_classes))
+    layers += _dense_head(prev_c * h * w, hidden, n_classes)
     return ModelSpec(tuple(layers), tuple(input_shape), n_classes)
 
 
@@ -239,22 +249,15 @@ def _unflatten(spec: ModelSpec, values: np.ndarray):
     out = []
     offset = 0
     for layer in spec.layers:
-        if isinstance(layer, Dense):
-            n_w = layer.n_in * layer.n_out
-            w = values[offset:offset + n_w].reshape(layer.n_out, layer.n_in)
-            b = values[offset + n_w:offset + n_w + layer.n_out]
-            offset += n_w + layer.n_out
-            out.append((w, b))
-        elif isinstance(layer, Conv3x3):
-            n_w = layer.out_channels * layer.in_channels * 9
-            w = values[offset:offset + n_w].reshape(
-                layer.out_channels, layer.in_channels, 3, 3
-            )
-            b = values[offset + n_w:offset + n_w + layer.out_channels]
-            offset += n_w + layer.out_channels
-            out.append((w, b))
-        else:
+        shape = _weight_shape(layer)
+        if shape is None:
             out.append(None)
+            continue
+        n_w = math.prod(shape)
+        w = values[offset:offset + n_w].reshape(shape)
+        b = values[offset + n_w:offset + n_w + shape[0]]
+        offset += n_w + shape[0]
+        out.append((w, b))
     return out
 
 
@@ -264,15 +267,13 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     values = np.zeros(spec.param_count, dtype=np.float64)
     offset = 0
     for layer in spec.layers:
-        if isinstance(layer, Dense):
-            fan_in, fan_out = layer.n_in, layer.n_out
-            n_w = fan_in * fan_out
-        elif isinstance(layer, Conv3x3):
-            fan_in = layer.in_channels * 9
-            fan_out = layer.out_channels * 9
-            n_w = layer.in_channels * layer.out_channels * 9
-        else:
+        shape = _weight_shape(layer)
+        if shape is None:
             continue
+        n_w = math.prod(shape)
+        # the fans count kernel positions: in*9 and out*9 for a Conv3x3
+        fan_in = math.prod(shape[1:])
+        fan_out = shape[0] * math.prod(shape[2:])
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         values[offset:offset + n_w] = rng.uniforms(n_w, -bound, bound)
         offset += _layer_param_count(layer)  # biases stay zero
@@ -369,14 +370,18 @@ def _forward_cached(spec: ModelSpec, layer_params, batch: np.ndarray):
     return x, caches
 
 
+def _checked_forward(spec: ModelSpec, params: ParamVector, batch: Tensor):
+    """Logits, per-layer parameter views and backward caches of a batch."""
+    _check_bound(spec, params)
+    layer_params = _unflatten(spec, params.values)
+    logits, caches = _forward_cached(spec, layer_params, _check_batch(spec, batch))
+    _require_finite(logits, "forward logits")
+    return logits, layer_params, caches
+
+
 def forward(spec: ModelSpec, params: ParamVector, batch: Tensor) -> Tensor:
     """Logits [B, n_classes] for a batch shaped [B] + input_shape."""
-    _check_bound(spec, params)
-    batch = _check_batch(spec, batch)
-    layer_params = _unflatten(spec, params.values)
-    logits, _ = _forward_cached(spec, layer_params, batch)
-    _require_finite(logits, "forward logits")
-    return logits
+    return _checked_forward(spec, params, batch)[0]
 
 
 def backward(
@@ -387,11 +392,7 @@ def backward(
     The logits are returned so callers probing the pre-update batch state
     can reuse this forward pass instead of running another one.
     """
-    _check_bound(spec, params)
-    batch = _check_batch(spec, batch)
-    layer_params = _unflatten(spec, params.values)
-    logits, caches = _forward_cached(spec, layer_params, batch)
-    _require_finite(logits, "forward logits")
+    logits, layer_params, caches = _checked_forward(spec, params, batch)
     loss, dlogits = softmax_cross_entropy(logits, labels)
 
     grads = np.zeros_like(params.values)
@@ -427,14 +428,21 @@ def backward(
     return loss, ParamVector(grads, spec.digest), logits
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+def _check_logits(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Logits [B, C] and B labels in [0, C)."""
+    logits = as_tensor(logits)
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be [B, C], got shape {logits.shape}")
+    n, c = logits.shape
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise LabelRangeError(
-            f"labels must lie in [0, {n_classes}), got range "
+            f"labels must lie in [0, {c}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    return labels
+    if labels.shape != (n,):
+        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    return logits, labels
 
 
 def softmax_cross_entropy(
@@ -445,13 +453,8 @@ def softmax_cross_entropy(
     Stabilized by row-max subtraction, so the loss is invariant to adding
     a constant to all logits in a row.
     """
-    logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be [B, C], got shape {logits.shape}")
-    n, c = logits.shape
-    labels = _check_labels(labels, c)
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
+    logits, labels = _check_logits(logits, labels)
+    n = len(labels)
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_p = shifted - log_z
@@ -467,13 +470,6 @@ def softmax_cross_entropy(
 
 def accuracy(logits: Tensor, labels: np.ndarray) -> float:
     """Fraction of rows where argmax(logits) == label; ties go to the lowest index."""
-    logits = as_tensor(logits)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be [B, C], got shape {logits.shape}")
-    labels = _check_labels(labels, logits.shape[1])
-    if labels.shape != (logits.shape[0],):
-        raise ShapeError(
-            f"labels shape {labels.shape} does not match batch {logits.shape[0]}"
-        )
+    logits, labels = _check_logits(logits, labels)
     pred = logits.argmax(axis=1)
     return float((pred == labels).sum() / len(labels))

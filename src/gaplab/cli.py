@@ -13,10 +13,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
-from .config import ExperimentConfig
+from .config import AnalysisConfig, DatasetConfig, ExperimentConfig
 from .connectivity import (lmc_curve, read_lmc_csv, read_path_csv, sgd_path_loss,
                            write_lmc_csv, write_path_csv)
-from .data import gen_blobs, normalize_unit, save_raw
+from .data import RAW_MAX_CLASSES, gen_blobs, normalize_unit, save_raw
 from .errors import ArgumentError, GapLabError, InsufficientTraceError
 from .experiment import build_dataset, build_model_spec, run_experiment
 from .instrument import (compute_gap, format_gap_doc, format_gap_docs,
@@ -47,12 +47,10 @@ def cmd_gen_data(args) -> int:
     train, test = normalize_unit(train, test)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_raw(train, out / "train_features.bin", out / "train_labels.bin")
-    save_raw(test, out / "test_features.bin", out / "test_labels.bin")
-    print(f"wrote {out}/train_features.bin ({train.n} records)")
-    print(f"wrote {out}/train_labels.bin")
-    print(f"wrote {out}/test_features.bin ({test.n} records)")
-    print(f"wrote {out}/test_labels.bin")
+    for part, dataset in (("train", train), ("test", test)):
+        save_raw(dataset, out / f"{part}_features.bin", out / f"{part}_labels.bin")
+        print(f"wrote {out}/{part}_features.bin ({dataset.n} records)")
+        print(f"wrote {out}/{part}_labels.bin")
     return 0
 
 
@@ -217,10 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate and serialize a synthetic dataset")
     p.add_argument("--kind", choices=["blobs"], default="blobs")
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--per-class", type=int, default=250)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--spread", type=float, default=1.0)
+    p.add_argument("--classes", type=int, default=DatasetConfig.classes,
+                   help=f"at most {RAW_MAX_CLASSES}: a raw-format label is one byte")
+    p.add_argument("--per-class", type=int, default=DatasetConfig.per_class)
+    p.add_argument("--dim", type=int, default=DatasetConfig.dim)
+    p.add_argument("--spread", type=float, default=DatasetConfig.spread)
     p.add_argument("--shape", type=_shape_arg, default=None,
                    help="reshape features, e.g. 2,4,4 for CNN input")
     p.add_argument("--seed", type=int, default=0)
@@ -238,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace CSV path (repeat for per-seed + median output)")
     p.add_argument("--boundary", type=int, help="boundary iteration "
                    "(default: first task boundary recorded in the trace)")
-    p.add_argument("--baseline-evals", type=int, default=5)
-    p.add_argument("--recovery-window", type=int, default=5)
-    p.add_argument("--tolerance", type=float, default=0.0)
-    p.add_argument("--window", type=int, default=2000)
+    p.add_argument("--baseline-evals", type=int, default=AnalysisConfig.baseline_evals)
+    p.add_argument("--recovery-window", type=int, default=AnalysisConfig.recovery_window)
+    p.add_argument("--tolerance", type=float, default=AnalysisConfig.tolerance)
+    p.add_argument("--window", type=int, default=AnalysisConfig.window)
     p.add_argument("--out", help="also write the document to this file")
     p.set_defaults(func=cmd_gap)
 

@@ -3,16 +3,29 @@ a canonical serialization for hashing, and the run manifest.
 
 Unknown keys are rejected everywhere. A typo like "learning_rate" for
 "lr" silently running with the default would invalidate a whole study.
+
+Each section is a dataclass, and its fields are the one statement of the
+section's keys, types and defaults: a key's value must have its field's
+declared type (a JSON list for a tuple), an absent key keeps the field's
+default, and `null` is accepted only where the declared type allows None.
+Range rules belong to the code that uses the values; each section calls
+those checks when it is loaded, so a bad document is rejected before any
+run directory is written.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
+from .connectivity import check_step
+from .data import check_blob_args, check_fractions
 from .errors import ArgumentError
+from .instrument import check_gap_args
 from .trainer import TrainConfig
 
 
@@ -25,36 +38,96 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def _require(mapping: dict, where: str, allowed: set[str], required: set[str] = frozenset()):
-    if not isinstance(mapping, dict):
-        raise ArgumentError(f"{where}: expected an object, got {type(mapping).__name__}")
-    unknown = sorted(set(mapping) - allowed)
+def _is(value, kind) -> bool:
+    """JSON typing: an int is also a float, a bool is never an int."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) or (kind is float and isinstance(value, int))
+
+
+def _describe(option) -> str:
+    if get_origin(option) is Literal:
+        return " or ".join(map(repr, get_args(option)))
+    if get_origin(option) is tuple:
+        return f"list of {_describe(get_args(option)[0])}"
+    return "null" if option is NoneType else option.__name__
+
+
+def _describe_value(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, (list, tuple)) and value:
+        return "list of " + "/".join(sorted({type(v).__name__ for v in value}))
+    if isinstance(value, (str, list, tuple)):
+        return repr(value)
+    return type(value).__name__
+
+
+def _typed(value, where: str, hint):
+    """`value` as the declared type `hint`: a scalar type, a Literal of
+    choices, tuple[T, ...] (a list of T), or a union of these."""
+    options = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    for option in options:
+        if get_origin(option) is Literal:
+            if value in get_args(option):
+                return value
+        elif get_origin(option) is tuple:
+            item = get_args(option)[0]
+            if isinstance(value, (list, tuple)) and all(_is(v, item) for v in value):
+                return tuple(item(v) for v in value)
+        elif _is(value, option):
+            return float(value) if option is float else value
+    expected = " or ".join(map(_describe, options))
+    raise ArgumentError(f"{where}: expected {expected}, got {_describe_value(value)}")
+
+
+def _parse(cls, d, where: str, skip=(), sections=None) -> dict:
+    """Keyword arguments for the dataclass `cls` from the object `d`.
+
+    Every key must name a field (less `skip`), every field without a
+    default must be present, and every value must have its field's
+    declared type; `sections` maps keys to the parsers of nested objects.
+    Absent keys are left out, so that the dataclass defaults apply.
+    """
+    if not isinstance(d, dict):
+        raise ArgumentError(f"{where}: expected an object, got {type(d).__name__}")
+    known = {f.name: f for f in fields(cls) if f.name not in skip}
+    unknown = sorted(set(d) - set(known))
     if unknown:
         raise ArgumentError(f"{where}: unknown keys {unknown}")
-    missing = sorted(required - set(mapping))
+    missing = sorted(name for name, f in known.items() if name not in d
+                     and f.default is MISSING and f.default_factory is MISSING)
     if missing:
         raise ArgumentError(f"{where}: missing required keys {missing}")
+    hints = get_type_hints(cls)
+    sections = sections or {}
+    return {key: sections[key](value) if key in sections
+            else _typed(value, f"{where}.{key}", hints[key])
+            for key, value in d.items()}
 
 
-def _typed(mapping: dict, where: str, key: str, kinds, default):
-    value = mapping.get(key, default)
-    if value is None:
-        return None
-    if kinds is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kinds is int and isinstance(value, bool):
-        raise ArgumentError(f"{where}.{key}: expected int, got bool")
-    if not isinstance(value, kinds):
-        expected = kinds.__name__ if isinstance(kinds, type) else "/".join(k.__name__ for k in kinds)
-        raise ArgumentError(f"{where}.{key}: expected {expected}, got {type(value).__name__}")
-    return value
+def _check(where: str, check, *args, **kwargs):
+    """Call a range check of the code that uses the values, naming the
+    config section in its error."""
+    try:
+        return check(*args, **kwargs)
+    except ArgumentError as err:
+        raise ArgumentError(f"{where}: {err}") from None
+
+
+def _at_least(values, minimum, where: str, nonempty: bool = False) -> None:
+    if nonempty and not values:
+        raise ArgumentError(f"{where}: must not be empty")
+    for v in values:
+        if v < minimum:
+            raise ArgumentError(f"{where}: entries must be >= {minimum}, got {v}")
 
 
 @dataclass(frozen=True)
 class DatasetConfig:
     """Either a synthetic blob generator or four raw data files."""
 
-    kind: str = "blobs"
+    kind: Literal["blobs", "files"] = "blobs"
     classes: int = 8
     per_class: int = 250
     dim: int = 32
@@ -69,74 +142,34 @@ class DatasetConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "dataset") -> "DatasetConfig":
-        _require(
-            d, where,
-            {"kind", "classes", "per_class", "dim", "spread", "shape",
-             "train_features", "train_labels", "test_features", "test_labels",
-             "train_count", "test_count"},
-        )
-        kind = _typed(d, where, "kind", str, "blobs")
-        if kind not in ("blobs", "files"):
-            raise ArgumentError(f"{where}.kind: expected 'blobs' or 'files', got {kind!r}")
-        shape = d.get("shape")
-        if shape is not None:
-            if not (isinstance(shape, list) and shape and all(isinstance(v, int) and v > 0 for v in shape)):
-                raise ArgumentError(f"{where}.shape: expected a list of positive ints")
-            shape = tuple(shape)
-        cfg = cls(
-            kind=kind,
-            classes=_typed(d, where, "classes", int, 8),
-            per_class=_typed(d, where, "per_class", int, 250),
-            dim=_typed(d, where, "dim", int, 32),
-            spread=_typed(d, where, "spread", float, 1.0),
-            shape=shape,
-            train_features=_typed(d, where, "train_features", str, None),
-            train_labels=_typed(d, where, "train_labels", str, None),
-            test_features=_typed(d, where, "test_features", str, None),
-            test_labels=_typed(d, where, "test_labels", str, None),
-            train_count=_typed(d, where, "train_count", int, None),
-            test_count=_typed(d, where, "test_count", int, None),
-        )
+        cfg = cls(**_parse(cls, d, where))
+        if cfg.shape is not None:
+            _at_least(cfg.shape, 1, f"{where}.shape", nonempty=True)
+        if cfg.kind == "blobs":
+            _check(where, check_blob_args, cfg.classes, cfg.per_class, cfg.dim,
+                   cfg.spread, cfg.shape)
+            return cfg
         if cfg.classes < 2:
             raise ArgumentError(f"{where}.classes: need at least 2, got {cfg.classes}")
-        if kind == "blobs":
-            if cfg.per_class < 2:
-                raise ArgumentError(f"{where}.per_class: need at least 2, got {cfg.per_class}")
-            if cfg.dim < 2:
-                raise ArgumentError(f"{where}.dim: need at least 2, got {cfg.dim}")
-            if cfg.spread < 0:
-                raise ArgumentError(f"{where}.spread: must be >= 0, got {cfg.spread}")
-        else:
-            file_keys = ("train_features", "train_labels", "test_features", "test_labels")
-            if any(getattr(cfg, k) is None for k in file_keys):
-                raise ArgumentError(f"{where}: kind 'files' requires all four file paths")
-            if cfg.shape is None or cfg.train_count is None or cfg.test_count is None:
-                raise ArgumentError(f"{where}: kind 'files' requires shape, train_count, test_count")
+        if None in (cfg.train_features, cfg.train_labels, cfg.test_features, cfg.test_labels):
+            raise ArgumentError(f"{where}: kind 'files' requires all four file paths")
+        if None in (cfg.shape, cfg.train_count, cfg.test_count):
+            raise ArgumentError(f"{where}: kind 'files' requires shape, train_count, test_count")
         return cfg
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    name: str = "mlp"
+    name: Literal["mlp", "smallcnn"] = "mlp"
     hidden: tuple[int, ...] = (128, 64)
     channels: tuple[int, ...] = (8, 16)
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "model") -> "ModelConfig":
-        _require(d, where, {"name", "hidden", "channels"})
-        name = _typed(d, where, "name", str, "mlp")
-        if name not in ("mlp", "smallcnn"):
-            raise ArgumentError(f"{where}.name: expected 'mlp' or 'smallcnn', got {name!r}")
-
-        def int_tuple(key, default):
-            value = d.get(key, default)
-            if not (isinstance(value, (list, tuple)) and all(
-                    isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value)):
-                raise ArgumentError(f"{where}.{key}: expected a list of positive ints")
-            return tuple(value)
-
-        return cls(name=name, hidden=int_tuple("hidden", [128, 64]),
-                   channels=int_tuple("channels", [8, 16]))
+        cfg = cls(**_parse(cls, d, where))
+        _at_least(cfg.hidden, 1, f"{where}.hidden")
+        _at_least(cfg.channels, 1, f"{where}.channels")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -147,21 +180,11 @@ class SplitConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "split") -> "SplitConfig":
-        _require(d, where, {"fractions", "joint", "stratified"})
-        fractions = d.get("fractions", [50, 50])
-        if not (isinstance(fractions, (list, tuple)) and len(fractions) >= 2 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in fractions)):
-            raise ArgumentError(f"{where}.fractions: expected a list of at least 2 numbers")
-        fractions = tuple(float(v) for v in fractions)
-        if any(f <= 0 or f > 100 for f in fractions):
-            raise ArgumentError(f"{where}.fractions: must be in (0, 100], got {fractions}")
-        if abs(sum(fractions) - 100.0) > 1e-9:
-            raise ArgumentError(f"{where}.fractions: must sum to 100, got {sum(fractions)}")
-        return cls(
-            fractions=fractions,
-            joint=_typed(d, where, "joint", bool, True),
-            stratified=_typed(d, where, "stratified", bool, True),
-        )
+        cfg = cls(**_parse(cls, d, where))
+        if len(cfg.fractions) < 2:
+            raise ArgumentError(f"{where}.fractions: need at least 2 tasks, got {len(cfg.fractions)}")
+        _check(f"{where}.fractions", check_fractions, cfg.fractions)
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -175,20 +198,9 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "analysis") -> "AnalysisConfig":
-        _require(d, where, {"baseline_evals", "recovery_window", "tolerance",
-                            "window", "lmc_step", "theta2_epochs"})
-        cfg = cls(
-            baseline_evals=_typed(d, where, "baseline_evals", int, 5),
-            recovery_window=_typed(d, where, "recovery_window", int, 5),
-            tolerance=_typed(d, where, "tolerance", float, 0.0),
-            window=_typed(d, where, "window", int, 2000),
-            lmc_step=_typed(d, where, "lmc_step", float, 0.01),
-            theta2_epochs=_typed(d, where, "theta2_epochs", int, 5),
-        )
-        if cfg.baseline_evals < 1 or cfg.recovery_window < 1 or cfg.window < 1:
-            raise ArgumentError(f"{where}: baseline_evals, recovery_window, window must be >= 1")
-        if not 0.0 < cfg.lmc_step <= 0.5:
-            raise ArgumentError(f"{where}.lmc_step: must be in (0, 0.5], got {cfg.lmc_step}")
+        cfg = cls(**_parse(cls, d, where))
+        _check(where, check_gap_args, cfg.baseline_evals, cfg.recovery_window, cfg.window)
+        _check(f"{where}.lmc_step", check_step, cfg.lmc_step)
         if cfg.tolerance < 0:
             raise ArgumentError(f"{where}.tolerance: must be >= 0, got {cfg.tolerance}")
         if cfg.theta2_epochs < 1:
@@ -196,48 +208,31 @@ class AnalysisConfig:
         return cfg
 
 
-# per-run seeds come from the top-level seed list, so TrainConfig.seed is
-# not settable from a config document
-_TRAIN_KEYS = {"lr", "momentum", "batch_size", "epochs_per_task", "eval_every",
-               "checkpoint_every", "dense_window", "dense_tail", "velocity_reset",
-               "eval_batch"}
-
-
 def train_config_from_dict(d: dict, where: str = "train") -> TrainConfig:
-    _require(d, where, _TRAIN_KEYS)
-    kwargs = {}
-    for key in _TRAIN_KEYS - {"epochs_per_task", "velocity_reset", "lr", "momentum"}:
-        if key in d:
-            kwargs[key] = _typed(d, where, key, int, None)
-    for key in ("lr", "momentum"):
-        if key in d:
-            kwargs[key] = _typed(d, where, key, float, None)
-    if "velocity_reset" in d:
-        kwargs["velocity_reset"] = _typed(d, where, "velocity_reset", bool, None)
-    if "epochs_per_task" in d:
-        epochs = d["epochs_per_task"]
-        if isinstance(epochs, int) and not isinstance(epochs, bool):
-            kwargs["epochs_per_task"] = epochs
-        elif isinstance(epochs, list) and epochs and all(
-                isinstance(v, int) and not isinstance(v, bool) for v in epochs):
-            kwargs["epochs_per_task"] = tuple(epochs)
-        else:
-            raise ArgumentError(f"{where}.epochs_per_task: expected int or list of ints")
-    try:
-        return TrainConfig(**kwargs)
-    except ArgumentError as err:
-        raise ArgumentError(f"{where}: {err}") from None
+    # per-run seeds come from the top-level seed list, so TrainConfig.seed is
+    # not settable from a config document
+    return _check(where, TrainConfig, **_parse(TrainConfig, d, where, skip=("seed",)))
+
+
+def _plain(value):
+    """A config value as JSON data: tuples become lists, and keys whose
+    value is None are left out."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items() if v is not None}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: DatasetConfig
-    model: ModelConfig
-    split: SplitConfig
-    train: TrainConfig
-    analysis: AnalysisConfig
     out_dir: str
-    seeds: tuple[int, ...]
+    dataset: DatasetConfig = field(default_factory=DatasetConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    split: SplitConfig = field(default_factory=SplitConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
+    seeds: tuple[int, ...] = (0,)
     checkpoints: bool = True
     # seed processes; None sizes the pool to the machine. It cannot change
     # a result, so to_dict (and with it config.json and the hash) omits it
@@ -245,32 +240,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _require(
-            d, "config",
-            {"dataset", "model", "split", "train", "analysis", "out_dir",
-             "seeds", "checkpoints", "workers"},
-            required={"out_dir"},
-        )
-        seeds = d.get("seeds", [0])
-        if not (isinstance(seeds, list) and seeds and all(
-                isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in seeds)):
-            raise ArgumentError("config.seeds: expected a nonempty list of ints >= 0")
-        if len(set(seeds)) != len(seeds):
+        cfg = cls(**_parse(cls, d, "config", sections={
+            "dataset": DatasetConfig.from_dict,
+            "model": ModelConfig.from_dict,
+            "split": SplitConfig.from_dict,
+            "train": train_config_from_dict,
+            "analysis": AnalysisConfig.from_dict,
+        }))
+        _at_least(cfg.seeds, 0, "config.seeds", nonempty=True)
+        if len(set(cfg.seeds)) != len(cfg.seeds):
             raise ArgumentError("config.seeds: duplicate seeds")
-        workers = _typed(d, "config", "workers", int, None)
-        if workers is not None and workers < 1:
-            raise ArgumentError(f"config.workers: must be >= 1, got {workers}")
-        cfg = cls(
-            dataset=DatasetConfig.from_dict(d.get("dataset", {})),
-            model=ModelConfig.from_dict(d.get("model", {})),
-            split=SplitConfig.from_dict(d.get("split", {})),
-            train=train_config_from_dict(d.get("train", {})),
-            analysis=AnalysisConfig.from_dict(d.get("analysis", {})),
-            out_dir=_typed(d, "config", "out_dir", str, None),
-            seeds=tuple(seeds),
-            checkpoints=_typed(d, "config", "checkpoints", bool, True),
-            workers=workers,
-        )
+        if cfg.workers is not None and cfg.workers < 1:
+            raise ArgumentError(f"config.workers: must be >= 1, got {cfg.workers}")
         n_tasks = len(cfg.split.fractions)
         epochs = cfg.train.epochs_per_task
         if len(epochs) > n_tasks:
@@ -296,32 +277,12 @@ class ExperimentConfig:
         return cls.from_json(text)
 
     def to_dict(self) -> dict:
-        d = {
-            "dataset": {k: (list(v) if isinstance(v, tuple) else v)
-                        for k, v in asdict(self.dataset).items() if v is not None},
-            "model": {"name": self.model.name,
-                      "hidden": list(self.model.hidden),
-                      "channels": list(self.model.channels)},
-            "split": {"fractions": list(self.split.fractions),
-                      "joint": self.split.joint,
-                      "stratified": self.split.stratified},
-            "train": {
-                "lr": self.train.lr,
-                "momentum": self.train.momentum,
-                "batch_size": self.train.batch_size,
-                "epochs_per_task": list(self.train.epochs_per_task),
-                "eval_every": self.train.eval_every,
-                "checkpoint_every": self.train.checkpoint_every,
-                "dense_window": self.train.dense_window,
-                "dense_tail": self.train.dense_tail,
-                "velocity_reset": self.train.velocity_reset,
-                "eval_batch": self.train.eval_batch,
-            },
-            "analysis": asdict(self.analysis),
-            "out_dir": self.out_dir,
-            "seeds": list(self.seeds),
-            "checkpoints": self.checkpoints,
-        }
+        """The document that from_dict reads back to this config, less
+        `workers`, which cannot change a result, and `train.seed`, which
+        each run takes from `seeds`."""
+        d = _plain(asdict(self))
+        d.pop("workers", None)
+        del d["train"]["seed"]
         return d
 
     def hash(self) -> str:
@@ -342,14 +303,6 @@ class RunManifest:
             self.artifacts.append(path)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "artifacts": sorted(self.artifacts),
-                "versions": self.versions,
-                "created": self.created,
-                "seeds": self.seeds,
-            },
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
+        d = asdict(self)
+        d["artifacts"] = sorted(self.artifacts)
+        return json.dumps(d, indent=2, sort_keys=True) + "\n"

@@ -72,10 +72,14 @@ def interpolate(theta1: ParamVector, theta2: ParamVector, lam: float) -> ParamVe
     return ParamVector(values=values, spec_digest=theta1.spec_digest)
 
 
-def lambda_grid(step: float) -> np.ndarray:
-    """Ascending grid {0, step, 2*step, ...} with 1 always appended."""
+def check_step(step: float) -> None:
     if not 0.0 < step <= 0.5:
         raise ArgumentError(f"step must satisfy 0 < step <= 0.5, got {step}")
+
+
+def lambda_grid(step: float) -> np.ndarray:
+    """Ascending grid {0, step, 2*step, ...} with 1 always appended."""
+    check_step(step)
     n_interior = int(np.floor(1.0 / step * (1 - 1e-12)))
     grid = [i * step for i in range(n_interior + 1)]
     grid.append(1.0)

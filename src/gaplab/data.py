@@ -43,12 +43,29 @@ class Dataset:
     def n(self) -> int:
         return len(self.labels)
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.n_classes)
-
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
+
+
+def check_blob_args(
+    n_classes: int,
+    n_per_class: int,
+    dim: int,
+    spread: float,
+    shape: tuple[int, ...] | None = None,
+) -> None:
+    """The argument rules of gen_blobs, also used to check a config early."""
+    if n_classes < 2:
+        raise ArgumentError(f"need at least 2 classes, got {n_classes}")
+    if dim < 2:
+        raise ArgumentError(f"need dim >= 2, got {dim}")
+    if n_per_class < 2:
+        raise ArgumentError(f"need at least 2 samples per class, got {n_per_class}")
+    if spread < 0:
+        raise ArgumentError(f"spread must be nonnegative, got {spread}")
+    if shape is not None and math.prod(shape) != dim:
+        raise ArgumentError(f"shape {shape} does not cover dim={dim}")
 
 
 def gen_blobs(
@@ -69,17 +86,7 @@ def gen_blobs(
     flat feature vector (e.g. to [C, H, W] for CNN input); its product
     must equal `dim`.
     """
-    if n_classes < 2:
-        raise ArgumentError(f"need at least 2 classes, got {n_classes}")
-    if dim < 2:
-        raise ArgumentError(f"need dim >= 2, got {dim}")
-    if n_per_class < 2:
-        raise ArgumentError(f"need at least 2 samples per class, got {n_per_class}")
-    if spread < 0:
-        raise ArgumentError(f"spread must be nonnegative, got {spread}")
-    if shape is not None and int(np.prod(shape)) != dim:
-        raise ArgumentError(f"shape {shape} does not cover dim={dim}")
-
+    check_blob_args(n_classes, n_per_class, dim, spread, shape)
     rng = Rng(seed)
     means = np.stack(
         [rng.uniforms(dim, -4.0, 4.0) for _ in range(n_classes)]
@@ -109,6 +116,19 @@ def gen_blobs(
 # per record, records concatenated. Loading scales bytes to [0, 1].
 # ---------------------------------------------------------------------------
 
+RAW_MAX_CLASSES = 256  # a label is one byte
+
+
+def _read_exactly(path: str | Path, size: int) -> bytes:
+    raw = Path(path).read_bytes()
+    if len(raw) != size:
+        raise FormatError(
+            f"{path}: expected {size} bytes, found {len(raw)} "
+            f"(mismatch at byte offset {min(len(raw), size)})"
+        )
+    return raw
+
+
 def load_raw(
     features_path: str | Path,
     labels_path: str | Path,
@@ -122,18 +142,8 @@ def load_raw(
     if record <= 0 or count <= 0:
         raise ArgumentError(f"invalid record shape {shape} or count {count}")
 
-    feat_bytes = Path(features_path).read_bytes()
-    if len(feat_bytes) != count * record:
-        raise FormatError(
-            f"{features_path}: expected {count * record} bytes, found "
-            f"{len(feat_bytes)} (mismatch at byte offset {min(len(feat_bytes), count * record)})"
-        )
-    label_bytes = Path(labels_path).read_bytes()
-    if len(label_bytes) != count:
-        raise FormatError(
-            f"{labels_path}: expected {count} bytes, found {len(label_bytes)} "
-            f"(mismatch at byte offset {min(len(label_bytes), count)})"
-        )
+    feat_bytes = _read_exactly(features_path, count * record)
+    label_bytes = _read_exactly(labels_path, count)
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     bad = np.nonzero(labels >= n_classes)[0]
     if bad.size:
@@ -151,6 +161,10 @@ def load_raw(
 
 def save_raw(dataset: Dataset, features_path: str | Path, labels_path: str | Path) -> None:
     """Write the byte format; features must already lie in [0, 1]."""
+    if dataset.n_classes > RAW_MAX_CLASSES:
+        raise ArgumentError(
+            f"the raw format holds at most {RAW_MAX_CLASSES} classes, got {dataset.n_classes}"
+        )
     feats = dataset.features
     if feats.min() < 0.0 or feats.max() > 1.0:
         raise ArgumentError(
@@ -185,8 +199,6 @@ class TaskSequence:
     base: Dataset
     task_indices: list[np.ndarray]
     joint: bool
-    fractions: tuple[float, ...]
-    stratified: bool = True
 
     @property
     def n_tasks(self) -> int:
@@ -212,6 +224,19 @@ def _cumulative_cuts(total: int, fractions: tuple[float, ...]) -> list[int]:
     return cuts
 
 
+def check_fractions(fractions) -> tuple[float, ...]:
+    """Task sizes as percentages of the training set: each in (0, 100],
+    summing to 100. Returns them as floats."""
+    fractions = tuple(float(f) for f in fractions)
+    if len(fractions) < 1:
+        raise ArgumentError("need at least one task fraction")
+    if any(f <= 0 or f > 100 for f in fractions):
+        raise ArgumentError(f"fractions must be in (0, 100], got {fractions}")
+    if abs(sum(fractions) - 100.0) > 1e-9:
+        raise ArgumentError(f"fractions must sum to 100, got {sum(fractions)}")
+    return fractions
+
+
 def split_tasks(
     train: Dataset,
     fractions: list[float],
@@ -225,14 +250,7 @@ def split_tasks(
     sample of exact proportionality; unstratified slices the permutation
     directly with round(fraction * N / 100) sizes, remainder to the last.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) < 1:
-        raise ArgumentError("need at least one task fraction")
-    if any(f <= 0 or f > 100 for f in fractions):
-        raise ArgumentError(f"fractions must be in (0, 100], got {fractions}")
-    if abs(sum(fractions) - 100.0) > 1e-9:
-        raise ArgumentError(f"fractions must sum to 100, got {sum(fractions)}")
-
+    fractions = check_fractions(fractions)
     rng = Rng(seed)
     perm = rng.permutation(train.n)
     k = len(fractions)
@@ -253,7 +271,7 @@ def split_tasks(
     task_indices = [np.sort(np.array(t, dtype=np.int64)) for t in tasks]
     if any(len(t) == 0 for t in task_indices):
         raise ArgumentError("a task received no samples; fractions too small for N")
-    return TaskSequence(train, task_indices, joint, fractions, stratified)
+    return TaskSequence(train, task_indices, joint)
 
 
 def batch_iter(pool: np.ndarray, batch_size: int, epochs: int, rng: Rng):

@@ -17,28 +17,28 @@ Run directory layout (one subdirectory per seed):
 
 from __future__ import annotations
 
-import math
 import os
 import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .autodiff import Dense, Flatten, ModelSpec, ReLU, mlp, small_cnn
+from .autodiff import ModelSpec, mlp, small_cnn
 from .config import (DatasetConfig, ExperimentConfig, ModelConfig,
                      RunManifest, canonical_json)
 from .connectivity import lmc_curve, sgd_path_loss, write_lmc_csv, write_path_csv
-from .data import Dataset, TaskSequence, batches_per_epoch, gen_blobs, load_raw, split_tasks
-from .errors import ArgumentError, InsufficientTraceError
+from .data import Dataset, gen_blobs, load_raw, split_tasks
+from .errors import ArgumentError, GapLabError, InsufficientTraceError
 from .instrument import (GapMetrics, TraceRecorder, TrainTrace, compute_gap,
                          format_gap_doc, format_gap_docs, write_trace_csv)
 from .rng import derive_seed
-from .trainer import SPLIT_STREAM, CheckpointStore, run_sequence
+from .trainer import SPLIT_STREAM, CheckpointStore, run_sequence, task_lengths
 
 # stream ids 0..2 are taken by the trainer (init, batches, splits)
 DATA_STREAM = 3
@@ -70,17 +70,7 @@ def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...],
                 f"smallcnn needs channels x height x width input, got shape {input_shape}"
             )
         return small_cnn(input_shape, cfg.channels, cfg.hidden, n_classes)
-    if len(input_shape) == 1:
-        return mlp(input_shape[0], cfg.hidden, n_classes)
-    # multi-dimensional input into an mlp: flatten first
-    layers = [Flatten()]
-    n_in = math.prod(input_shape)
-    for n_out in cfg.hidden:
-        layers.extend([Dense(n_in, n_out), ReLU()])
-        n_in = n_out
-    layers.append(Dense(n_in, n_classes))
-    return ModelSpec(layers=tuple(layers), input_shape=tuple(input_shape),
-                     n_classes=n_classes)
+    return mlp(input_shape, cfg.hidden, n_classes)
 
 
 @dataclass
@@ -90,17 +80,6 @@ class SeedRunResult:
     trace: TrainTrace
     boundaries: list[int]
     gap: GapMetrics | None
-
-
-def _task_plan(task_seq: TaskSequence, cfg: ExperimentConfig) -> tuple[list[int], list[int]]:
-    """Per-task iteration counts and cumulative boundary iterations."""
-    lengths = []
-    for k in range(task_seq.n_tasks):
-        pool = task_seq.pool(k)
-        per_epoch = batches_per_epoch(len(pool), cfg.train.batch_size)
-        lengths.append(cfg.train.epochs_for(k) * per_epoch)
-    boundaries = list(np.cumsum(lengths))
-    return lengths, boundaries
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunResult:
@@ -123,14 +102,14 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         stratified=cfg.split.stratified,
     )
     train_cfg = replace(cfg.train, seed=seed)
-    _, boundaries = _task_plan(task_seq, cfg)
+    lengths = task_lengths(task_seq, train_cfg)
+    boundaries = list(accumulate(lengths))
 
+    # theta2: `theta2_epochs` epochs into the second task, if it runs that long
     theta2_iteration = None
-    if task_seq.n_tasks >= 2:
-        per_epoch_b = batches_per_epoch(len(task_seq.pool(1)), cfg.train.batch_size)
-        candidate = boundaries[0] + cfg.analysis.theta2_epochs * per_epoch_b
-        if candidate <= boundaries[1]:
-            theta2_iteration = candidate
+    if task_seq.n_tasks >= 2 and cfg.analysis.theta2_epochs <= train_cfg.epochs_for(1):
+        per_epoch = lengths[1] // train_cfg.epochs_for(1)
+        theta2_iteration = boundaries[0] + cfg.analysis.theta2_epochs * per_epoch
 
     store = None
     extra = set()
@@ -240,6 +219,16 @@ def _run_seeds_in_pool(cfg: ExperimentConfig, out: Path, n_procs: int) -> list:
         return [_attempt(f.result) for f in futures]
 
 
+def _dead_process_error(outcome):
+    """A seed whose process died (killed, out of memory) as a GapLabError,
+    so that the run still ends with a documented exit code."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    if isinstance(outcome, BrokenProcessPool):
+        return GapLabError(f"a seed process died: {outcome}")
+    return outcome
+
+
 def _status(outcome) -> str:
     if isinstance(outcome, Exception):
         return " ".join(f"{type(outcome).__name__}: {outcome}".split())
@@ -259,7 +248,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
     n_procs = _pool_size(cfg)
     if n_procs > 1:
-        outcomes = _run_seeds_in_pool(cfg, out, n_procs)
+        outcomes = [_dead_process_error(o) for o in _run_seeds_in_pool(cfg, out, n_procs)]
     else:
         outcomes = [_attempt(partial(_run_seed, cfg, s, out / f"seed{s}"))
                     for s in cfg.seeds]

@@ -58,9 +58,6 @@ class TrainTrace:
     def eval_records(self) -> list[TraceRecord]:
         return [r for r in self.records if r.test_acc is not None]
 
-    def task_records(self, task_id: int) -> list[TraceRecord]:
-        return [r for r in self.records if r.task == task_id]
-
 
 def eval_test(
     spec: ModelSpec,
@@ -188,6 +185,11 @@ class GapMetrics:
     recovered: bool
 
 
+def check_gap_args(baseline_evals: int, recovery_window: int, window: int) -> None:
+    if baseline_evals < 1 or recovery_window < 1 or window < 1:
+        raise ArgumentError("baseline_evals, recovery_window and window must be >= 1")
+
+
 def compute_gap(
     trace: TrainTrace,
     boundary_iteration: int,
@@ -203,8 +205,7 @@ def compute_gap(
     `baseline_evals` pre-boundary evaluations, and the minimum is taken
     over post-boundary evaluations within `window` iterations.
     """
-    if baseline_evals < 1 or recovery_window < 1 or window < 1:
-        raise ArgumentError("baseline_evals, recovery_window and window must be >= 1")
+    check_gap_args(baseline_evals, recovery_window, window)
     evals = trace.eval_records()
     pre = [r for r in evals if r.iteration <= boundary_iteration]
     post = [
@@ -330,19 +331,11 @@ def format_gap_docs(per_seed: dict[int, GapMetrics]) -> str:
     parts = [format_gap_doc(m, label=f"seed {s}") for s, m in sorted(per_seed.items())]
     values = list(per_seed.values())
     lines = ["[median]"]
-    lines.append(f"pre_switch_acc = {statistics.median(m.pre_switch_acc for m in values):.9g}")
-    lines.append(f"min_acc = {statistics.median(m.min_acc for m in values):.9g}")
-    lines.append(f"gap_depth = {statistics.median(m.gap_depth for m in values):.9g}")
-    lines.append(f"min_iteration = {statistics.median(m.min_iteration for m in values):.9g}")
-    recovered = [m for m in values if m.recovered]
-    if recovered:
-        lines.append(
-            "recovery_iteration = "
-            f"{statistics.median(m.recovery_iteration for m in recovered):.9g}"
-        )
-        lines.append(f"recovered_count = {len(recovered)}/{len(values)}")
-    else:
-        lines.append("recovery_iteration = none")
-        lines.append(f"recovered_count = 0/{len(values)}")
+    for name in ("pre_switch_acc", "min_acc", "gap_depth", "min_iteration"):
+        lines.append(f"{name} = {statistics.median(getattr(m, name) for m in values):.9g}")
+    recovered = [m.recovery_iteration for m in values if m.recovered]
+    recovery = f"{statistics.median(recovered):.9g}" if recovered else "none"
+    lines.append(f"recovery_iteration = {recovery}")
+    lines.append(f"recovered_count = {len(recovered)}/{len(values)}")
     parts.append("\n".join(lines) + "\n")
     return "\n".join(parts)

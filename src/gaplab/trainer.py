@@ -8,8 +8,10 @@ iterations of each task are observable one update at a time.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +66,8 @@ class TrainConfig:
         if isinstance(epochs, int):
             epochs = (epochs,)
         self.epochs_per_task = tuple(int(e) for e in epochs)
+        if not self.epochs_per_task:
+            raise ArgumentError("epochs_per_task needs at least one entry")
         if any(e < 0 for e in self.epochs_per_task):
             raise ArgumentError("epochs_per_task entries must be >= 0")
         for name in ("eval_every", "checkpoint_every"):
@@ -77,22 +81,24 @@ class TrainConfig:
             return self.epochs_per_task[task_id]
         return self.epochs_per_task[-1]
 
-    def _dense(self, i_in_task: int, task_len: int) -> bool:
-        return i_in_task <= self.dense_window or i_in_task > task_len - self.dense_tail
+    def task_length(self, task_id: int, pool_size: int) -> int:
+        """Iterations of a task: its epochs times the batches in one pass
+        over its pool."""
+        return self.epochs_for(task_id) * batches_per_epoch(pool_size, self.batch_size)
+
+    def _tick(self, i_in_task: int, task_len: int, every: int) -> bool:
+        return (
+            i_in_task <= self.dense_window
+            or i_in_task > task_len - self.dense_tail
+            or i_in_task % every == 0
+            or i_in_task == task_len
+        )
 
     def is_eval_tick(self, i_in_task: int, task_len: int) -> bool:
-        return (
-            self._dense(i_in_task, task_len)
-            or i_in_task % self.eval_every == 0
-            or i_in_task == task_len
-        )
+        return self._tick(i_in_task, task_len, self.eval_every)
 
     def is_checkpoint_tick(self, i_in_task: int, task_len: int) -> bool:
-        return (
-            self._dense(i_in_task, task_len)
-            or i_in_task % self.checkpoint_every == 0
-            or i_in_task == task_len
-        )
+        return self._tick(i_in_task, task_len, self.checkpoint_every)
 
 
 @dataclass
@@ -196,37 +202,29 @@ def load_checkpoint(path: str | Path, spec: ModelSpec | None = None) -> ParamVec
 
 
 class CheckpointStore:
-    """Directory of checkpoints indexed by (task id, global iteration)."""
+    """Directory of task<k>_iter<n> checkpoints, looked up by global iteration."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.index: dict[tuple[int, int], Path] = {}
         self._by_iteration: dict[int, Path] = {}
 
     @classmethod
     def open(cls, directory: str | Path) -> "CheckpointStore":
         store = cls(directory)
         for path in sorted(store.directory.glob("task*_iter*.ckpt")):
-            try:
-                task_part, iter_part = path.stem.split("_iter")
-                key = (int(task_part[4:]), int(iter_part))
-            except ValueError:
+            name = re.fullmatch(r"task\d+_iter(\d+)", path.stem)
+            if name is None:
                 raise FormatError(
                     f"{path}: bad checkpoint name, expected task<k>_iter<n>.ckpt"
-                ) from None
-            store.index[key] = path
-            store._by_iteration[key[1]] = path
+                )
+            store._by_iteration[int(name[1])] = path
         return store
 
-    def checkpoint_id(self, task_id: int, iteration: int) -> str:
-        return f"task{task_id}_iter{iteration:07d}"
-
     def save(self, task_id: int, iteration: int, params: ParamVector) -> str:
-        ckpt_id = self.checkpoint_id(task_id, iteration)
+        ckpt_id = f"task{task_id}_iter{iteration:07d}"
         path = self.directory / f"{ckpt_id}.ckpt"
         save_checkpoint(path, params)
-        self.index[(task_id, iteration)] = path
         self._by_iteration[iteration] = path
         return ckpt_id
 
@@ -254,6 +252,12 @@ class CheckpointStore:
 # Training loops
 # ---------------------------------------------------------------------------
 
+def task_lengths(task_seq: TaskSequence, config: TrainConfig) -> list[int]:
+    """Iterations of each task of a sequence; the task boundaries are the
+    running sums."""
+    return [config.task_length(k, len(task_seq.pool(k))) for k in range(task_seq.n_tasks)]
+
+
 @dataclass
 class SequenceResult:
     final_params: ParamVector
@@ -271,11 +275,11 @@ def train_task(
     rng: Rng,
     *,
     task_id: int = 0,
-    epochs: int | None = None,
     start_iteration: int = 0,
     state: OptimizerState | None = None,
 ) -> tuple[ParamVector, OptimizerState]:
-    """Run `epochs` of momentum SGD over `pool`, driving the hook object.
+    """Run task `task_id`'s epochs of momentum SGD over `pool`, driving
+    the hook object.
 
     Hook calls per iteration: `on_pre_update` (reusing the backward pass
     logits), `on_post_update`, then `on_eval` / `on_checkpoint` on their
@@ -284,13 +288,12 @@ def train_task(
     """
     if hooks is None:
         hooks = TrainingHooks()
-    if epochs is None:
-        epochs = config.epochs_for(task_id)
+    epochs = config.epochs_for(task_id)
     if state is None:
         state = OptimizerState.zeros(len(params))
     if epochs == 0:
         return params, state
-    task_len = epochs * batches_per_epoch(len(pool), config.batch_size)
+    task_len = config.task_length(task_id, len(pool))
     iteration = start_iteration
     i_in_task = 0
     for batch_idx in batch_iter(pool, config.batch_size, epochs, rng):
@@ -336,31 +339,23 @@ def run_sequence(
         params = init_params(spec, derive_seed(config.seed, INIT_STREAM))
     rng = Rng(derive_seed(config.seed, BATCH_STREAM))
     hooks.on_checkpoint(0, 0, params)
-    boundaries: list[int] = []
-    task_lengths: list[int] = []
-    iteration = 0
+    lengths = task_lengths(task_seq, config)
+    boundaries = list(accumulate(lengths))
     state: OptimizerState | None = None
-    for task_id in range(task_seq.n_tasks):
-        pool = task_seq.pool(task_id)
-        epochs = config.epochs_for(task_id)
-        task_len = epochs * batches_per_epoch(len(pool), config.batch_size)
+    for task_id, start in enumerate([0] + boundaries[:-1]):
         if config.velocity_reset:
             state = None
         params, state = train_task(
             spec,
             params,
             task_seq.base,
-            pool,
+            task_seq.pool(task_id),
             config,
             hooks,
             rng,
             task_id=task_id,
-            epochs=epochs,
-            start_iteration=iteration,
+            start_iteration=start,
             state=state,
         )
-        iteration += task_len
-        task_lengths.append(task_len)
-        boundaries.append(iteration)
-        hooks.on_task_end(task_id, iteration)
-    return SequenceResult(params, boundaries, task_lengths)
+        hooks.on_task_end(task_id, boundaries[task_id])
+    return SequenceResult(params, boundaries, lengths)

@@ -1,0 +1,84 @@
+"""Outside input that once ended in a traceback or a silent wrong result:
+null config values, too many classes for the raw format, and a seed
+process that dies."""
+
+import json
+from concurrent.futures.process import BrokenProcessPool
+
+import numpy as np
+import pytest
+
+from gaplab import experiment
+from gaplab.cli import main
+from gaplab.config import ExperimentConfig
+
+CONFIG = {
+    "dataset": {"kind": "blobs", "classes": 3, "per_class": 40, "dim": 4,
+                "spread": 1.0},
+    "model": {"name": "mlp", "hidden": [8]},
+    "split": {"fractions": [50, 50], "joint": True},
+    "train": {"batch_size": 16, "epochs_per_task": [4, 6],
+              "dense_window": 400, "dense_tail": 5},
+    "analysis": {"window": 100},
+    "seeds": [0],
+}
+
+
+def write_config(tmp_path, **overrides):
+    raw = dict(CONFIG, out_dir=str(tmp_path / "exp"))
+    raw.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("override", [
+    {"train": {"lr": None}},
+    {"analysis": {"window": None}},
+    {"dataset": {"classes": None}},
+    {"out_dir": None},
+    {"checkpoints": None},
+    {"seeds": None},
+    {"model": {"hidden": None}},
+    {"split": {"joint": None}},
+])
+def test_null_where_the_default_is_not_null_exits_2(tmp_path, capsys, override):
+    assert main(["train", "--config", str(write_config(tmp_path, **override))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "got null" in err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_null_is_the_default_for_optional_keys():
+    nulls = {"out_dir": "/t", "workers": None,
+             "dataset": {"shape": None, "train_features": None, "train_count": None}}
+    cfg = ExperimentConfig.from_dict(nulls)
+    assert cfg == ExperimentConfig.from_dict({"out_dir": "/t"})
+    assert "null" not in json.dumps(cfg.to_dict())
+
+
+def test_gen_data_rejects_more_classes_than_a_label_byte_holds(tmp_path, capsys):
+    out = tmp_path / "data"
+    args = ["gen-data", "--per-class", "5", "--dim", "2", "--out", str(out)]
+    assert main(args + ["--classes", "300"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "256" in err
+    assert not (out / "train_labels.bin").exists()
+    assert main(args + ["--classes", "256"]) == 0
+    labels = np.frombuffer((out / "train_labels.bin").read_bytes(), dtype=np.uint8)
+    assert len(np.unique(labels)) == 256
+
+
+def test_dead_seed_process_exits_4_and_keeps_the_manifest(tmp_path, capsys,
+                                                         monkeypatch, two_cpus):
+    died = BrokenProcessPool("A process in the process pool was terminated abruptly")
+    monkeypatch.setattr(experiment, "_run_seeds_in_pool",
+                        lambda cfg, out, n_procs: [died] * len(cfg.seeds))
+    path = write_config(tmp_path, seeds=[0, 1], workers=2)
+    assert main(["train", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed process died" in err
+    manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
+    assert sorted(manifest["seeds"]) == ["0", "1"]
+    for status in manifest["seeds"].values():
+        assert status.startswith("GapLabError: a seed process died")
