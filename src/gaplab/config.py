@@ -16,6 +16,7 @@ run directory is written.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -23,9 +24,9 @@ from types import NoneType, UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
 from .connectivity import check_step
-from .data import check_blob_args, check_fractions
+from .data import check_blob_args, check_fractions, check_raw_args
 from .errors import ArgumentError
-from .instrument import check_gap_args
+from .instrument import check_gap_args, compute_gap
 from .trainer import TrainConfig
 
 
@@ -155,6 +156,8 @@ class DatasetConfig:
             raise ArgumentError(f"{where}: kind 'files' requires all four file paths")
         if None in (cfg.shape, cfg.train_count, cfg.test_count):
             raise ArgumentError(f"{where}: kind 'files' requires shape, train_count, test_count")
+        for name in ("train_count", "test_count"):
+            _check(f"{where}.{name}", check_raw_args, cfg.shape, getattr(cfg, name))
         return cfg
 
 
@@ -187,22 +190,25 @@ class SplitConfig:
         return cfg
 
 
+# the gap analysis defaults are compute_gap's keyword defaults
+_GAP_PARAMS = inspect.signature(compute_gap).parameters
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
-    baseline_evals: int = 5
-    recovery_window: int = 5
-    tolerance: float = 0.0
-    window: int = 2000
+    baseline_evals: int = _GAP_PARAMS["baseline_evals"].default
+    recovery_window: int = _GAP_PARAMS["recovery_window"].default
+    tolerance: float = _GAP_PARAMS["tolerance"].default
+    window: int = _GAP_PARAMS["window"].default
     lmc_step: float = 0.01
     theta2_epochs: int = 5
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "analysis") -> "AnalysisConfig":
         cfg = cls(**_parse(cls, d, where))
-        _check(where, check_gap_args, cfg.baseline_evals, cfg.recovery_window, cfg.window)
+        _check(where, check_gap_args, cfg.baseline_evals, cfg.recovery_window,
+               cfg.tolerance, cfg.window)
         _check(f"{where}.lmc_step", check_step, cfg.lmc_step)
-        if cfg.tolerance < 0:
-            raise ArgumentError(f"{where}.tolerance: must be >= 0, got {cfg.tolerance}")
         if cfg.theta2_epochs < 1:
             raise ArgumentError(f"{where}.theta2_epochs: must be >= 1, got {cfg.theta2_epochs}")
         return cfg

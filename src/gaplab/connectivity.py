@@ -4,7 +4,6 @@ the loss along the straight line with the loss along the recorded SGD path.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,9 +11,22 @@ import numpy as np
 
 from .autodiff import ModelSpec, ParamVector, check_same_spec
 from .data import Dataset
-from .errors import ArgumentError, FormatError
-from .instrument import eval_test
+from .errors import ArgumentError
+from .instrument import eval_test, fmt_float, read_table, write_table
 from .trainer import CheckpointStore
+
+
+def _curve_arrays(x, losses, accuracies, x_dtype) -> tuple[np.ndarray, ...]:
+    """The rules every curve keeps: float64 losses and accuracies, one per
+    point, at strictly ascending positions `x`."""
+    x = np.asarray(x, dtype=x_dtype)
+    losses = np.asarray(losses, dtype=np.float64)
+    accuracies = np.asarray(accuracies, dtype=np.float64)
+    if not (len(x) == len(losses) == len(accuracies)):
+        raise ArgumentError("curve arrays must have equal length")
+    if np.any(np.diff(x) <= 0):
+        raise ArgumentError("curve positions must be strictly ascending")
+    return x, losses, accuracies
 
 
 @dataclass
@@ -26,17 +38,10 @@ class LmcCurve:
     accuracies: np.ndarray
 
     def __post_init__(self):
-        self.lambdas = np.asarray(self.lambdas, dtype=np.float64)
-        self.losses = np.asarray(self.losses, dtype=np.float64)
-        self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
-        if not (len(self.lambdas) == len(self.losses) == len(self.accuracies)):
-            raise ArgumentError("curve arrays must have equal length")
-        if len(self.lambdas) < 2:
-            raise ArgumentError("curve needs at least the two endpoints")
-        if self.lambdas[0] != 0.0 or self.lambdas[-1] != 1.0:
-            raise ArgumentError("lambda grid must start at 0 and end at 1")
-        if np.any(np.diff(self.lambdas) <= 0):
-            raise ArgumentError("lambda grid must be strictly ascending")
+        self.lambdas, self.losses, self.accuracies = _curve_arrays(
+            self.lambdas, self.losses, self.accuracies, np.float64)
+        if len(self.lambdas) < 2 or self.lambdas[0] != 0.0 or self.lambdas[-1] != 1.0:
+            raise ArgumentError("lambda grid must run from 0 to 1")
 
 
 @dataclass
@@ -48,15 +53,10 @@ class PathCurve:
     accuracies: np.ndarray
 
     def __post_init__(self):
-        self.iterations = np.asarray(self.iterations, dtype=np.int64)
-        self.losses = np.asarray(self.losses, dtype=np.float64)
-        self.accuracies = np.asarray(self.accuracies, dtype=np.float64)
-        if not (len(self.iterations) == len(self.losses) == len(self.accuracies)):
-            raise ArgumentError("curve arrays must have equal length")
+        self.iterations, self.losses, self.accuracies = _curve_arrays(
+            self.iterations, self.losses, self.accuracies, np.int64)
         if len(self.iterations) == 0:
             raise ArgumentError("path curve must contain at least one checkpoint")
-        if np.any(np.diff(self.iterations) <= 0):
-            raise ArgumentError("iterations must be strictly increasing")
 
 
 def interpolate(theta1: ParamVector, theta2: ParamVector, lam: float) -> ParamVector:
@@ -146,50 +146,23 @@ PATH_HEADER = ["iter", "loss", "accuracy"]
 
 
 def write_lmc_csv(path: str | Path, curve: LmcCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LMC_HEADER)
-        for lam, loss, acc in zip(curve.lambdas, curve.losses, curve.accuracies):
-            writer.writerow([f"{lam:.9g}", f"{loss:.9g}", f"{acc:.9g}"])
+    write_table(path, LMC_HEADER, (
+        [fmt_float(lam), fmt_float(loss), fmt_float(acc)]
+        for lam, loss, acc in zip(curve.lambdas, curve.losses, curve.accuracies)))
 
 
 def read_lmc_csv(path: str | Path) -> LmcCurve:
-    lambdas, losses, accuracies = _read_curve_csv(path, LMC_HEADER)
-    return LmcCurve(lambdas=lambdas, losses=losses, accuracies=accuracies)
+    rows = read_table(path, LMC_HEADER, lambda row: [float(v) for v in row], "curve")
+    return LmcCurve(*zip(*rows))
 
 
 def write_path_csv(path: str | Path, curve: PathCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PATH_HEADER)
-        for it, loss, acc in zip(curve.iterations, curve.losses, curve.accuracies):
-            writer.writerow([int(it), f"{loss:.9g}", f"{acc:.9g}"])
+    write_table(path, PATH_HEADER, (
+        [int(it), fmt_float(loss), fmt_float(acc)]
+        for it, loss, acc in zip(curve.iterations, curve.losses, curve.accuracies)))
 
 
 def read_path_csv(path: str | Path) -> PathCurve:
-    iterations, losses, accuracies = _read_curve_csv(path, PATH_HEADER)
-    return PathCurve(iterations=iterations.astype(np.int64), losses=losses, accuracies=accuracies)
-
-
-def _read_curve_csv(path: str | Path, header: list[str]):
-    first, second, third = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty curve file") from None
-        if got != header:
-            raise FormatError(f"{path}: line 1: unexpected header {got}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise FormatError(f"{path}: line {line_no}: expected 3 fields, got {len(row)}")
-            try:
-                first.append(float(row[0]))
-                second.append(float(row[1]))
-                third.append(float(row[2]))
-            except ValueError as err:
-                raise FormatError(f"{path}: line {line_no}: {err}") from None
-    if not first:
-        raise FormatError(f"{path}: curve contains no rows")
-    return np.asarray(first), np.asarray(second), np.asarray(third)
+    rows = read_table(path, PATH_HEADER,
+                      lambda row: (int(row[0]), float(row[1]), float(row[2])), "curve")
+    return PathCurve(*zip(*rows))

@@ -129,6 +129,12 @@ def _read_exactly(path: str | Path, size: int) -> bytes:
     return raw
 
 
+def check_raw_args(shape: tuple[int, ...], count: int) -> None:
+    """The argument rules of load_raw, also used to check a config early."""
+    if math.prod(shape) <= 0 or count <= 0:
+        raise ArgumentError(f"invalid record shape {shape} or count {count}")
+
+
 def load_raw(
     features_path: str | Path,
     labels_path: str | Path,
@@ -138,9 +144,8 @@ def load_raw(
 ) -> Dataset:
     """Load byte-format feature/label files; features become floats in [0, 1]."""
     shape = tuple(int(d) for d in shape)
-    record = int(np.prod(shape))
-    if record <= 0 or count <= 0:
-        raise ArgumentError(f"invalid record shape {shape} or count {count}")
+    check_raw_args(shape, count)
+    record = math.prod(shape)
 
     feat_bytes = _read_exactly(features_path, count * record)
     label_bytes = _read_exactly(labels_path, count)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -106,7 +106,12 @@ def batch_probe(
 
 
 class TraceRecorder(TrainingHooks):
-    """Accumulates the training trace and serves the trainer's hook points."""
+    """Accumulates the training trace and serves the trainer's hook points.
+
+    `on_pre_update` appends each iteration's record and the later hooks
+    fill it in. After a diverged update the failed iteration's record
+    stays in the trace, with NaN post-update fields.
+    """
 
     def __init__(
         self,
@@ -122,42 +127,39 @@ class TraceRecorder(TrainingHooks):
         self.store = store
         self.extra_checkpoint_iterations = set(extra_checkpoint_iterations or ())
         self.trace = TrainTrace()
-        self._current: TraceRecord | None = None
 
     def on_pre_update(self, iteration, task_id, loss, logits, labels):
-        self._current = TraceRecord(
+        self.trace.records.append(TraceRecord(
             iteration=iteration,
             task=task_id,
             batch_loss_pre=loss,
             batch_acc_pre=accuracy(logits, labels),
             batch_loss_post=float("nan"),
             batch_acc_post=float("nan"),
-        )
+        ))
 
     def on_post_update(self, iteration, task_id, params, batch, labels):
         logits = forward(self.spec, params, batch)
         loss, _ = softmax_cross_entropy(logits, labels)
-        self._current.batch_loss_post = loss
-        self._current.batch_acc_post = accuracy(logits, labels)
+        record = self.trace.records[-1]
+        record.batch_loss_post = loss
+        record.batch_acc_post = accuracy(logits, labels)
 
     def on_eval(self, iteration, params):
-        loss, acc = eval_test(self.spec, params, self.test, self.eval_batch)
-        self._current.test_loss = loss
-        self._current.test_acc = acc
+        record = self.trace.records[-1]
+        record.test_loss, record.test_acc = eval_test(
+            self.spec, params, self.test, self.eval_batch)
 
     def on_checkpoint(self, iteration, task_id, params):
         if self.store is None:
             return
         ckpt_id = self.store.save(task_id, iteration, params)
-        if self._current is not None and self._current.iteration == iteration:
-            self._current.ckpt = ckpt_id
+        # the checkpoint of the parameters entering training has no record
+        if self.trace.records and self.trace.records[-1].iteration == iteration:
+            self.trace.records[-1].ckpt = ckpt_id
 
     def wants_checkpoint(self, iteration) -> bool:
         return self.store is not None and iteration in self.extra_checkpoint_iterations
-
-    def on_iteration_end(self, iteration):
-        self.trace.records.append(self._current)
-        self._current = None
 
     def on_task_end(self, task_id, iteration):
         self.trace.boundaries.append(iteration)
@@ -185,9 +187,13 @@ class GapMetrics:
     recovered: bool
 
 
-def check_gap_args(baseline_evals: int, recovery_window: int, window: int) -> None:
+def check_gap_args(baseline_evals: int, recovery_window: int, tolerance: float,
+                   window: int) -> None:
+    """The argument rules of compute_gap, also used to check a config early."""
     if baseline_evals < 1 or recovery_window < 1 or window < 1:
         raise ArgumentError("baseline_evals, recovery_window and window must be >= 1")
+    if not tolerance >= 0:
+        raise ArgumentError(f"tolerance must be >= 0, got {tolerance}")
 
 
 def compute_gap(
@@ -205,7 +211,7 @@ def compute_gap(
     `baseline_evals` pre-boundary evaluations, and the minimum is taken
     over post-boundary evaluations within `window` iterations.
     """
-    check_gap_args(baseline_evals, recovery_window, window)
+    check_gap_args(baseline_evals, recovery_window, tolerance, window)
     evals = trace.eval_records()
     pre = [r for r in evals if r.iteration <= boundary_iteration]
     post = [
@@ -239,103 +245,109 @@ def compute_gap(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: trace CSV and the gap key-value document
+# Artifact text format: the CSV tables (trace, LMC and path curves) and the
+# gap key-value document
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float | None) -> str:
+def fmt_float(x: float | None) -> str:
+    """The number format of every text artifact: 9 significant digits.
+    None, a value that was not measured, is an empty field."""
     return "" if x is None else f"{x:.9g}"
 
 
-def write_trace_csv(path: str | Path, trace: TrainTrace) -> None:
+def write_table(path: str | Path, header: list[str], rows) -> None:
+    """A CSV table: the header line, then one line per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for r in trace.records:
-            writer.writerow(
-                [
-                    r.iteration,
-                    r.task,
-                    _fmt(r.batch_loss_pre),
-                    _fmt(r.batch_acc_pre),
-                    _fmt(r.batch_loss_post),
-                    _fmt(r.batch_acc_post),
-                    _fmt(r.test_loss),
-                    _fmt(r.test_acc),
-                    r.ckpt or "",
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(path: str | Path, header: list[str], parse, what: str) -> list:
+    """`parse(row)` of every row of a CSV table with the given header.
+    A wrong header or field count, a ValueError from `parse` or a table
+    without rows raises FormatError naming the file and the line."""
+    items = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            raise FormatError(f"{path}: empty {what} file")
+        if got != header:
+            raise FormatError(f"{path}: line 1: unexpected header {got}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise FormatError(
+                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                items.append(parse(row))
+            except ValueError as err:
+                raise FormatError(f"{path}: line {line_no}: {err}") from None
+    if not items:
+        raise FormatError(f"{path}: {what} contains no records")
+    return items
+
+
+def _trace_row(r: TraceRecord) -> list:
+    return [r.iteration, r.task, fmt_float(r.batch_loss_pre), fmt_float(r.batch_acc_pre),
+            fmt_float(r.batch_loss_post), fmt_float(r.batch_acc_post),
+            fmt_float(r.test_loss), fmt_float(r.test_acc), r.ckpt or ""]
+
+
+def _trace_record(row: list[str]) -> TraceRecord:
+    """The inverse of _trace_row: empty test fields were not evaluated."""
+    return TraceRecord(int(row[0]), int(row[1]), float(row[2]), float(row[3]),
+                       float(row[4]), float(row[5]), float(row[6]) if row[6] else None,
+                       float(row[7]) if row[7] else None, row[8] or None)
+
+
+def write_trace_csv(path: str | Path, trace: TrainTrace) -> None:
+    write_table(path, TRACE_HEADER, map(_trace_row, trace.records))
 
 
 def read_trace_csv(path: str | Path) -> TrainTrace:
-    trace = TrainTrace()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty trace file") from None
-        if header != TRACE_HEADER:
-            raise FormatError(f"{path}: line 1: unexpected header {header}")
-        prev_task = None
-        prev_iteration = None
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(TRACE_HEADER):
-                raise FormatError(
-                    f"{path}: line {line_no}: expected {len(TRACE_HEADER)} fields, got {len(row)}"
-                )
-            try:
-                record = TraceRecord(
-                    iteration=int(row[0]),
-                    task=int(row[1]),
-                    batch_loss_pre=float(row[2]),
-                    batch_acc_pre=float(row[3]),
-                    batch_loss_post=float(row[4]),
-                    batch_acc_post=float(row[5]),
-                    test_loss=float(row[6]) if row[6] else None,
-                    test_acc=float(row[7]) if row[7] else None,
-                    ckpt=row[8] or None,
-                )
-            except ValueError as err:
-                raise FormatError(f"{path}: line {line_no}: {err}") from None
-            if prev_iteration is not None and record.iteration <= prev_iteration:
-                raise FormatError(
-                    f"{path}: line {line_no}: iterations must strictly increase"
-                )
-            if prev_task is not None and record.task != prev_task:
-                trace.boundaries.append(prev_iteration)
-            prev_task = record.task
-            prev_iteration = record.iteration
-            trace.records.append(record)
-    if not trace.records:
-        raise FormatError(f"{path}: trace contains no records")
-    trace.boundaries.append(trace.records[-1].iteration)
+    """The trace of a trace.csv; boundaries are where the task changes."""
+    records = read_table(path, TRACE_HEADER, _trace_record, "trace")
+    trace = TrainTrace(records=records)
+    for line_no, (prev, record) in enumerate(zip(records, records[1:]), start=3):
+        if record.iteration <= prev.iteration:
+            raise FormatError(f"{path}: line {line_no}: iterations must strictly increase")
+        if record.task != prev.task:
+            trace.boundaries.append(prev.iteration)
+    trace.boundaries.append(records[-1].iteration)
     return trace
 
 
-def format_gap_doc(metrics: GapMetrics, label: str | None = None) -> str:
-    lines = []
-    if label is not None:
-        lines.append(f"[{label}]")
-    lines.append(f"pre_switch_acc = {metrics.pre_switch_acc:.9g}")
-    lines.append(f"min_acc = {metrics.min_acc:.9g}")
-    lines.append(f"gap_depth = {metrics.gap_depth:.9g}")
-    lines.append(f"min_iteration = {metrics.min_iteration}")
-    recovery = "none" if metrics.recovery_iteration is None else str(metrics.recovery_iteration)
-    lines.append(f"recovery_iteration = {recovery}")
-    lines.append(f"recovered = {'true' if metrics.recovered else 'false'}")
+def _gap_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_float(value)
+    return str(value)
+
+
+def _gap_section(label: str | None, items) -> str:
+    lines = [] if label is None else [f"[{label}]"]
+    lines += [f"{key} = {_gap_value(value)}" for key, value in items]
     return "\n".join(lines) + "\n"
+
+
+def format_gap_doc(metrics: GapMetrics, label: str | None = None) -> str:
+    """One `key = value` line per field of `metrics`, under an optional label."""
+    return _gap_section(label, asdict(metrics).items())
 
 
 def format_gap_docs(per_seed: dict[int, GapMetrics]) -> str:
     """Per-seed sections followed by a median summary over the seeds."""
     parts = [format_gap_doc(m, label=f"seed {s}") for s, m in sorted(per_seed.items())]
     values = list(per_seed.values())
-    lines = ["[median]"]
-    for name in ("pre_switch_acc", "min_acc", "gap_depth", "min_iteration"):
-        lines.append(f"{name} = {statistics.median(getattr(m, name) for m in values):.9g}")
+    medians = [(name, statistics.median(getattr(m, name) for m in values))
+               for name in ("pre_switch_acc", "min_acc", "gap_depth", "min_iteration")]
     recovered = [m.recovery_iteration for m in values if m.recovered]
-    recovery = f"{statistics.median(recovered):.9g}" if recovered else "none"
-    lines.append(f"recovery_iteration = {recovery}")
-    lines.append(f"recovered_count = {len(recovered)}/{len(values)}")
-    parts.append("\n".join(lines) + "\n")
+    medians.append(("recovery_iteration", statistics.median(recovered) if recovered else None))
+    medians.append(("recovered_count", f"{len(recovered)}/{len(values)}"))
+    parts.append(_gap_section("median", medians))
     return "\n".join(parts)

@@ -3,8 +3,8 @@
 Hand-rolled on purpose: the output must be byte-reproducible across runs
 and machines, so no plotting library (and no timestamps, random ids, or
 locale-dependent formatting) is involved. Only the primitives the report
-figures need are provided: polyline series, axis ticks, reference lines
-and a legend.
+figures need are provided: polyline series, axis ticks, vertical
+reference lines and a legend.
 """
 
 from __future__ import annotations
@@ -15,11 +15,13 @@ from dataclasses import dataclass, field
 from .errors import ArgumentError
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
+SERIES_WIDTH = 1.5
+REF_LINE_COLOR = "#555555"
 
 _FONT = "font-family=\"Helvetica,Arial,sans-serif\""
 
 
-def _fmt(x: float) -> str:
+def _fmt_coord(x: float) -> str:
     """Fixed-notation coordinate with trailing zeros trimmed."""
     s = f"{x:.2f}".rstrip("0").rstrip(".")
     return "0" if s == "-0" else s
@@ -52,15 +54,6 @@ class _Series:
     ys: list[float]
     color: str
     label: str | None
-    width: float
-
-
-@dataclass
-class _RefLine:
-    value: float
-    vertical: bool
-    color: str
-    label: str | None
 
 
 @dataclass
@@ -73,36 +66,28 @@ class LinePlot:
     width: int = 720
     height: int = 440
     _series: list[_Series] = field(default_factory=list)
-    _ref_lines: list[_RefLine] = field(default_factory=list)
+    _vlines: list[tuple[float, str | None]] = field(default_factory=list)
 
     # plot area margins: left, right, top, bottom
     _margins = (64, 18, 34, 48)
 
-    def add_series(self, xs, ys, label: str | None = None,
-                   color: str | None = None, width: float = 1.5) -> None:
+    def add_series(self, xs, ys, label: str | None = None) -> None:
         xs = [float(x) for x in xs]
         ys = [float(y) for y in ys]
         if len(xs) != len(ys):
             raise ArgumentError("series xs and ys must have equal length")
         if not xs:
             raise ArgumentError("series must contain at least one point")
-        if color is None:
-            color = PALETTE[len(self._series) % len(PALETTE)]
-        self._series.append(_Series(xs, ys, color, label, width))
+        color = PALETTE[len(self._series) % len(PALETTE)]
+        self._series.append(_Series(xs, ys, color, label))
 
-    def add_vline(self, x: float, color: str = "#555555",
-                  label: str | None = None) -> None:
-        self._ref_lines.append(_RefLine(float(x), True, color, label))
-
-    def add_hline(self, y: float, color: str = "#555555",
-                  label: str | None = None) -> None:
-        self._ref_lines.append(_RefLine(float(y), False, color, label))
+    def add_vline(self, x: float, label: str | None = None) -> None:
+        self._vlines.append((float(x), label))
 
     def _data_range(self):
         xs = [x for s in self._series for x in s.xs if math.isfinite(x)]
         ys = [y for s in self._series for y in s.ys if math.isfinite(y)]
-        for line in self._ref_lines:
-            (xs if line.vertical else ys).append(line.value)
+        xs += [x for x, _ in self._vlines]
         if not xs or not ys:
             raise ArgumentError("plot has no finite data")
         x_lo, x_hi = min(xs), max(xs)
@@ -138,47 +123,35 @@ class LinePlot:
         for tick in nice_ticks(x_lo, x_hi):
             tx = px(tick)
             out.append(
-                f'<line x1="{_fmt(tx)}" y1="{mt}" x2="{_fmt(tx)}" '
+                f'<line x1="{_fmt_coord(tx)}" y1="{mt}" x2="{_fmt_coord(tx)}" '
                 f'y2="{mt + ph}" stroke="#e0e0e0" stroke-width="1"/>'
             )
             out.append(
-                f'<text x="{_fmt(tx)}" y="{mt + ph + 16}" {_FONT} font-size="11" '
+                f'<text x="{_fmt_coord(tx)}" y="{mt + ph + 16}" {_FONT} font-size="11" '
                 f'fill="#333333" text-anchor="middle">{_fmt_tick(tick)}</text>'
             )
         for tick in nice_ticks(y_lo, y_hi):
             ty = py(tick)
             out.append(
-                f'<line x1="{ml}" y1="{_fmt(ty)}" x2="{ml + pw}" '
-                f'y2="{_fmt(ty)}" stroke="#e0e0e0" stroke-width="1"/>'
+                f'<line x1="{ml}" y1="{_fmt_coord(ty)}" x2="{ml + pw}" '
+                f'y2="{_fmt_coord(ty)}" stroke="#e0e0e0" stroke-width="1"/>'
             )
             out.append(
-                f'<text x="{ml - 6}" y="{_fmt(ty + 4)}" {_FONT} font-size="11" '
+                f'<text x="{ml - 6}" y="{_fmt_coord(ty + 4)}" {_FONT} font-size="11" '
                 f'fill="#333333" text-anchor="end">{_fmt_tick(tick)}</text>'
             )
 
-        for line in self._ref_lines:
-            if line.vertical:
-                tx = _fmt(px(line.value))
+        for x, label in self._vlines:
+            tx = _fmt_coord(px(x))
+            out.append(
+                f'<line x1="{tx}" y1="{mt}" x2="{tx}" y2="{mt + ph}" '
+                f'stroke="{REF_LINE_COLOR}" stroke-width="1" stroke-dasharray="5,4"/>'
+            )
+            if label:
                 out.append(
-                    f'<line x1="{tx}" y1="{mt}" x2="{tx}" y2="{mt + ph}" '
-                    f'stroke="{line.color}" stroke-width="1" stroke-dasharray="5,4"/>'
+                    f'<text x="{_fmt_coord(px(x) + 4)}" y="{mt + 12}" {_FONT} '
+                    f'font-size="11" fill="{REF_LINE_COLOR}">{label}</text>'
                 )
-                if line.label:
-                    out.append(
-                        f'<text x="{_fmt(px(line.value) + 4)}" y="{mt + 12}" {_FONT} '
-                        f'font-size="11" fill="{line.color}">{line.label}</text>'
-                    )
-            else:
-                ty = _fmt(py(line.value))
-                out.append(
-                    f'<line x1="{ml}" y1="{ty}" x2="{ml + pw}" y2="{ty}" '
-                    f'stroke="{line.color}" stroke-width="1" stroke-dasharray="5,4"/>'
-                )
-                if line.label:
-                    out.append(
-                        f'<text x="{ml + pw - 4}" y="{_fmt(py(line.value) - 4)}" {_FONT} '
-                        f'font-size="11" fill="{line.color}" text-anchor="end">{line.label}</text>'
-                    )
 
         for series in self._series:
             # split the polyline at non-finite points instead of drawing through them
@@ -186,7 +159,7 @@ class LinePlot:
             segments: list[list[str]] = []
             for x, y in zip(series.xs, series.ys):
                 if math.isfinite(x) and math.isfinite(y):
-                    segment.append(f"{_fmt(px(x))},{_fmt(py(y))}")
+                    segment.append(f"{_fmt_coord(px(x))},{_fmt_coord(py(y))}")
                 elif segment:
                     segments.append(segment)
                     segment = []
@@ -201,7 +174,7 @@ class LinePlot:
                 else:
                     out.append(
                         f'<polyline points="{" ".join(seg)}" fill="none" '
-                        f'stroke="{series.color}" stroke-width="{series.width}"/>'
+                        f'stroke="{series.color}" stroke-width="{SERIES_WIDTH}"/>'
                     )
 
         out.append(
@@ -238,7 +211,7 @@ class LinePlot:
                 row = ly + 8 + 16 * i
                 out.append(
                     f'<line x1="{lx}" y1="{row}" x2="{lx + 20}" y2="{row}" '
-                    f'stroke="{series.color}" stroke-width="{series.width}"/>'
+                    f'stroke="{series.color}" stroke-width="{SERIES_WIDTH}"/>'
                 )
                 out.append(
                     f'<text x="{lx + 26}" y="{row + 4}" {_FONT} font-size="11" '

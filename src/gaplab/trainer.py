@@ -70,9 +70,9 @@ class TrainConfig:
             raise ArgumentError("epochs_per_task needs at least one entry")
         if any(e < 0 for e in self.epochs_per_task):
             raise ArgumentError("epochs_per_task entries must be >= 0")
-        for name in ("eval_every", "checkpoint_every"):
+        for name in ("eval_every", "checkpoint_every", "eval_batch"):
             if getattr(self, name) < 1:
-                raise ArgumentError(f"{name} must be >= 1")
+                raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dense_window < 0 or self.dense_tail < 0:
             raise ArgumentError("dense_window and dense_tail must be >= 0")
 
@@ -148,9 +148,6 @@ class TrainingHooks:
 
     def wants_checkpoint(self, iteration) -> bool:
         return False
-
-    def on_iteration_end(self, iteration):
-        pass
 
     def on_task_end(self, task_id, iteration):
         pass
@@ -314,7 +311,6 @@ def train_task(
             iteration
         ):
             hooks.on_checkpoint(iteration, task_id, params)
-        hooks.on_iteration_end(iteration)
     return params, state
 
 

@@ -1,6 +1,7 @@
-"""Outside input that once ended in a traceback or a silent wrong result:
-null config values, too many classes for the raw format, and a seed
-process that dies."""
+"""Outside input that once ended in a traceback, a silent wrong result or
+a run directory written before the error: null config values, too many
+classes for the raw format, a seed process that dies, and range rules
+that the config and the command line must share."""
 
 import json
 from concurrent.futures.process import BrokenProcessPool
@@ -11,6 +12,9 @@ import pytest
 from gaplab import experiment
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig
+from gaplab.instrument import write_trace_csv
+
+from conftest import eval_trace
 
 CONFIG = {
     "dataset": {"kind": "blobs", "classes": 3, "per_class": 40, "dim": 4,
@@ -82,3 +86,38 @@ def test_dead_seed_process_exits_4_and_keeps_the_manifest(tmp_path, capsys,
     assert sorted(manifest["seeds"]) == ["0", "1"]
     for status in manifest["seeds"].values():
         assert status.startswith("GapLabError: a seed process died")
+
+
+def test_negative_tolerance_exits_2_in_gap_and_in_config(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    write_trace_csv(trace_path, eval_trace([0.9] * 5, [0.5] * 8))
+    assert main(["gap", "--trace", str(trace_path), "--tolerance", "-0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gaplab: error: tolerance must be >= 0, got -0.5\n"
+    path = write_config(tmp_path, analysis={"tolerance": -0.5})
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "gaplab: error: analysis: tolerance must be >= 0, got -0.5\n"
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("key", ["train_count", "test_count"])
+def test_files_dataset_with_count_0_writes_nothing(tmp_path, capsys, key):
+    dataset = {"kind": "files", "classes": 3, "shape": [4],
+               "train_features": "a.bin", "train_labels": "b.bin",
+               "test_features": "c.bin", "test_labels": "d.bin",
+               "train_count": 8, "test_count": 8, key: 0}
+    assert main(["train", "--config", str(write_config(tmp_path, dataset=dataset))]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"dataset.{key}: " in err and "count 0" in err
+    assert not (tmp_path / "exp").exists()
+
+
+def test_eval_batch_0_exits_2_before_any_seed_directory(tmp_path, capsys):
+    path = write_config(tmp_path, train=dict(CONFIG["train"], eval_batch=0))
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "gaplab: error: train: eval_batch must be >= 1, got 0\n"
+    assert not (tmp_path / "exp" / "seed0").exists()
+    assert not (tmp_path / "exp").exists()

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from gaplab.svgplot import LinePlot, nice_ticks
+from gaplab.svgplot import PALETTE, LinePlot, nice_ticks
 
 
 def simple_plot():
@@ -12,7 +12,6 @@ def simple_plot():
     plot.add_series([0, 1, 2], [0.0, 1.0, 0.5], label="a")
     plot.add_series([0, 1, 2], [1.0, 0.5, 0.0], label="b")
     plot.add_vline(1.0)
-    plot.add_hline(0.25)
     return plot
 
 
@@ -33,11 +32,22 @@ def test_render_deterministic_and_timestamp_free():
         assert needle not in a
 
 
+LEGEND_BOX = 'fill-opacity="0.85"'
+
+
 def test_legend_only_for_labeled_series():
     plot = LinePlot(title="", xlabel="", ylabel="")
     plot.add_series([0, 1], [0, 1])
     svg = plot.render()
-    assert "legend" not in svg
+    # no legend box, and the series colour only on its own polyline
+    assert LEGEND_BOX not in svg
+    assert svg.count(PALETTE[0]) == 1
+    plot.add_series([0, 1], [1, 0], label="b")
+    svg = plot.render()
+    # one box holding the labeled series' swatch and label
+    assert svg.count(LEGEND_BOX) == 1
+    assert svg.count(PALETTE[1]) == 2
+    assert svg.count(">b</text>") == 1
 
 
 def test_nonfinite_points_split_polyline():

@@ -214,6 +214,21 @@ def test_boundary_arithmetic():
     assert [r.task for r in rec.trace.records] == [0] * 8 + [1] * 24
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverged_iteration_keeps_its_record():
+    # a linear model's first update at this step size overflows in sgd_step
+    _, seq, test = small_problem()
+    spec = mlp(4, [], 3)
+    cfg = TrainConfig(lr=1e308, batch_size=16, epochs_per_task=(2, 3))
+    rec = TraceRecorder(spec, test)
+    with pytest.raises(DivergenceError, match="^iteration 1: parameters became non-finite"):
+        run_sequence(spec, seq, cfg, rec)
+    [record] = rec.trace.records
+    assert record.iteration == 1 and np.isfinite(record.batch_loss_pre)
+    assert np.isnan(record.batch_loss_post) and np.isnan(record.batch_acc_post)
+    assert record.test_acc is None
+
+
 def test_epochs_zero_is_noop():
     spec, seq, test = small_problem()
     cfg = TrainConfig(batch_size=16, epochs_per_task=(0, 0))
