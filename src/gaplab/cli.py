@@ -102,7 +102,9 @@ def cmd_gap(args) -> int:
         text = format_gap_docs(docs)
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text)
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
     return 3 if any_unrecovered else 0
 
 

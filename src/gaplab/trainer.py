@@ -302,11 +302,11 @@ def train_task(
             loss, grads, logits = backward(spec, params, x, y)
             hooks.on_pre_update(iteration, task_id, loss, logits, y)
             params, state = sgd_step(params, grads, state, config.lr, config.momentum)
+            hooks.on_post_update(iteration, task_id, params, x, y)
+            if config.is_eval_tick(i_in_task, task_len):
+                hooks.on_eval(iteration, params)
         except DivergenceError as err:
             raise DivergenceError(f"iteration {iteration}: {err}") from err
-        hooks.on_post_update(iteration, task_id, params, x, y)
-        if config.is_eval_tick(i_in_task, task_len):
-            hooks.on_eval(iteration, params)
         if config.is_checkpoint_tick(i_in_task, task_len) or hooks.wants_checkpoint(
             iteration
         ):

@@ -1,5 +1,7 @@
 """Shared test helpers: finite-difference gradients, trace builders and
-run-directory comparison."""
+run-directory comparison, and a guard against leaked worker processes."""
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -63,3 +65,11 @@ def run_files(out):
 def two_cpus(monkeypatch):
     """Let two seeds run in a pool of two even on a one-CPU machine."""
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_left_running():
+    """Fail the run if any test leaves a child process running."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes left running after the tests: {left}"

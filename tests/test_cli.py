@@ -147,6 +147,16 @@ def test_gap_reads_trace_and_writes_doc(tmp_path, capsys):
     assert capsys.readouterr().out == doc
 
 
+@pytest.mark.parametrize("post, code", [([0.6] + [0.9] * 7, 0), ([0.5] * 8, 3)])
+def test_gap_out_creates_its_directory(tmp_path, capsys, post, code):
+    trace_path = tmp_path / "trace.csv"
+    write_trace_csv(trace_path, eval_trace([0.9] * 5, post))
+    out_path = tmp_path / "new" / "dir" / "gap.txt"
+    assert main(["gap", "--trace", str(trace_path), "--boundary", "100",
+                 "--out", str(out_path)]) == code
+    assert out_path.read_text() == capsys.readouterr().out
+
+
 def test_gap_unrecovered_signals_exit_3(tmp_path):
     trace = eval_trace([0.9] * 5, [0.5] * 8)
     trace_path = tmp_path / "trace.csv"

@@ -1,10 +1,27 @@
-"""PRNG correctness: reference vectors, stream derivation, distributions."""
+"""PRNG correctness: reference vectors, stream derivation, distributions,
+and block draws against the one-value-at-a-time stream."""
+
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gaplab
 from gaplab.errors import ArgumentError
-from gaplab.rng import MASK64, Rng, derive_seed, splitmix64_next
+from gaplab.rng import (
+    _BLOCK_CUTOFF,
+    _LANE_STEPS,
+    MASK64,
+    Rng,
+    derive_seed,
+    splitmix64_next,
+)
 
 # Published outputs of the splitmix64 reference implementation from state 0.
 SPLITMIX_FROM_ZERO = [
@@ -117,3 +134,99 @@ def test_permutation_deterministic():
 
 def test_mask64_constant():
     assert MASK64 == 2**64 - 1
+
+
+# --- block draws equal the scalar stream ----------------------------------------
+
+class ScalarRng(Rng):
+    """The oracle: each bulk draw built from next_u64, normal and next_below
+    one element at a time."""
+
+    __slots__ = ()
+
+    def normals(self, n):
+        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+
+    def uniforms(self, n, lo, hi):
+        return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+
+    def shuffle(self, arr):
+        for i in range(len(arr) - 1, 0, -1):
+            j = self.next_below(i + 1)
+            arr[i], arr[j] = arr[j], arr[i]
+
+
+def _draw(rng, op, n, lo, hi):
+    if op == "normals":
+        return rng.normals(n)
+    if op == "uniforms":
+        return rng.uniforms(n, lo, hi)
+    if op == "shuffle":
+        arr = np.arange(n, dtype=np.int64) * 7
+        rng.shuffle(arr)
+        return arr
+    if op == "permutation":
+        return rng.permutation(n)
+    if op == "normal":
+        return np.array([rng.normal()])
+    if op == "next_below":
+        return np.array([rng.next_below(n + 1)], dtype=np.uint64)
+    return np.array([rng.next_u64()], dtype=np.uint64)
+
+
+def _gauss_bits(rng):
+    return None if rng._gauss is None else struct.pack("<d", rng._gauss)
+
+
+EDGE_LENGTHS = [0, 1, 2, 3, 5, 7,
+                _LANE_STEPS - 1, _LANE_STEPS, _LANE_STEPS + 1,
+                _BLOCK_CUTOFF - 1, _BLOCK_CUTOFF, _BLOCK_CUTOFF + 1,
+                _BLOCK_CUTOFF + 2 * _LANE_STEPS + 1]
+LENGTHS = st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(0, 3 * _BLOCK_CUTOFF))
+OP_NAMES = ["normals", "uniforms", "shuffle", "permutation",
+            "normal", "next_below", "next_u64"]
+OPS = st.sampled_from(OP_NAMES)
+BOUNDS = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=2024, calls=[(op, n, -0.5, 3.0) for n in EDGE_LENGTHS for op in OP_NAMES])
+@given(seed=st.integers(0, MASK64),
+       calls=st.lists(st.tuples(OPS, LENGTHS, BOUNDS, BOUNDS), min_size=1, max_size=6))
+def test_block_draws_equal_scalar_stream(seed, calls):
+    block, oracle = Rng(seed), ScalarRng(seed)
+    for op, n, lo, hi in calls:
+        got, want = _draw(block, op, n, lo, hi), _draw(oracle, op, n, lo, hi)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (op, n)
+        assert block._s == oracle._s, (op, n)
+        assert _gauss_bits(block) == _gauss_bits(oracle), (op, n)
+
+
+def test_shuffle_replays_a_rejected_draw():
+    # a state whose first output is 2**64 - 1, which next_below(n) rejects
+    # for every n that is not a power of two
+    def rotr(x, k):
+        return ((x >> k) | (x << (64 - k))) & MASK64
+
+    s1 = rotr(MASK64 * pow(9, -1, 1 << 64) & MASK64, 7) * pow(5, -1, 1 << 64) & MASK64
+    block, oracle = Rng(0), ScalarRng(0)
+    block._s, oracle._s = [1, s1, 2, 3], [1, s1, 2, 3]
+    probe = Rng(0)
+    probe._s = [1, s1, 2, 3]
+    assert probe.next_u64() == MASK64
+    n = _BLOCK_CUTOFF + 10
+    got, want = np.arange(n), np.arange(n)
+    block.shuffle(got)
+    oracle.shuffle(want)
+    assert got.tolist() == want.tolist()
+    assert block._s == oracle._s
+
+
+def test_import_leaves_jump_table_unbuilt():
+    src = str(Path(gaplab.__file__).resolve().parents[1])
+    code = ("import gaplab.cli, gaplab.rng as r; "
+            "print(r._jump_table.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"

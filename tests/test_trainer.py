@@ -229,6 +229,16 @@ def test_diverged_iteration_keeps_its_record():
     assert record.test_acc is None
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_divergence_in_a_hook_names_its_iteration():
+    # the update stays finite but the post-update probe's forward overflows
+    spec, seq, test = small_problem()
+    cfg = TrainConfig(lr=1e200, batch_size=16, epochs_per_task=(2, 3))
+    with pytest.raises(DivergenceError,
+                       match=r"^iteration \d+: non-finite values in forward logits"):
+        run_sequence(spec, seq, cfg, TraceRecorder(spec, test))
+
+
 def test_epochs_zero_is_noop():
     spec, seq, test = small_problem()
     cfg = TrainConfig(batch_size=16, epochs_per_task=(0, 0))
