@@ -11,8 +11,8 @@ from .autodiff import (Conv3x3, Dense, Flatten, MaxPool2x2, ModelSpec,
                        ParamVector, ReLU, accuracy, backward, forward,
                        init_params, mlp, small_cnn, softmax_cross_entropy)
 from .config import (AnalysisConfig, DatasetConfig, ExperimentConfig,
-                     ModelConfig, RunManifest, SplitConfig, canonical_json,
-                     config_hash)
+                     ModelConfig, RunManifest, SplitConfig, build_model_spec,
+                     canonical_json, config_hash)
 from .connectivity import (LmcCurve, PathCurve, barrier, interpolate,
                            lmc_curve, read_lmc_csv, read_path_csv,
                            sgd_path_loss, write_lmc_csv, write_path_csv)
@@ -21,8 +21,7 @@ from .data import (Dataset, TaskSequence, batch_iter, batches_per_epoch,
 from .errors import (ArgumentError, DivergenceError, FormatError, GapLabError,
                      InsufficientTraceError, LabelRangeError,
                      MissingCheckpointError, ShapeError, SpecMismatchError)
-from .experiment import (build_dataset, build_model_spec, run_experiment,
-                         run_single_seed)
+from .experiment import build_dataset, run_experiment, run_single_seed
 from .instrument import (GapMetrics, TraceRecord, TraceRecorder, TrainTrace,
                          batch_probe, compute_gap, eval_test, format_gap_doc,
                          format_gap_docs, read_trace_csv, write_trace_csv)

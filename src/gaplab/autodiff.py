@@ -293,32 +293,43 @@ def _check_batch(spec: ModelSpec, batch: Tensor) -> Tensor:
     return batch
 
 
+def _pad_channels_last(x: np.ndarray) -> np.ndarray:
+    """[N, C, H, W] as a zero-padded [N, H+2, W+2, C] array, so that a
+    window of it reshapes to an (N*H*W, C) matrix."""
+    n, c, h, width = x.shape
+    xp = np.zeros((n, h + 2, width + 2, c), dtype=np.float64)
+    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
 def _conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, _, h, width = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    out = np.zeros((n, w.shape[0], h, width), dtype=np.float64)
+    """One matrix product per kernel offset: out += window @ w[:, :, di, dj].T."""
+    n, c, h, width = x.shape
+    xp = _pad_channels_last(x)
+    out = np.zeros((n * h * width, w.shape[0]), dtype=np.float64)
     for di in range(3):
         for dj in range(3):
-            out += np.einsum(
-                "oc,bchw->bohw", w[:, :, di, dj], xp[:, :, di:di + h, dj:dj + width]
-            )
+            window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
+            out += window @ w[:, :, di, dj].T
+    out = out.reshape(n, h, width, -1).transpose(0, 3, 1, 2)
     return out + b[None, :, None, None]
 
 
 def _conv3x3_backward(x, w, dy):
-    n, _, h, width = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    """Per kernel offset: dw[:, :, di, dj] = dy_mat.T @ window, and the
+    window's share of dx is dy_mat @ w[:, :, di, dj]."""
+    n, c, h, width = x.shape
+    xp = _pad_channels_last(x)
+    dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
     for di in range(3):
         for dj in range(3):
-            patch = xp[:, :, di:di + h, dj:dj + width]
-            dw[:, :, di, dj] = np.einsum("bohw,bchw->oc", dy, patch)
-            dxp[:, :, di:di + h, dj:dj + width] += np.einsum(
-                "oc,bohw->bchw", w[:, :, di, dj], dy
-            )
+            window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
+            dw[:, :, di, dj] = dy_mat.T @ window
+            dxp[:, di:di + h, dj:dj + width] += (dy_mat @ w[:, :, di, dj]).reshape(n, h, width, c)
     db = dy.sum(axis=(0, 2, 3))
-    return dxp[:, :, 1:-1, 1:-1], dw, db
+    return dxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), dw, db
 
 
 def _maxpool_forward(x: np.ndarray):

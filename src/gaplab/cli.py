@@ -18,7 +18,7 @@ from .connectivity import (lmc_curve, read_lmc_csv, read_path_csv, sgd_path_loss
                            write_lmc_csv, write_path_csv)
 from .data import RAW_MAX_CLASSES, gen_blobs, normalize_unit, save_raw
 from .errors import ArgumentError, GapLabError, InsufficientTraceError
-from .experiment import build_dataset, build_model_spec, run_experiment
+from .experiment import build_dataset, run_experiment
 from .instrument import (compute_gap, format_gap_doc, format_gap_docs,
                          read_trace_csv)
 from .svgplot import LinePlot
@@ -130,8 +130,8 @@ def _lmc_figure(curve, path_curve=None) -> LinePlot:
 def cmd_lmc(args) -> int:
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    train, test = build_dataset(cfg.dataset, seed)
-    spec = build_model_spec(cfg.model, train.features.shape[1:], train.n_classes)
+    _, test = build_dataset(cfg.dataset, seed)
+    spec = cfg.model_spec
     theta1 = load_checkpoint(args.ckpt_a, spec)
     theta2 = load_checkpoint(args.ckpt_b, spec)
     step = args.step if args.step is not None else cfg.analysis.lmc_step

@@ -19,13 +19,15 @@ import hashlib
 import inspect
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
+from .autodiff import ModelSpec, mlp, small_cnn
 from .connectivity import check_step
 from .data import check_blob_args, check_fractions, check_raw_args
-from .errors import ArgumentError
+from .errors import ArgumentError, ShapeError
 from .instrument import check_gap_args, compute_gap
 from .trainer import TrainConfig
 
@@ -160,6 +162,11 @@ class DatasetConfig:
             _check(f"{where}.{name}", check_raw_args, cfg.shape, getattr(cfg, name))
         return cfg
 
+    @property
+    def input_shape(self) -> tuple[int, ...]:
+        """The shape of one sample: `shape`, or (dim,) for flat blobs."""
+        return self.shape if self.shape is not None else (self.dim,)
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -173,6 +180,17 @@ class ModelConfig:
         _at_least(cfg.hidden, 1, f"{where}.hidden")
         _at_least(cfg.channels, 1, f"{where}.channels")
         return cfg
+
+
+def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...],
+                     n_classes: int) -> ModelSpec:
+    if cfg.name == "smallcnn":
+        if len(input_shape) != 3:
+            raise ArgumentError(
+                f"smallcnn needs channels x height x width input, got shape {input_shape}"
+            )
+        return small_cnn(input_shape, cfg.channels, cfg.hidden, n_classes)
+    return mlp(input_shape, cfg.hidden, n_classes)
 
 
 @dataclass(frozen=True)
@@ -264,7 +282,17 @@ class ExperimentConfig:
             raise ArgumentError(
                 f"train.epochs_per_task: {len(epochs)} entries for {n_tasks} tasks"
             )
+        cfg.model_spec  # a model that cannot take the dataset's input is a config error
         return cfg
+
+    @cached_property
+    def model_spec(self) -> ModelSpec:
+        """The model for the dataset's declared input shape and classes."""
+        try:
+            return build_model_spec(self.model, self.dataset.input_shape,
+                                    self.dataset.classes)
+        except (ArgumentError, ShapeError) as err:
+            raise ArgumentError(f"model: {err}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":

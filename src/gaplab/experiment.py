@@ -29,12 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .autodiff import ModelSpec, mlp, small_cnn
-from .config import (DatasetConfig, ExperimentConfig, ModelConfig,
-                     RunManifest, canonical_json)
+from .config import DatasetConfig, ExperimentConfig, RunManifest, canonical_json
+from .config import build_model_spec  # noqa: F401  (still importable from here)
 from .connectivity import lmc_curve, sgd_path_loss, write_lmc_csv, write_path_csv
 from .data import Dataset, gen_blobs, load_raw, split_tasks
-from .errors import ArgumentError, GapLabError, InsufficientTraceError
+from .errors import GapLabError, InsufficientTraceError
 from .instrument import (GapMetrics, TraceRecorder, TrainTrace, compute_gap,
                          format_gap_doc, format_gap_docs, write_trace_csv)
 from .rng import derive_seed
@@ -62,17 +61,6 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...],
-                     n_classes: int) -> ModelSpec:
-    if cfg.name == "smallcnn":
-        if len(input_shape) != 3:
-            raise ArgumentError(
-                f"smallcnn needs channels x height x width input, got shape {input_shape}"
-            )
-        return small_cnn(input_shape, cfg.channels, cfg.hidden, n_classes)
-    return mlp(input_shape, cfg.hidden, n_classes)
-
-
 @dataclass
 class SeedRunResult:
     seed: int
@@ -93,7 +81,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
     run_dir.mkdir(parents=True)
 
     train, test = build_dataset(cfg.dataset, seed)
-    spec = build_model_spec(cfg.model, train.features.shape[1:], train.n_classes)
+    spec = cfg.model_spec
     task_seq = split_tasks(
         train,
         fractions=cfg.split.fractions,

@@ -23,6 +23,7 @@ from gaplab.autodiff import (
     small_cnn,
     softmax_cross_entropy,
 )
+from gaplab.autodiff import _conv3x3_backward, _conv3x3_forward
 from gaplab.errors import DivergenceError, ShapeError, SpecMismatchError
 from gaplab.rng import Rng
 
@@ -62,6 +63,63 @@ def test_grad_conv_pool_flatten(seed):
 
 def test_grad_deep_mixed():
     check_grads(small_cnn((2, 4, 4), [3], [5], 3), 7, n=4)
+    check_grads(small_cnn((2, 4, 6), [3], [], 3), 8, n=3)  # non-square input
+
+
+# --- conv kernels against the einsum reference ----------------------------
+
+def einsum_conv3x3_forward(x, w, b):
+    """Reference: one einsum per kernel offset over the NCHW input."""
+    n, _, h, width = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.zeros((n, w.shape[0], h, width))
+    for di in range(3):
+        for dj in range(3):
+            out += np.einsum(
+                "oc,bchw->bohw", w[:, :, di, dj], xp[:, :, di:di + h, dj:dj + width]
+            )
+    return out + b[None, :, None, None]
+
+
+def einsum_conv3x3_backward(x, w, dy):
+    n, _, h, width = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[:, :, di:di + h, dj:dj + width]
+            dw[:, :, di, dj] = np.einsum("bohw,bchw->oc", dy, patch)
+            dxp[:, :, di:di + h, dj:dj + width] += np.einsum(
+                "oc,bohw->bchw", w[:, :, di, dj], dy
+            )
+    db = dy.sum(axis=(0, 2, 3))
+    return dxp[:, :, 1:-1, 1:-1], dw, db
+
+
+@pytest.mark.parametrize("n, c_in, c_out, h, w", [
+    (1, 1, 1, 5, 5),
+    (2, 2, 3, 3, 5),
+    (3, 4, 2, 2, 6),
+    (64, 3, 8, 8, 8),    # the cnn-files layers, at the training batch
+    (64, 8, 16, 4, 4),
+    (160, 3, 8, 8, 8),   # and at the size of its test set
+    (160, 8, 16, 4, 4),
+])
+def test_conv3x3_kernels_match_einsum_reference(n, c_in, c_out, h, w):
+    rng = Rng(n * 1000 + c_in * 100 + h * 10 + w)
+    x = rng.normals(n * c_in * h * w).reshape(n, c_in, h, w)
+    weights = rng.normals(c_out * c_in * 9).reshape(c_out, c_in, 3, 3)
+    bias = rng.normals(c_out)
+    dy = rng.normals(n * c_out * h * w).reshape(n, c_out, h, w)
+    got = (_conv3x3_forward(x, weights, bias),) + _conv3x3_backward(x, weights, dy)
+    want = (einsum_conv3x3_forward(x, weights, bias),) + einsum_conv3x3_backward(x, weights, dy)
+    for name, g, e in zip(("out", "dx", "dw", "db"), got, want):
+        assert g.shape == e.shape, name
+        np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12, err_msg=name)
+    again = (_conv3x3_forward(x, weights, bias),) + _conv3x3_backward(x, weights, dy)
+    for g, a in zip(got, again):
+        assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(a).tobytes()
 
 
 # --- cross-entropy oracles -------------------------------------------------

@@ -99,7 +99,7 @@ def test_train_unknown_config_key_exit_2(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("overrides, code", [
-    ({"model": {"name": "smallcnn"}}, 2),            # seed-time ArgumentError
+    ({"split": {"fractions": [99.5, 0.5]}}, 2),      # seed-time ArgumentError
     ({"train": dict(CONFIG["train"], lr=1e4)}, 4),   # seed 0 diverges
 ], ids=["argument-error", "divergence"])
 def test_train_seed_error_exit_codes_in_pool(tmp_path, two_cpus, capsys,

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from gaplab import experiment
-from gaplab.config import ExperimentConfig
+from gaplab.config import ExperimentConfig, ModelConfig
 from gaplab.errors import ArgumentError, DivergenceError
 from gaplab.experiment import build_dataset, build_model_spec, run_experiment
 
@@ -65,24 +65,34 @@ def test_manifest_lists_artifacts_and_hash(tmp_path):
     assert ExperimentConfig.from_json(text).hash() == cfg.hash()
 
 
+# a conv model on [C, H, W] blobs: in-process seeds run BLAS with the
+# threads as found, seed processes with one thread each
+SMALL_CNN = {
+    "dataset": dict(SMALL["dataset"], dim=48, shape=[3, 4, 4]),
+    "model": {"name": "smallcnn", "channels": [4], "hidden": [8]},
+}
+
+
 def test_workers_do_not_change_results(tmp_path, monkeypatch):
-    a = run_experiment(config(tmp_path / "single", workers=1))
-    auto = run_experiment(config(tmp_path / "auto"))
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
-    environ = dict(os.environ)
-    b = run_experiment(config(tmp_path / "multi", workers=2))
-    assert dict(os.environ) == environ
-    for seed in (0, 1):
-        ta = (a / f"seed{seed}" / "trace.csv").read_bytes()
-        tb = (b / f"seed{seed}" / "trace.csv").read_bytes()
-        assert ta == tb
-    assert (a / "gap.txt").read_bytes() == (b / "gap.txt").read_bytes()
-    files = run_files(a)
-    for name in ("gap.txt", "seed0/lmc.csv", "seed1/path.csv", "seed1/gap.txt"):
-        assert name in files
-    assert sum(name.endswith(".ckpt") for name in files) > 2
-    assert run_files(b) == files
-    assert run_files(auto) == files
+    for model, overrides in (("mlp", {}), ("smallcnn", SMALL_CNN)):
+        with monkeypatch.context() as patch:
+            a = run_experiment(config(tmp_path / model / "single", workers=1, **overrides))
+            auto = run_experiment(config(tmp_path / model / "auto", **overrides))
+            patch.setattr(experiment, "_usable_cpus", lambda: 2)
+            environ = dict(os.environ)
+            b = run_experiment(config(tmp_path / model / "multi", workers=2, **overrides))
+        assert dict(os.environ) == environ
+        for seed in (0, 1):
+            ta = (a / f"seed{seed}" / "trace.csv").read_bytes()
+            tb = (b / f"seed{seed}" / "trace.csv").read_bytes()
+            assert ta == tb, model
+        assert (a / "gap.txt").read_bytes() == (b / "gap.txt").read_bytes()
+        files = run_files(a)
+        for name in ("gap.txt", "seed0/lmc.csv", "seed1/path.csv", "seed1/gap.txt"):
+            assert name in files, model
+        assert sum(name.endswith(".ckpt") for name in files) > 2
+        assert run_files(b) == files, model
+        assert run_files(auto) == files, model
 
 
 def test_blas_thread_overlay_keeps_user_settings(monkeypatch):
@@ -153,7 +163,6 @@ def test_build_dataset_blobs_and_model_spec():
 
 
 def test_build_model_spec_rejects_cnn_on_flat_data():
-    cfg = ExperimentConfig.from_dict(
-        dict(SMALL, out_dir="/tmp/x", model={"name": "smallcnn"}))
+    cfg = ModelConfig.from_dict({"name": "smallcnn"})
     with pytest.raises(ArgumentError):
-        build_model_spec(cfg.model, (4,), 3)
+        build_model_spec(cfg, (4,), 3)

@@ -121,3 +121,17 @@ def test_eval_batch_0_exits_2_before_any_seed_directory(tmp_path, capsys):
     assert err == "gaplab: error: train: eval_batch must be >= 1, got 0\n"
     assert not (tmp_path / "exp" / "seed0").exists()
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("dataset", [
+    CONFIG["dataset"],                                      # flat blobs
+    dict(CONFIG["dataset"], dim=108, shape=[3, 6, 6]),      # second pool meets 3x3
+], ids=["flat-input", "odd-pool-input"])
+def test_smallcnn_that_cannot_take_its_input_exits_2_before_any_file(
+        tmp_path, capsys, two_cpus, dataset):
+    path = write_config(tmp_path, dataset=dataset, model={"name": "smallcnn"},
+                        seeds=[0, 1])
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: error: model: ") and err.count("\n") == 1
+    assert not (tmp_path / "exp").exists()
