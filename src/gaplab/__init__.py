@@ -4,9 +4,20 @@ Train a model over a sequence of tasks with warm starts, record test
 accuracy densely around each task boundary, quantify the transient
 post-switch drop, and analyze how the pre- and post-switch checkpoints
 connect in parameter space.
+
+Importing gaplab gives BLAS one thread: it sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless they are already set.
 """
 
-from ._version import __version__
+import os
+
+# BLAS libraries read these once, when numpy loads, so they are set before
+# the first submodule imports numpy; seed processes inherit them. On gaplab's
+# small matrices a second thread only spins. A value the user set is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from ._version import __version__  # noqa: E402  (after the thread variables)
 from .autodiff import (Conv3x3, Dense, Flatten, MaxPool2x2, ModelSpec,
                        ParamVector, ReLU, accuracy, backward, forward,
                        init_params, mlp, small_cnn, softmax_cross_entropy)
@@ -23,8 +34,8 @@ from .errors import (ArgumentError, DivergenceError, FormatError, GapLabError,
                      MissingCheckpointError, ShapeError, SpecMismatchError)
 from .experiment import build_dataset, run_experiment, run_single_seed
 from .instrument import (GapMetrics, TraceRecord, TraceRecorder, TrainTrace,
-                         batch_probe, compute_gap, eval_test, format_gap_doc,
-                         format_gap_docs, read_trace_csv, write_trace_csv)
+                         compute_gap, eval_test, format_gap_doc, format_gap_docs,
+                         read_trace_csv, write_trace_csv)
 from .rng import Rng, derive_seed, splitmix64_next
 from .trainer import (CheckpointStore, OptimizerState, SequenceResult,
                       TrainConfig, TrainingHooks, load_checkpoint,
@@ -44,7 +55,7 @@ __all__ = [
     "CheckpointStore", "OptimizerState", "SequenceResult", "TrainConfig",
     "TrainingHooks", "load_checkpoint", "run_sequence", "save_checkpoint",
     "sgd_step", "train_task",
-    "GapMetrics", "TraceRecord", "TraceRecorder", "TrainTrace", "batch_probe",
+    "GapMetrics", "TraceRecord", "TraceRecorder", "TrainTrace",
     "compute_gap", "eval_test", "format_gap_doc", "format_gap_docs",
     "read_trace_csv", "write_trace_csv",
     "LmcCurve", "PathCurve", "barrier", "interpolate", "lmc_curve",

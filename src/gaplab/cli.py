@@ -21,6 +21,7 @@ from .errors import ArgumentError, GapLabError, InsufficientTraceError
 from .experiment import build_dataset, run_experiment
 from .instrument import (compute_gap, format_gap_doc, format_gap_docs,
                          read_trace_csv)
+from .rng import check_seed
 from .svgplot import LinePlot
 from .trainer import CheckpointStore, load_checkpoint
 
@@ -37,7 +38,7 @@ def _shape_arg(text: str) -> tuple[int, ...]:
 
 def cmd_gen_data(args) -> int:
     train, test = gen_blobs(
-        seed=args.seed,
+        seed=check_seed(args.seed, "--seed"),
         n_classes=args.classes,
         n_per_class=args.per_class,
         dim=args.dim,
@@ -61,7 +62,7 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "out", None):
         cfg = replace(cfg, out_dir=args.out)
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
+        cfg = replace(cfg, seeds=(check_seed(args.seed, "--seed"),))
     return cfg
 
 
@@ -129,8 +130,7 @@ def _lmc_figure(curve, path_curve=None) -> LinePlot:
 
 def cmd_lmc(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    _, test = build_dataset(cfg.dataset, seed)
+    _, test = build_dataset(cfg.dataset, cfg.seeds[0])
     spec = cfg.model_spec
     theta1 = load_checkpoint(args.ckpt_a, spec)
     theta2 = load_checkpoint(args.ckpt_b, spec)

@@ -29,6 +29,7 @@ from .connectivity import check_step
 from .data import check_blob_args, check_fractions, check_raw_args
 from .errors import ArgumentError, ShapeError
 from .instrument import check_gap_args, compute_gap
+from .rng import check_seed
 from .trainer import TrainConfig
 
 
@@ -271,7 +272,10 @@ class ExperimentConfig:
             "train": train_config_from_dict,
             "analysis": AnalysisConfig.from_dict,
         }))
-        _at_least(cfg.seeds, 0, "config.seeds", nonempty=True)
+        if not cfg.seeds:
+            raise ArgumentError("config.seeds: must not be empty")
+        for seed in cfg.seeds:
+            check_seed(seed, "config.seeds")
         if len(set(cfg.seeds)) != len(cfg.seeds):
             raise ArgumentError("config.seeds: duplicate seeds")
         if cfg.workers is not None and cfg.workers < 1:

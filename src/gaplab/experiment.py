@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import shutil
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -171,39 +170,16 @@ def _pool_size(cfg: ExperimentConfig) -> int:
     return min(len(cfg.seeds), cpus, cfg.workers or cpus)
 
 
-# BLAS libraries read these once, when numpy is imported. One thread per
-# seed process: a second thread spins on these small matrices and competes
-# with the other seeds for the cores.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _one_blas_thread_env():
-    """Set each BLAS thread variable the user has not set to 1, and restore
-    os.environ on exit. Spawned processes inherit the environment as it
-    was when they started."""
-    added = [k for k in _BLAS_THREAD_VARS if k not in os.environ]
-    for key in added:
-        os.environ[key] = "1"
-    try:
-        yield
-    finally:
-        for key in added:
-            del os.environ[key]
-
-
 def _run_seeds_in_pool(cfg: ExperimentConfig, out: Path, n_procs: int) -> list:
     # imported here so that importing the CLI does not pay for them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # seed processes inherit the one-thread BLAS settings that importing
+    # gaplab put into os.environ
     with ProcessPoolExecutor(max_workers=n_procs,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        # a spawning executor starts its worker processes inside submit(),
-        # so every worker starts while the overlay is in place
-        with _one_blas_thread_env():
-            futures = [pool.submit(_run_seed, cfg, s, out / f"seed{s}")
-                       for s in cfg.seeds]
+        futures = [pool.submit(_run_seed, cfg, s, out / f"seed{s}") for s in cfg.seeds]
         return [_attempt(f.result) for f in futures]
 
 

@@ -14,8 +14,6 @@ import statistics
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .autodiff import ModelSpec, ParamVector, accuracy, forward, softmax_cross_entropy
 from .data import Dataset
 from .errors import ArgumentError, FormatError, InsufficientTraceError
@@ -82,34 +80,13 @@ def eval_test(
     return loss_sum / test.n, correct / test.n
 
 
-def batch_probe(
-    spec: ModelSpec,
-    params_before: ParamVector,
-    params_after: ParamVector,
-    batch: np.ndarray,
-    labels: np.ndarray,
-    logits_pre: np.ndarray | None = None,
-) -> tuple[float, float, float, float]:
-    """Loss/accuracy of one batch before and after its SGD update.
-
-    When the pre-update logits from the backward pass are supplied, no
-    extra forward pass is spent on the "before" side.
-    """
-    if logits_pre is None:
-        logits_pre = forward(spec, params_before, batch)
-    loss_pre, _ = softmax_cross_entropy(logits_pre, labels)
-    acc_pre = accuracy(logits_pre, labels)
-    logits_post = forward(spec, params_after, batch)
-    loss_post, _ = softmax_cross_entropy(logits_post, labels)
-    acc_post = accuracy(logits_post, labels)
-    return acc_pre, acc_post, loss_pre, loss_post
-
-
 class TraceRecorder(TrainingHooks):
     """Accumulates the training trace and serves the trainer's hook points.
 
     `on_pre_update` appends each iteration's record and the later hooks
-    fill it in. After a diverged update the failed iteration's record
+    fill it in. The batch probe's "before" side reuses the backward pass's
+    loss and logits; its "after" side is one forward pass with the updated
+    parameters. After a diverged update the failed iteration's record
     stays in the trace, with NaN post-update fields.
     """
 

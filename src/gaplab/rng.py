@@ -50,6 +50,15 @@ def splitmix64_next(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+def check_seed(seed: int, where: str = "seed") -> int:
+    """The rule for a run's seed, from a config or a command line. Rng and
+    derive_seed reduce any int mod 2**64, so a seed outside [0, 2**64)
+    would repeat another seed's results under a different name."""
+    if not 0 <= seed <= MASK64:
+        raise ArgumentError(f"{where}: must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def derive_seed(seed: int, stream: int) -> int:
     """Sub-seed for an independent stream: output `stream` of splitmix64(seed)."""
     if stream < 0:

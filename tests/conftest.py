@@ -2,6 +2,9 @@
 run-directory comparison, and a guard against leaked worker processes."""
 
 import multiprocessing
+import os
+from multiprocessing import resource_tracker
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,9 +70,31 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
 
 
+def running_children() -> list[int]:
+    """PIDs of this process's children that are still running, found by
+    the parent PID in each /proc/<pid>/stat (read only); empty without
+    /proc. Zombies are left out, and so is multiprocessing's resource
+    tracker, which ends when this process does."""
+    tracker = getattr(resource_tracker._resource_tracker, "_pid", None)
+    running = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # the fields after the parenthesised command name: state, ppid, ...
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:  # the process ended while we looked
+            continue
+        pid = int(stat.parent.name)
+        if int(ppid) == os.getpid() and state != "Z" and pid != tracker:
+            running.append(pid)
+    return sorted(running)
+
+
 @pytest.fixture(scope="session", autouse=True)
 def no_process_left_running():
-    """Fail the run if any test leaves a child process running."""
+    """Fail the run if any test leaves a child process running, whether
+    multiprocessing started it or, say, subprocess.Popen."""
     yield
     left = multiprocessing.active_children()
     assert not left, f"child processes left running after the tests: {left}"
+    pids = running_children()
+    assert not pids, f"child processes left running after the tests: PIDs {pids}"

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaplab
 from gaplab import experiment
 from gaplab.config import ExperimentConfig, ModelConfig
 from gaplab.errors import ArgumentError, DivergenceError
@@ -65,8 +69,9 @@ def test_manifest_lists_artifacts_and_hash(tmp_path):
     assert ExperimentConfig.from_json(text).hash() == cfg.hash()
 
 
-# a conv model on [C, H, W] blobs: in-process seeds run BLAS with the
-# threads as found, seed processes with one thread each
+# a conv model on [C, H, W] blobs: in-process seeds run BLAS with the threads
+# this process started with (conftest imports numpy before gaplab), seed
+# processes with the one thread that importing gaplab asks for
 SMALL_CNN = {
     "dataset": dict(SMALL["dataset"], dim=48, shape=[3, 4, 4]),
     "model": {"name": "smallcnn", "channels": [4], "hidden": [8]},
@@ -95,16 +100,84 @@ def test_workers_do_not_change_results(tmp_path, monkeypatch):
         assert run_files(auto) == files, model
 
 
-def test_blas_thread_overlay_keeps_user_settings(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    environ = dict(os.environ)
-    with experiment._one_blas_thread_env():
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-        assert os.environ["MKL_NUM_THREADS"] == "1"
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert dict(os.environ) == environ
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Imports gaplab in a fresh interpreter and prints, as JSON: the thread
+# variables at the moment numpy's import began, after the import, and the
+# thread count of the OpenBLAS that numpy loaded (null if not found).
+THREAD_PROBE = """
+import ctypes, json, os, sys
+VARS = %r
+at_numpy_import = {}
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not at_numpy_import:
+            at_numpy_import.update({k: os.environ.get(k) for k in VARS})
+
+sys.meta_path.insert(0, Watch())
+import gaplab
+threads = None
+with open("/proc/self/maps") as maps:
+    libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
+for lib in libs:
+    get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+    if get is not None:
+        threads = get()
+print(json.dumps({"at_numpy_import": at_numpy_import, "threads": threads,
+                  "env": {k: os.environ.get(k) for k in VARS}}))
+""" % (BLAS_THREAD_VARS,)
+
+
+def clean_env(**blas_vars):
+    """This environment less the BLAS thread variables (which importing
+    gaplab here has set), plus `blas_vars`, with the package on the path."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_vars, PYTHONPATH=str(Path(gaplab.__file__).resolve().parents[1]))
+    return env
+
+
+def test_import_sets_one_blas_thread_unless_the_user_set_it():
+    def probe(**blas_vars):
+        done = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=clean_env(**blas_vars),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    found = probe()
+    if found["threads"] is None:
+        pytest.skip("numpy's OpenBLAS does not export scipy_openblas_get_num_threads64_")
+    ones = dict.fromkeys(BLAS_THREAD_VARS, "1")
+    assert found == {"at_numpy_import": ones, "threads": 1, "env": ones}
+
+    found = probe(OMP_NUM_THREADS="3")
+    assert found["env"] == dict(ones, OMP_NUM_THREADS="3")
+    assert found["at_numpy_import"] == found["env"]
+    assert found["threads"] == 1
+
+    found = probe(OPENBLAS_NUM_THREADS="2")
+    assert found["env"] == dict(ones, OPENBLAS_NUM_THREADS="2")
+    # OpenBLAS caps the count at the CPUs this process may use
+    assert found["threads"] == min(2, len(os.sched_getaffinity(0)))
+
+
+def test_blas_threads_do_not_change_a_cli_run(tmp_path):
+    # one seed trains in the CLI's own process, with one BLAS thread unless
+    # the user asks for more; both must write the same bytes
+    runs = {}
+    for name, blas_vars in (("default", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        raw = dict(SMALL, **SMALL_CNN, seeds=[0], checkpoints=True,
+                   out_dir=str(tmp_path / name / "exp"))
+        path = tmp_path / name / "config.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(raw))
+        done = subprocess.run([sys.executable, "-m", "gaplab.cli", "train", "--config", str(path)],
+                              env=clean_env(**blas_vars), capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs[name] = run_files(tmp_path / name / "exp")
+    assert sum(name.endswith(".ckpt") for name in runs["default"]) > 2
+    assert runs["two"] == runs["default"]
 
 
 def test_pool_size(monkeypatch):

@@ -7,14 +7,15 @@ import pytest
 
 from conftest import eval_trace
 from gap_oracles import CASES, check_case
-from gaplab.autodiff import ParamVector, forward, init_params, mlp
+from gaplab.autodiff import (ParamVector, accuracy, backward, forward, init_params,
+                             mlp, softmax_cross_entropy)
 from gaplab.data import Dataset, gen_blobs
 from gaplab.errors import ArgumentError, FormatError, InsufficientTraceError
 from gaplab.instrument import (
     GapMetrics,
     TraceRecord,
+    TraceRecorder,
     TrainTrace,
-    batch_probe,
     compute_gap,
     eval_test,
     format_gap_doc,
@@ -67,26 +68,40 @@ def test_eval_zero_params_hand_values():
     assert loss == pytest.approx(math.log(4), abs=1e-12)
 
 
-# --- batch_probe -------------------------------------------------------------
+# --- batch probe: TraceRecorder.on_pre_update / on_post_update ---------------
+
+def probe(spec, before, after, batch, labels):
+    """One iteration's record through the recorder's two probe hooks, fed
+    as the trainer feeds them: the backward pass's loss and logits, then
+    the updated parameters."""
+    recorder = TraceRecorder(spec, Dataset(batch, labels, spec.n_classes))
+    loss, _, logits = backward(spec, before, batch, labels)
+    recorder.on_pre_update(0, 0, loss, logits, labels)
+    recorder.on_post_update(0, 0, after, batch, labels)
+    (record,) = recorder.trace.records
+    return record
+
 
 def test_probe_identical_params_identical_stats():
     test = blob_test_set()
     params = init_params(SPEC, 3)
-    batch, labels = test.features[:16], test.labels[:16]
-    acc_pre, acc_post, loss_pre, loss_post = batch_probe(
-        SPEC, params, params, batch, labels)
-    assert acc_pre == acc_post
-    assert loss_pre == loss_post
+    record = probe(SPEC, params, params, test.features[:16], test.labels[:16])
+    assert record.batch_acc_pre == record.batch_acc_post
+    assert record.batch_loss_pre == record.batch_loss_post
 
 
 def test_probe_reuses_precomputed_logits():
+    # the "before" side comes from the backward pass's logits and equals a
+    # separate forward pass with the old parameters, bit for bit
     test = blob_test_set()
     a, b = init_params(SPEC, 4), init_params(SPEC, 5)
     batch, labels = test.features[:8], test.labels[:8]
-    logits = forward(SPEC, a, batch)
-    direct = batch_probe(SPEC, a, b, batch, labels)
-    reused = batch_probe(SPEC, a, b, batch, labels, logits_pre=logits)
-    assert direct == reused
+    record = probe(SPEC, a, b, batch, labels)
+    for params, loss, acc in ((a, record.batch_loss_pre, record.batch_acc_pre),
+                              (b, record.batch_loss_post, record.batch_acc_post)):
+        logits = forward(SPEC, params, batch)
+        assert loss == softmax_cross_entropy(logits, labels)[0]
+        assert acc == accuracy(logits, labels)
 
 
 def test_probe_detects_improvement():
@@ -94,12 +109,9 @@ def test_probe_detects_improvement():
     spec = mlp(2, [], 2)
     zero = ParamVector(np.zeros(spec.param_count), spec.digest)
     biased = ParamVector(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5.0]), spec.digest)
-    batch = np.zeros((4, 2))
-    labels = np.array([1, 1, 1, 1])
-    acc_pre, acc_post, loss_pre, loss_post = batch_probe(
-        spec, zero, biased, batch, labels)
-    assert acc_pre == 0.0 and acc_post == 1.0
-    assert loss_post < loss_pre
+    record = probe(spec, zero, biased, np.zeros((4, 2)), np.array([1, 1, 1, 1]))
+    assert record.batch_acc_pre == 0.0 and record.batch_acc_post == 1.0
+    assert record.batch_loss_post < record.batch_loss_pre
 
 
 # --- compute_gap oracles ------------------------------------------------------

@@ -135,3 +135,30 @@ def test_smallcnn_that_cannot_take_its_input_exits_2_before_any_file(
     err = capsys.readouterr().err
     assert err.startswith("gaplab: error: model: ") and err.count("\n") == 1
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7], ids=["negative", "2**64", "aliases-7"])
+@pytest.mark.parametrize("where", ["config", "train", "lmc", "gen-data"])
+def test_seed_outside_64_bits_exits_2_before_any_file(tmp_path, capsys, where, seed):
+    # Rng and derive_seed reduce seeds mod 2**64, so 2**64 + 7 would run
+    # seed 7 under another name
+    out = tmp_path / "exp"
+    if where == "config":
+        args = ["train", "--config", str(write_config(tmp_path, seeds=[seed]))]
+        named = "config.seeds"
+    else:
+        args = {"train": ["train", "--config", str(write_config(tmp_path))],
+                "lmc": ["lmc", "--config", str(write_config(tmp_path)),
+                        "--ckpt-a", "a.ckpt", "--ckpt-b", "b.ckpt", "--out", str(out)],
+                "gen-data": ["gen-data", "--out", str(out)]}[where] + ["--seed", str(seed)]
+        named = "--seed"
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"gaplab: error: {named}: must be in [0, 2**64), got {seed}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_largest_64_bit_seed_is_a_seed():
+    cfg = ExperimentConfig.from_dict({"out_dir": "/t", "seeds": [0, 2**64 - 1]})
+    assert cfg.seeds == (0, 2**64 - 1)
