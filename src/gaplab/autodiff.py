@@ -7,6 +7,10 @@ All arrays are 64-bit floats in row-major order. Every operation is a
 pure function of its inputs, so repeated calls are bit-identical and the
 whole module is safe to use from multiple threads on shared inputs.
 
+Image batches and ModelSpec shapes are channels-first, but inside the
+network image activations are channels-last [N, H, W, C]: the batch enters
+as a transposed view, and Flatten restores [N, C, H, W] order.
+
 Parameters live in a single flat vector (`ParamVector`) in canonical
 order: layers in sequence, within a layer the weights row-major followed
 by the biases. The vector carries a digest of the model spec so that
@@ -294,33 +298,32 @@ def _check_batch(spec: ModelSpec, batch: Tensor) -> Tensor:
 
 
 def _pad_channels_last(x: np.ndarray) -> np.ndarray:
-    """[N, C, H, W] as a zero-padded [N, H+2, W+2, C] array, so that a
-    window of it reshapes to an (N*H*W, C) matrix."""
-    n, c, h, width = x.shape
+    """[N, H+2, W+2, C] copy of [N, H, W, C] with a zero border; a window of
+    it reshapes to an (N*H*W, C) matrix."""
+    n, h, width, c = x.shape
     xp = np.zeros((n, h + 2, width + 2, c), dtype=np.float64)
-    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+    xp[:, 1:-1, 1:-1] = x
     return xp
 
 
 def _conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One matrix product per kernel offset: out += window @ w[:, :, di, dj].T."""
-    n, c, h, width = x.shape
+    n, h, width, c = x.shape
     xp = _pad_channels_last(x)
     out = np.zeros((n * h * width, w.shape[0]), dtype=np.float64)
     for di in range(3):
         for dj in range(3):
             window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
             out += window @ w[:, :, di, dj].T
-    out = out.reshape(n, h, width, -1).transpose(0, 3, 1, 2)
-    return out + b[None, :, None, None]
+    return out.reshape(n, h, width, -1) + b
 
 
 def _conv3x3_backward(x, w, dy):
     """Per kernel offset: dw[:, :, di, dj] = dy_mat.T @ window, and the
     window's share of dx is dy_mat @ w[:, :, di, dj]."""
-    n, c, h, width = x.shape
+    n, h, width, c = x.shape
     xp = _pad_channels_last(x)
-    dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, w.shape[0])
+    dy_mat = dy.reshape(-1, w.shape[0])
     dxp = np.zeros_like(xp)
     dw = np.zeros_like(w)
     for di in range(3):
@@ -328,36 +331,36 @@ def _conv3x3_backward(x, w, dy):
             window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
             dw[:, :, di, dj] = dy_mat.T @ window
             dxp[:, di:di + h, dj:dj + width] += (dy_mat @ w[:, :, di, dj]).reshape(n, h, width, c)
-    db = dy.sum(axis=(0, 2, 3))
-    return dxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), dw, db
+    # summed in [N, C, H, W] memory order: the order of the sum sets the last bits
+    db = np.ascontiguousarray(dy.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
+    return dxp[:, 1:-1, 1:-1], dw, db
 
 
-def _maxpool_forward(x: np.ndarray):
-    n, c, h, w = x.shape
-    win = (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    arg = win.argmax(axis=-1)  # first max wins: deterministic tie-break
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    return out, arg
+def _maxpool_forward(x: np.ndarray) -> np.ndarray:
+    """Maximum of the stride-2 quadrants of [N, H, W, C], in window order.
+    np.maximum keeps its second operand on a tie of 0.0 and -0.0: the running
+    maximum goes second, to keep the earlier quadrant as argmax does."""
+    out = x[:, ::2, ::2]
+    for i, j in ((0, 1), (1, 0), (1, 1)):
+        out = np.maximum(x[:, i::2, j::2], out)
+    return out
 
 
-def _maxpool_backward(x_shape, arg, dy):
-    n, c, h, w = x_shape
-    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=np.float64)
-    np.put_along_axis(dwin, arg[..., None], dy[..., None], axis=-1)
-    return (
-        dwin.reshape(n, c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    )
+def _maxpool_backward(x, out, dy):
+    """dy to the first quadrant, in window order, that holds its window's
+    maximum: argmax's tie-break."""
+    dx = np.zeros(x.shape)  # C order whatever the layout of x
+    free = np.ones(out.shape, dtype=bool)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = free & (x[:, i::2, j::2] == out)
+        np.copyto(dx[:, i::2, j::2], dy, where=hit)
+        free &= ~hit
+    return dx
 
 
 def _forward_cached(spec: ModelSpec, layer_params, batch: np.ndarray):
     """Run the layer chain, keeping what each backward pass needs."""
-    x = batch
+    x = batch.transpose(0, 2, 3, 1) if batch.ndim == 4 else batch
     caches = []
     for layer, lp in zip(spec.layers, layer_params):
         if isinstance(layer, Dense):
@@ -365,17 +368,18 @@ def _forward_cached(spec: ModelSpec, layer_params, batch: np.ndarray):
             caches.append(("dense", x))
             x = x @ w.T + b
         elif isinstance(layer, ReLU):
-            caches.append(("relu", x))
             x = np.maximum(x, 0.0)
+            caches.append(("relu", x))  # > 0 where its input is; the next layer keeps it too
         elif isinstance(layer, Conv3x3):
             w, b = lp
             caches.append(("conv", x))
             x = _conv3x3_forward(x, w, b)
         elif isinstance(layer, MaxPool2x2):
-            out, arg = _maxpool_forward(x)
-            caches.append(("pool", (x.shape, arg)))
+            out = _maxpool_forward(x)
+            caches.append(("pool", (x, out)))
             x = out
-        else:  # Flatten
+        else:  # Flatten, in [N, C, H, W] order
+            x = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
             caches.append(("flatten", x.shape))
             x = x.reshape(x.shape[0], -1)
     return x, caches
@@ -431,10 +435,10 @@ def backward(
             gw += dw
             gb += db
         elif kind == "pool":
-            x_shape, arg = saved
-            dx = _maxpool_backward(x_shape, arg, dx)
+            dx = _maxpool_backward(*saved, dx)
         else:  # flatten
             dx = dx.reshape(saved)
+            dx = dx.transpose(0, 2, 3, 1) if dx.ndim == 4 else dx
     _require_finite(grads, "parameter gradients")
     return loss, ParamVector(grads, spec.digest), logits
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from ._version import __version__
 from .config import DatasetConfig, ExperimentConfig, RunManifest, canonical_json
-from .config import build_model_spec  # noqa: F401  (still importable from here)
 from .connectivity import lmc_curve, sgd_path_loss, write_lmc_csv, write_path_csv
 from .data import Dataset, gen_blobs, load_raw, split_tasks
 from .errors import GapLabError, InsufficientTraceError

@@ -228,9 +228,6 @@ class CheckpointStore:
     def iterations(self) -> list[int]:
         return sorted(self._by_iteration)
 
-    def has_iteration(self, iteration: int) -> bool:
-        return iteration in self._by_iteration
-
     def load_iteration(self, iteration: int, spec: ModelSpec | None = None) -> ParamVector:
         if iteration not in self._by_iteration:
             raise MissingCheckpointError([iteration])

@@ -15,10 +15,9 @@ import pytest
 from conftest import fd_gradient, max_rel_error
 from gap_oracles import CASES, check_case
 from gaplab.autodiff import ParamVector, backward, init_params, mlp, small_cnn
-from gaplab.config import ExperimentConfig
+from gaplab.config import ExperimentConfig, build_model_spec
 from gaplab.connectivity import barrier, interpolate, lmc_curve, sgd_path_loss
-from gaplab.experiment import (build_dataset, build_model_spec, run_experiment,
-                               run_single_seed)
+from gaplab.experiment import build_dataset, run_experiment, run_single_seed
 from gaplab.rng import Rng
 from gaplab.trainer import CheckpointStore
 

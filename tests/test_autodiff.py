@@ -23,7 +23,12 @@ from gaplab.autodiff import (
     small_cnn,
     softmax_cross_entropy,
 )
-from gaplab.autodiff import _conv3x3_backward, _conv3x3_forward
+from gaplab.autodiff import (
+    _conv3x3_backward,
+    _conv3x3_forward,
+    _maxpool_backward,
+    _maxpool_forward,
+)
 from gaplab.errors import DivergenceError, ShapeError, SpecMismatchError
 from gaplab.rng import Rng
 
@@ -97,6 +102,13 @@ def einsum_conv3x3_backward(x, w, dy):
     return dxp[:, :, 1:-1, 1:-1], dw, db
 
 
+def nchw_conv3x3_kernels(x, w, b, dy):
+    """The channels-last kernels on [N, C, H, W] arrays: out, dx, dw, db."""
+    out = _conv3x3_forward(x.transpose(0, 2, 3, 1), w, b)
+    dx, dw, db = _conv3x3_backward(x.transpose(0, 2, 3, 1), w, dy.transpose(0, 2, 3, 1))
+    return out.transpose(0, 3, 1, 2), dx.transpose(0, 3, 1, 2), dw, db
+
+
 @pytest.mark.parametrize("n, c_in, c_out, h, w", [
     (1, 1, 1, 5, 5),
     (2, 2, 3, 3, 5),
@@ -112,14 +124,94 @@ def test_conv3x3_kernels_match_einsum_reference(n, c_in, c_out, h, w):
     weights = rng.normals(c_out * c_in * 9).reshape(c_out, c_in, 3, 3)
     bias = rng.normals(c_out)
     dy = rng.normals(n * c_out * h * w).reshape(n, c_out, h, w)
-    got = (_conv3x3_forward(x, weights, bias),) + _conv3x3_backward(x, weights, dy)
+    got = nchw_conv3x3_kernels(x, weights, bias, dy)
     want = (einsum_conv3x3_forward(x, weights, bias),) + einsum_conv3x3_backward(x, weights, dy)
     for name, g, e in zip(("out", "dx", "dw", "db"), got, want):
         assert g.shape == e.shape, name
         np.testing.assert_allclose(g, e, rtol=1e-12, atol=1e-12, err_msg=name)
-    again = (_conv3x3_forward(x, weights, bias),) + _conv3x3_backward(x, weights, dy)
+    again = nchw_conv3x3_kernels(x, weights, bias, dy)
     for g, a in zip(got, again):
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(a).tobytes()
+
+
+# --- max-pool kernels against the argmax reference ------------------------
+
+def argmax_maxpool_forward(x):
+    """Reference: argmax over each [N, H, W, C] window's four values, in
+    window order; the first maximum wins."""
+    n, h, w, c = x.shape
+    win = (
+        x.reshape(n, h // 2, 2, w // 2, 2, c)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(n, h // 2, w // 2, c, 4)
+    )
+    arg = win.argmax(axis=-1)
+    return np.take_along_axis(win, arg[..., None], axis=-1)[..., 0], arg
+
+
+def argmax_maxpool_backward(x_shape, arg, dy):
+    n, h, w, c = x_shape
+    dwin = np.zeros((n, h // 2, w // 2, c, 4))
+    np.put_along_axis(dwin, arg[..., None], dy[..., None], axis=-1)
+    return (
+        dwin.reshape(n, h // 2, w // 2, c, 2, 2)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(n, h, w, c)
+    )
+
+
+def signed_zeros(shape, seed):
+    """A random mix of 0.0 and -0.0."""
+    draws = Rng(seed).uniforms(math.prod(shape), 0.0, 1.0).reshape(shape)
+    return np.where(draws < 0.5, 0.0, -0.0)
+
+
+def pool_input(name):
+    rng = Rng(31)
+    normal = rng.normals(6 * 8 * 8 * 5).reshape(6, 8, 8, 5)
+    relu = np.maximum(normal, 0.0)  # three in four windows hold zero ties
+    coarse = np.floor(rng.uniforms(4 * 4 * 6 * 3, 0.0, 3.0)).reshape(4, 4, 6, 3)
+    return {
+        "post-relu": relu,
+        "quadrant-ties": coarse,  # values 0, 1 and 2: many exact ties
+        "signed-zeros": signed_zeros((3, 4, 4, 2), 32),
+        "signed-zeros-and-negatives": signed_zeros((4, 4, 6, 3), 33) - (coarse == 2),
+        "transposed-view": relu.transpose(0, 2, 1, 3),
+        "nchw-view": normal.reshape(6, 5, 8, 8).transpose(0, 2, 3, 1),
+        "sliced-view": coarse[:, :, 1:5],
+    }[name]
+
+
+@pytest.mark.parametrize("name", [
+    "post-relu", "quadrant-ties", "signed-zeros", "signed-zeros-and-negatives",
+    "transposed-view", "nchw-view", "sliced-view",
+])
+def test_maxpool_kernels_match_argmax_reference(name):
+    x = pool_input(name)
+    out = _maxpool_forward(x)
+    want, arg = argmax_maxpool_forward(x)
+    assert out.shape == want.shape
+    assert np.ascontiguousarray(out).tobytes() == want.tobytes()
+    for dy in (Rng(34).normals(out.size).reshape(out.shape),
+               signed_zeros(out.shape, 35)):
+        dx = _maxpool_backward(x, out, dy)
+        assert dx.shape == x.shape and dx.flags.c_contiguous
+        assert dx.tobytes() == argmax_maxpool_backward(x.shape, arg, dy).tobytes()
+
+
+def test_maxpool_nan_ends_in_divergence_error():
+    # a NaN in any quadrant of a window reaches the pooled activation
+    spec = ModelSpec((MaxPool2x2(), Flatten(), Dense(4, 2)), (1, 4, 4), 2)
+    params = init_params(spec, 0)
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        x = np.arange(16.0).reshape(1, 1, 4, 4)
+        x[0, 0, 2 + i, 2 + j] = np.nan
+        pooled = _maxpool_forward(x.transpose(0, 2, 3, 1))
+        assert np.isnan(pooled[0, 1, 1, 0]) and np.isfinite(pooled).sum() == 3
+        with pytest.raises(DivergenceError):
+            forward(spec, params, x)
+        with pytest.raises(DivergenceError):
+            backward(spec, params, x, np.array([0]))
 
 
 # --- cross-entropy oracles -------------------------------------------------

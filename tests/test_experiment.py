@@ -10,9 +10,9 @@ import pytest
 
 import gaplab
 from gaplab import experiment
-from gaplab.config import ExperimentConfig, ModelConfig
+from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
 from gaplab.errors import ArgumentError, DivergenceError
-from gaplab.experiment import build_dataset, build_model_spec, run_experiment
+from gaplab.experiment import build_dataset, run_experiment
 
 from conftest import run_files
 

@@ -1,13 +1,15 @@
 """Values that must not move across commits: the config hash of the
 README quick-start, the model-spec digests that every checkpoint header
-carries, and where theta2 lands when it falls off the checkpoint cadence."""
+carries, where theta2 lands when it falls off the checkpoint cadence, and
+the artifact bytes of a small smallcnn run."""
 
 import csv
+import hashlib
 
 import pytest
 
-from gaplab.config import ExperimentConfig, ModelConfig
-from gaplab.experiment import build_model_spec, run_experiment
+from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
+from gaplab.experiment import run_experiment
 from gaplab.trainer import CheckpointStore
 
 QUICKSTART = {
@@ -80,3 +82,36 @@ def test_no_lmc_when_theta2_lies_past_task_two(tmp_path):
     assert (run_dir / "trace.csv").is_file()
     assert not (run_dir / "lmc.csv").exists()
     assert not (run_dir / "path.csv").exists()
+
+
+# a two-block smallcnn, one seed, every checkpoint kept: each pool sees
+# post-ReLU zero ties, and the second conv's dx flows back through the first
+# block. The digests were taken before the conv/pool kernels went
+# channels-last and argmax-free, and pin that those kernels move no bit. They
+# depend on the order in which BLAS sums, so a numpy upgrade may move them.
+SMALL_CNN = {
+    "dataset": {"kind": "blobs", "classes": 3, "per_class": 40, "dim": 192,
+                "spread": 1.0, "shape": [3, 8, 8]},
+    "model": {"name": "smallcnn", "channels": [4, 8], "hidden": [8]},
+    "split": {"fractions": [50, 50], "joint": True},
+    "train": {"batch_size": 16, "epochs_per_task": [4, 6]},
+    "analysis": {"window": 100},
+    "seeds": [0],
+    "checkpoints": True,
+}
+
+
+def test_smallcnn_run_bytes(tmp_path):
+    out = run_experiment(ExperimentConfig.from_dict(
+        dict(SMALL_CNN, out_dir=str(tmp_path / "exp"))))
+    run_dir = out / "seed0"
+    last = max((run_dir / "checkpoints").glob("*.ckpt"))
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in
+               (("trace.csv", run_dir / "trace.csv"), ("gap.txt", run_dir / "gap.txt"),
+                (last.name, last))}
+    assert digests == {
+        "trace.csv": "fd8e3e944dd46b12907c43bd351e1f93c78c7e402c9ee05829d830b4cac01c7d",
+        "gap.txt": "6efa7534ebdbd89f8e568585ceab6b003eb0750c7a5cf1d6b42bf00eefebc4ea",
+        "task1_iter0000048.ckpt":
+            "0acf50668e777a2ebcdea375eae3af49382e488224be09a6b717e587c8bb3565",
+    }
