@@ -318,22 +318,23 @@ def _conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(n, h, width, -1) + b
 
 
-def _conv3x3_backward(x, w, dy):
-    """Per kernel offset: dw[:, :, di, dj] = dy_mat.T @ window, and the
-    window's share of dx is dy_mat @ w[:, :, di, dj]."""
+def _conv3x3_backward(x, w, dy, need_dx=True):
+    """Per kernel offset: dw[:, :, di, dj] = dy_mat.T @ window, and, if
+    need_dx (else dx is None), the window's share of dx is dy_mat @ w[:, :, di, dj]."""
     n, h, width, c = x.shape
     xp = _pad_channels_last(x)
     dy_mat = dy.reshape(-1, w.shape[0])
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if need_dx else None
     dw = np.zeros_like(w)
     for di in range(3):
         for dj in range(3):
             window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
             dw[:, :, di, dj] = dy_mat.T @ window
-            dxp[:, di:di + h, dj:dj + width] += (dy_mat @ w[:, :, di, dj]).reshape(n, h, width, c)
+            if need_dx:
+                dxp[:, di:di + h, dj:dj + width] += (dy_mat @ w[:, :, di, dj]).reshape(n, h, width, c)
     # summed in [N, C, H, W] memory order: the order of the sum sets the last bits
     db = np.ascontiguousarray(dy.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
-    return dxp[:, 1:-1, 1:-1], dw, db
+    return dxp[:, 1:-1, 1:-1] if need_dx else None, dw, db
 
 
 def _maxpool_forward(x: np.ndarray) -> np.ndarray:
@@ -412,26 +413,23 @@ def backward(
 
     grads = np.zeros_like(params.values)
     grad_views = _unflatten(spec, grads)
+    # the chain stops at the first layer with parameters: nothing reads its dx
+    first = next((i for i, lp in enumerate(layer_params) if lp), len(caches))
     dx = dlogits
-    for layer, lp, gv, cache in zip(
-        reversed(spec.layers),
-        reversed(layer_params),
-        reversed(grad_views),
-        reversed(caches),
-    ):
-        kind, saved = cache
+    for i in reversed(range(first, len(caches))):
+        (kind, saved), lp, gv = caches[i], layer_params[i], grad_views[i]
         if kind == "dense":
             w, _ = lp
             gw, gb = gv
             gw += dx.T @ saved
             gb += dx.sum(axis=0)
-            dx = dx @ w
+            dx = dx @ w if i > first else None
         elif kind == "relu":
             dx = dx * (saved > 0.0)
         elif kind == "conv":
             w, _ = lp
             gw, gb = gv
-            dx, dw, db = _conv3x3_backward(saved, w, dx)
+            dx, dw, db = _conv3x3_backward(saved, w, dx, i > first)
             gw += dw
             gb += db
         elif kind == "pool":

@@ -163,10 +163,12 @@ def _usable_cpus() -> int:
 
 
 def _pool_size(cfg: ExperimentConfig) -> int:
-    """Seed processes for this run: one per seed, at most one per usable
-    CPU, at most `cfg.workers` when it is set."""
-    cpus = _usable_cpus()
-    return min(len(cfg.seeds), cpus, cfg.workers or cpus)
+    """Seed processes, at most `cfg.workers`: the seeds spread evenly over
+    floor(seeds / cpus) rounds (one if fewer seeds than usable CPUs), so every
+    CPU stays busy until fewer than `cpus` seeds are left; under two per CPU."""
+    seeds, cpus = len(cfg.seeds), _usable_cpus()
+    rounds = max(1, seeds // cpus)
+    return min(-(-seeds // rounds), cfg.workers or seeds)
 
 
 def _run_seeds_in_pool(cfg: ExperimentConfig, out: Path, n_procs: int) -> list:
@@ -201,7 +203,7 @@ def _status(outcome) -> str:
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """All seeds of one configuration, plus aggregate artifacts.
 
-    Seeds run in spawned processes when more than one can run at once,
+    Seeds run in spawned processes when `_pool_size` gives more than one,
     and in this process otherwise; both write the same bytes. A failing
     seed does not stop the others: every seed's status goes into the
     manifest, and then the first failing seed's error is raised.

@@ -66,7 +66,8 @@ def run_files(out):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Let two seeds run in a pool of two even on a one-CPU machine."""
+    """Size seed pools as if two CPUs were usable, so that two or three seeds
+    run in a pool (of two or three processes) even on a one-CPU machine."""
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
 
 

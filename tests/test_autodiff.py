@@ -24,10 +24,12 @@ from gaplab.autodiff import (
     softmax_cross_entropy,
 )
 from gaplab.autodiff import (
+    _checked_forward,
     _conv3x3_backward,
     _conv3x3_forward,
     _maxpool_backward,
     _maxpool_forward,
+    _unflatten,
 )
 from gaplab.errors import DivergenceError, ShapeError, SpecMismatchError
 from gaplab.rng import Rng
@@ -132,6 +134,56 @@ def test_conv3x3_kernels_match_einsum_reference(n, c_in, c_out, h, w):
     again = nchw_conv3x3_kernels(x, weights, bias, dy)
     for g, a in zip(got, again):
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(a).tobytes()
+
+
+# --- backward against the full chain ----------------------------------------
+
+def full_chain_backward(spec, params, batch, labels):
+    """Reference: the backward loop that also computes the input gradient
+    of the first layer with parameters, and of every layer before it."""
+    logits, layer_params, caches = _checked_forward(spec, params, batch)
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+    grads = np.zeros_like(params.values)
+    dx = dlogits
+    for lp, gv, (kind, saved) in zip(reversed(layer_params),
+                                     reversed(_unflatten(spec, grads)),
+                                     reversed(caches)):
+        if kind == "dense":
+            w, _ = lp
+            gw, gb = gv
+            gw += dx.T @ saved
+            gb += dx.sum(axis=0)
+            dx = dx @ w
+        elif kind == "relu":
+            dx = dx * (saved > 0.0)
+        elif kind == "conv":
+            w, _ = lp
+            gw, gb = gv
+            dx, dw, db = _conv3x3_backward(saved, w, dx)
+            gw += dw
+            gb += db
+        elif kind == "pool":
+            dx = _maxpool_backward(*saved, dx)
+        else:  # flatten
+            dx = dx.reshape(saved)
+            dx = dx.transpose(0, 2, 3, 1) if dx.ndim == 4 else dx
+    assert dx.size == np.size(batch)  # the chain reached the input
+    return loss, grads, logits
+
+
+@pytest.mark.parametrize("spec", [
+    mlp(6, [8, 5], 4),
+    mlp((2, 3, 4), [], 3),                   # Flatten -> Dense on [C, H, W]
+    small_cnn((3, 8, 8), [4, 6], [8], 3),    # two conv blocks
+], ids=["mlp", "flatten-dense", "smallcnn"])
+def test_backward_equals_full_chain(spec):
+    params = init_params(spec, 5)
+    x, y = random_batch(spec, 16, 6)
+    loss, grads, logits = backward(spec, params, x, y)
+    want_loss, want_grads, want_logits = full_chain_backward(spec, params, x, y)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grads.values.tobytes() == want_grads.tobytes()
+    assert logits.tobytes() == want_logits.tobytes()
 
 
 # --- max-pool kernels against the argmax reference ------------------------

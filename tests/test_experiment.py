@@ -14,7 +14,7 @@ from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
 from gaplab.errors import ArgumentError, DivergenceError
 from gaplab.experiment import build_dataset, run_experiment
 
-from conftest import run_files
+from conftest import run_files, running_children
 
 # pools of 48/96 samples at batch 16: 3 then 6 iterations per epoch; with
 # 6 task-B epochs the theta2 checkpoint (5 epochs in) exists
@@ -181,13 +181,35 @@ def test_blas_threads_do_not_change_a_cli_run(tmp_path):
 
 
 def test_pool_size(monkeypatch):
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 4)
-    cases = [([0], None, 1), ([0, 1, 2], None, 3), (list(range(6)), None, 4),
+    def pool_size(cpus, seeds, workers):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        return experiment._pool_size(ExperimentConfig.from_dict(
+            dict(SMALL, out_dir="/tmp/x", seeds=seeds, workers=workers)))
+
+    cases = [([0], None, 1), ([0, 1, 2], None, 3), (list(range(6)), None, 6),
              (list(range(6)), 2, 2), ([0, 1], 8, 2), ([0, 1, 2], 1, 1)]
     for seeds, workers, size in cases:
-        cfg = ExperimentConfig.from_dict(
-            dict(SMALL, out_dir="/tmp/x", seeds=seeds, workers=workers))
-        assert experiment._pool_size(cfg) == size, (seeds, workers)
+        assert pool_size(4, seeds, workers) == size, (seeds, workers)
+    # the seeds spread evenly over floor(seeds / cpus) rounds
+    even = [(2, n, size) for n, size in zip(range(1, 8), (1, 2, 3, 2, 3, 2, 3))]
+    for cpus, n, size in even + [(1, 3, 1), (4, 9, 5)]:
+        assert pool_size(cpus, list(range(n)), None) == size, (cpus, n)
+        for workers in range(1, size + 2):
+            assert pool_size(cpus, list(range(n)), workers) == min(size, workers), \
+                (cpus, n, workers)
+
+
+def test_three_seeds_on_two_cpus_run_in_one_round(tmp_path, two_cpus):
+    cfg = config(tmp_path / "pool", seeds=[0, 1, 2])
+    assert experiment._pool_size(cfg) == 3
+    pool = run_experiment(cfg)
+    assert not running_children()  # the pool reaped its three processes
+    single = run_experiment(config(tmp_path / "single", seeds=[0, 1, 2], workers=1))
+    files = run_files(single)
+    assert sum(name.endswith(".ckpt") for name in files) > 3
+    assert run_files(pool) == files
+    manifest = json.loads((pool / "manifest.json").read_text())
+    assert manifest["seeds"] == {"0": "ok", "1": "ok", "2": "ok"}
 
 
 def test_workers_stay_out_of_config_and_hash(tmp_path):
