@@ -135,23 +135,26 @@ def cmd_lmc(args) -> int:
     theta1 = load_checkpoint(args.ckpt_a, spec)
     theta2 = load_checkpoint(args.ckpt_b, spec)
     step = args.step if args.step is not None else cfg.analysis.lmc_step
+    store = None
+    if args.sgd_path:
+        store = CheckpointStore.open(args.sgd_path)
+        if not store.iterations():
+            raise ArgumentError(f"{args.sgd_path}: no checkpoints found")
 
+    # both curves are evaluated before anything is written, so a checkpoint
+    # that fails to load leaves no file behind
     curve = lmc_curve(spec, theta1, theta2, step, test,
                       eval_batch=cfg.train.eval_batch)
+    path_curve = None
+    if store is not None:
+        path_curve = sgd_path_loss(spec, store, store.iterations(), test,
+                                   eval_batch=cfg.train.eval_batch)
+
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_lmc_csv(out / "lmc.csv", curve)
-
-    path_curve = None
-    if args.sgd_path:
-        store = CheckpointStore.open(args.sgd_path)
-        iterations = store.iterations()
-        if not iterations:
-            raise ArgumentError(f"{args.sgd_path}: no checkpoints found")
-        path_curve = sgd_path_loss(spec, store, iterations, test,
-                                   eval_batch=cfg.train.eval_batch)
+    if path_curve is not None:
         write_path_csv(out / "path.csv", path_curve)
-
     _lmc_figure(curve, path_curve).save(out / "lmc.svg")
     print(f"wrote {out}/lmc.csv ({len(curve.lambdas)} points) and {out}/lmc.svg")
     return 0

@@ -125,14 +125,18 @@ def sgd_path_loss(
     evalset: Dataset,
     eval_batch: int = 256,
 ) -> PathCurve:
-    """Evaluate the test set at each stored trajectory checkpoint."""
+    """Evaluate the test set at each stored trajectory checkpoint.
+
+    Every missing checkpoint is reported before any is read. Each one is
+    then loaded, evaluated and dropped in turn, so memory does not grow with
+    the length of the path.
+    """
     wanted = sorted(int(i) for i in iterations)
     if not wanted:
         raise ArgumentError("no iterations requested")
-    params = store.load_many(wanted, spec)
     losses = np.empty(len(wanted))
     accuracies = np.empty(len(wanted))
-    for i, theta in enumerate(params):
+    for i, theta in enumerate(store.load_many(wanted, spec)):
         losses[i], accuracies[i] = eval_test(spec, theta, evalset, eval_batch)
     return PathCurve(iterations=np.asarray(wanted), losses=losses, accuracies=accuracies)
 

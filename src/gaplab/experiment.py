@@ -29,7 +29,8 @@ import numpy as np
 
 from ._version import __version__
 from .config import DatasetConfig, ExperimentConfig, RunManifest, canonical_json
-from .connectivity import lmc_curve, sgd_path_loss, write_lmc_csv, write_path_csv
+from .connectivity import (PathCurve, lmc_curve, sgd_path_loss, write_lmc_csv,
+                           write_path_csv)
 from .data import Dataset, gen_blobs, load_raw, split_tasks
 from .errors import GapLabError, InsufficientTraceError
 from .instrument import (GapMetrics, TraceRecorder, TrainTrace, compute_gap,
@@ -100,7 +101,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
     store = None
     extra = set()
     if cfg.checkpoints:
-        store = CheckpointStore.open(run_dir / "checkpoints")
+        store = CheckpointStore(run_dir / "checkpoints")
         if theta2_iteration is not None:
             extra.add(theta2_iteration)
     recorder = TraceRecorder(spec, test, eval_batch=cfg.train.eval_batch,
@@ -132,9 +133,18 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         write_lmc_csv(run_dir / "lmc.csv", curve)
         path_iters = [i for i in store.iterations()
                       if boundaries[0] <= i <= theta2_iteration]
-        path = sgd_path_loss(spec, store, path_iters, test,
-                             eval_batch=cfg.train.eval_batch)
-        write_path_csv(run_dir / "path.csv", path)
+        # a path iteration that the trace evaluated takes the trace's metrics:
+        # the same parameters through the same eval_test. Only the rest, such
+        # as an off-cadence theta2, are read back and evaluated.
+        metrics = {r.iteration: (r.test_loss, r.test_acc)
+                   for r in recorder.trace.eval_records()}
+        unevaluated = [i for i in path_iters if i not in metrics]
+        if unevaluated:
+            rest = sgd_path_loss(spec, store, unevaluated, test,
+                                 eval_batch=cfg.train.eval_batch)
+            metrics.update(zip(unevaluated, zip(rest.losses, rest.accuracies)))
+        losses, accuracies = zip(*(metrics[i] for i in path_iters))
+        write_path_csv(run_dir / "path.csv", PathCurve(path_iters, losses, accuracies))
 
     return SeedRunResult(seed=seed, run_dir=run_dir, trace=recorder.trace,
                          boundaries=boundaries, gap=gap)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -199,7 +200,11 @@ def load_checkpoint(path: str | Path, spec: ModelSpec | None = None) -> ParamVec
 
 
 class CheckpointStore:
-    """Directory of task<k>_iter<n> checkpoints, looked up by global iteration."""
+    """Directory of task<k>_iter<n> checkpoints, looked up by global iteration.
+
+    The constructor makes a store to save into, creating the directory;
+    `open` reads the checkpoints of an existing directory and creates nothing.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -208,6 +213,8 @@ class CheckpointStore:
 
     @classmethod
     def open(cls, directory: str | Path) -> "CheckpointStore":
+        if not Path(directory).is_dir():
+            raise ArgumentError(f"{directory}: no such checkpoint directory")
         store = cls(directory)
         for path in sorted(store.directory.glob("task*_iter*.ckpt")):
             name = re.fullmatch(r"task\d+_iter(\d+)", path.stem)
@@ -235,11 +242,15 @@ class CheckpointStore:
 
     def load_many(
         self, iterations: list[int], spec: ModelSpec | None = None
-    ) -> list[ParamVector]:
+    ) -> Iterator[ParamVector]:
+        """The checkpoints at `iterations`, in that order, each read from disk
+        only when the iterator reaches it, so a caller that consumes one at a
+        time holds one at a time. Every missing iteration is reported here,
+        before any file is read."""
         missing = [it for it in iterations if it not in self._by_iteration]
         if missing:
             raise MissingCheckpointError(missing)
-        return [self.load_iteration(it, spec) for it in iterations]
+        return (self.load_iteration(it, spec) for it in iterations)
 
 
 # ---------------------------------------------------------------------------

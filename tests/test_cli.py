@@ -236,6 +236,32 @@ def test_lmc_sgd_path_bad_checkpoint_name_exit_4(trained, tmp_path, capsys):
                  "--sgd-path", str(odd), "--out", str(tmp_path / "figs")])
     assert code == 4
     assert "taskX_iter1.ckpt" in capsys.readouterr().err
+    assert not (tmp_path / "figs" / "lmc.csv").exists()
+
+
+def test_lmc_sgd_path_missing_directory_exit_2(trained, tmp_path, capsys):
+    run_tmp, cfg = trained
+    ckpts = sorted((run_tmp / "exp" / "seed0" / "checkpoints").glob("*.ckpt"))
+    missing = tmp_path / "nonexist" / "deep" / "dir"
+    code = main(["lmc", "--config", str(cfg),
+                 "--ckpt-a", str(ckpts[0]), "--ckpt-b", str(ckpts[-1]),
+                 "--sgd-path", str(missing), "--out", str(tmp_path / "figs")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "nonexist").exists()
+    assert not (tmp_path / "figs" / "lmc.csv").exists()
+
+
+def test_lmc_sgd_path_empty_directory_exit_2(trained, tmp_path):
+    run_tmp, cfg = trained
+    ckpts = sorted((run_tmp / "exp" / "seed0" / "checkpoints").glob("*.ckpt"))
+    (tmp_path / "empty").mkdir()
+    code = main(["lmc", "--config", str(cfg),
+                 "--ckpt-a", str(ckpts[0]), "--ckpt-b", str(ckpts[-1]),
+                 "--sgd-path", str(tmp_path / "empty"), "--out", str(tmp_path / "figs")])
+    assert code == 2
+    assert not (tmp_path / "figs" / "lmc.csv").exists()
 
 
 def test_report_renders_figures(trained):

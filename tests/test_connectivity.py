@@ -1,5 +1,7 @@
 """Interpolation identities, barrier arithmetic, and path evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,25 @@ def test_sgd_path_missing_checkpoints_listed(tmp_path):
     store.save(0, 5, init_params(SPEC, 0))
     with pytest.raises(MissingCheckpointError, match="7"):
         sgd_path_loss(SPEC, store, [5, 7], blob_test())
+
+
+def test_sgd_path_holds_one_checkpoint_at_a_time(tmp_path):
+    # wide enough that a checkpoint (0.5 MB) dwarfs the activations of a
+    # 30-sample evaluation
+    spec = mlp(4, [256, 256], 3)
+    theta = init_params(spec, 0)
+    store = CheckpointStore(tmp_path / "ck")
+    for i in range(40):
+        store.save(0, i, theta)
+    _, test = gen_blobs(0, n_classes=3, n_per_class=10, dim=4, spread=1.5)
+    tracemalloc.start()
+    try:
+        path = sgd_path_loss(spec, store, store.iterations(), test)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(path.iterations) == 40
+    assert peak < 5 * theta.values.nbytes
 
 
 # --- curve CSV round trips -----------------------------------------------------------

@@ -1,14 +1,17 @@
 """Values that must not move across commits: the config hash of the
 README quick-start, the model-spec digests that every checkpoint header
-carries, where theta2 lands when it falls off the checkpoint cadence, and
-the artifact bytes of a small smallcnn run."""
+carries, where theta2 lands when it falls off the checkpoint cadence, the
+path and LMC curve bytes, and the artifact bytes of a small smallcnn run."""
 
 import csv
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
+from gaplab import connectivity, trainer
+from gaplab.config import AnalysisConfig, ExperimentConfig, ModelConfig, build_model_spec
+from gaplab.connectivity import lambda_grid
 from gaplab.experiment import run_experiment
 from gaplab.trainer import CheckpointStore
 
@@ -58,9 +61,8 @@ OFF_CADENCE = {
 }
 
 
-def run_seed0(tmp_path, **train):
-    raw = dict(OFF_CADENCE, out_dir=str(tmp_path / "exp"),
-               train=dict(OFF_CADENCE["train"], **train))
+def run_seed0(tmp_path, raw=OFF_CADENCE, **train):
+    raw = dict(raw, out_dir=str(tmp_path / "exp"), train=dict(raw["train"], **train))
     return run_experiment(ExperimentConfig.from_dict(raw)) / "seed0"
 
 
@@ -74,6 +76,46 @@ def test_theta2_checkpoint_off_the_cadence(tmp_path):
     assert path_iterations[0] == 12
     assert path_iterations[-1] == 42
     assert (run_dir / "lmc.csv").is_file()
+
+
+# OFF_CADENCE on the default cadence: its dense window evaluates every
+# iteration, so every path.csv row can come from the trace
+DEFAULT_CADENCE = dict(OFF_CADENCE, train={"batch_size": 16, "epochs_per_task": [4, 9]})
+
+
+# taken before train took path rows from its trace: OFF_CADENCE's path mixes
+# trace rows with rows evaluated from checkpoints, DEFAULT_CADENCE's path is
+# all trace rows. Both runs train the same parameters, so lmc.csv is shared.
+LMC_SHA256 = "8b0d6929092166230b7b8bb03aaf7d9c43fef524f8ca52a10873faf7898876da"
+
+
+@pytest.mark.parametrize("raw, path_sha256", [
+    (OFF_CADENCE, "c9376b7bf91ef67f5e15531adcf5477f11075fad09901542668cbb3956a4601c"),
+    (DEFAULT_CADENCE, "922bebbc9b94b07e3ca0c76e862405b1760e8030745322f83e8cdfdfc8688b12"),
+], ids=["off-cadence", "default-cadence"])
+def test_path_and_lmc_bytes(tmp_path, raw, path_sha256):
+    run_dir = run_seed0(tmp_path, raw)
+    assert hashlib.sha256((run_dir / "path.csv").read_bytes()).hexdigest() == path_sha256
+    assert hashlib.sha256((run_dir / "lmc.csv").read_bytes()).hexdigest() == LMC_SHA256
+
+
+def test_train_reads_back_only_theta1_and_theta2(tmp_path, monkeypatch):
+    loads, evals = [], []
+
+    def spy(calls, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(trainer, "load_checkpoint", spy(loads, trainer.load_checkpoint))
+    monkeypatch.setattr(connectivity, "eval_test", spy(evals, connectivity.eval_test))
+    run_dir = run_seed0(tmp_path, DEFAULT_CADENCE)
+    assert [Path(args[0]).name for args in loads] == [
+        "task0_iter0000012.ckpt", "task1_iter0000042.ckpt"]
+    # the LMC grid and nothing else: every path row came from the trace
+    assert len(evals) == len(lambda_grid(AnalysisConfig.lmc_step))
+    assert len((run_dir / "path.csv").read_text().splitlines()) == 1 + 42 - 12 + 1
 
 
 def test_no_lmc_when_theta2_lies_past_task_two(tmp_path):
