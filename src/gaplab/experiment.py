@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
+import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -186,10 +188,15 @@ def _run_seeds_in_pool(cfg: ExperimentConfig, out: Path, n_procs: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # seed processes inherit the one-thread BLAS settings that importing
-    # gaplab put into os.environ
+    # Forked seed processes start with this process's imports and its loaded
+    # BLAS. Fork only on Linux with no other thread alive: macOS's system
+    # frameworks and a caller's threads can deadlock a forked child. Spawned
+    # ones import gaplab afresh and inherit the one-thread BLAS settings it
+    # put into os.environ. A seed is a pure function of (config, seed), so
+    # both write the same bytes.
+    method = "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
     with ProcessPoolExecutor(max_workers=n_procs,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+                             mp_context=multiprocessing.get_context(method)) as pool:
         futures = [pool.submit(_run_seed, cfg, s, out / f"seed{s}") for s in cfg.seeds]
         return [_attempt(f.result) for f in futures]
 
@@ -213,8 +220,9 @@ def _status(outcome) -> str:
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """All seeds of one configuration, plus aggregate artifacts.
 
-    Seeds run in spawned processes when `_pool_size` gives more than one,
-    and in this process otherwise; both write the same bytes. A failing
+    Seeds run in seed processes when `_pool_size` gives more than one
+    (forked on Linux when no other thread is alive, spawned otherwise), and
+    in this process otherwise; all of these write the same bytes. A failing
     seed does not stop the others: every seed's status goes into the
     manifest, and then the first failing seed's error is raised.
     """

@@ -8,6 +8,7 @@ iterations of each task are observable one update at a time.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from collections.abc import Iterator
@@ -168,31 +169,35 @@ def save_checkpoint(path: str | Path, params: ParamVector) -> None:
     digest = bytes.fromhex(params.spec_digest)
     if len(digest) != 32:
         raise ArgumentError("spec digest must be 32 bytes of hex")
+    values = np.ascontiguousarray(params.values, dtype="<f8")  # no copy if already so
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", CHECKPOINT_VERSION))
         fh.write(digest)
         fh.write(struct.pack("<Q", len(params)))
-        fh.write(params.values.astype("<f8").tobytes())
+        fh.write(values)
 
 
 def load_checkpoint(path: str | Path, spec: ModelSpec | None = None) -> ParamVector:
-    raw = Path(path).read_bytes()
+    """The checkpoint's values are read straight into the one array returned."""
     header = 4 + 2 + 32 + 8
-    if len(raw) < header:
-        raise FormatError(f"{path}: truncated checkpoint header ({len(raw)} bytes)")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    digest = raw[6:38].hex()
-    (count,) = struct.unpack_from("<Q", raw, 38)
-    if len(raw) != header + 8 * count:
-        raise FormatError(
-            f"{path}: expected {header + 8 * count} bytes, found {len(raw)}"
-        )
-    values = np.frombuffer(raw, dtype="<f8", offset=header).copy()
+    with open(path, "rb") as fh:
+        raw = fh.read(header)
+        if len(raw) < header:
+            raise FormatError(f"{path}: truncated checkpoint header ({len(raw)} bytes)")
+        if raw[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad magic {raw[:4]!r}")
+        (version,) = struct.unpack_from("<H", raw, 4)
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        digest = raw[6:38].hex()
+        (count,) = struct.unpack_from("<Q", raw, 38)
+        size = os.fstat(fh.fileno()).st_size
+        if size != header + 8 * count:
+            raise FormatError(f"{path}: expected {header + 8 * count} bytes, found {size}")
+        values = np.empty(count, dtype="<f8")
+        if fh.readinto(values) != values.nbytes:  # the file shrank while read
+            raise FormatError(f"{path}: truncated checkpoint values")
     params = ParamVector(values, digest)
     if spec is not None and digest != spec.digest:
         raise SpecMismatchError(f"{path}: checkpoint bound to a different model spec")

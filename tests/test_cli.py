@@ -111,8 +111,8 @@ def test_train_seed_error_exit_codes_in_pool(tmp_path, two_cpus, capsys,
 
 
 def test_train_as_module_runs_seed_processes(tmp_path):
-    # started the way users start it, so a spawned seed process must be
-    # able to import the package and must not re-run the command
+    # started the way users start it, so a seed process, forked or spawned,
+    # must be able to run the package and must not re-run the command
     for sub in ("pool", "serial"):
         (tmp_path / sub).mkdir()
     cfg = write_config(tmp_path / "pool", seeds=[0, 1], workers=2)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -69,9 +70,10 @@ def test_manifest_lists_artifacts_and_hash(tmp_path):
     assert ExperimentConfig.from_json(text).hash() == cfg.hash()
 
 
-# a conv model on [C, H, W] blobs: in-process seeds run BLAS with the threads
-# this process started with (conftest imports numpy before gaplab), seed
-# processes with the one thread that importing gaplab asks for
+# a conv model on [C, H, W] blobs: in-process and forked seeds run BLAS with
+# the threads this process started with (conftest imports numpy before
+# gaplab), spawned seed processes with the one thread that importing gaplab
+# asks for
 SMALL_CNN = {
     "dataset": dict(SMALL["dataset"], dim=48, shape=[3, 4, 4]),
     "model": {"name": "smallcnn", "channels": [4], "hidden": [8]},
@@ -210,6 +212,51 @@ def test_three_seeds_on_two_cpus_run_in_one_round(tmp_path, two_cpus):
     assert run_files(pool) == files
     manifest = json.loads((pool / "manifest.json").read_text())
     assert manifest["seeds"] == {"0": "ok", "1": "ok", "2": "ok"}
+
+
+def mark_seed_processes(monkeypatch, marks):
+    """Patch `run_single_seed` in this process so that each seed leaves a
+    file naming the process that ran it. A forked seed process inherits the
+    patch; a spawned one imports gaplab afresh and leaves no file."""
+    marks.mkdir()
+    real = experiment.run_single_seed
+
+    def marked(cfg, seed, run_dir):
+        (marks / f"seed{seed}").write_text(str(os.getpid()))
+        return real(cfg, seed, run_dir)
+
+    monkeypatch.setattr(experiment, "run_single_seed", marked)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="seed processes are forked on Linux only")
+def test_seed_processes_are_forked_when_only_one_thread_runs(tmp_path, two_cpus, monkeypatch):
+    single = run_experiment(config(tmp_path / "single", workers=1))
+    mark_seed_processes(monkeypatch, tmp_path / "marks")
+    assert threading.active_count() == 1
+    pool = run_experiment(config(tmp_path / "pool"))
+    assert not running_children()
+    pids = {p.name: int(p.read_text()) for p in (tmp_path / "marks").iterdir()}
+    assert sorted(pids) == ["seed0", "seed1"]
+    assert os.getpid() not in pids.values()
+    assert run_files(pool) == run_files(single)
+
+
+def test_seed_processes_are_spawned_while_another_thread_runs(tmp_path, two_cpus,
+                                                               monkeypatch):
+    single = run_experiment(config(tmp_path / "single", workers=1))
+    mark_seed_processes(monkeypatch, tmp_path / "marks")
+    stop = threading.Event()
+    idle = threading.Thread(target=stop.wait)
+    idle.start()
+    try:
+        pool = run_experiment(config(tmp_path / "pool"))
+    finally:
+        stop.set()
+        idle.join(timeout=10)
+    assert not idle.is_alive()
+    assert not running_children()
+    assert not any((tmp_path / "marks").iterdir())
+    assert run_files(pool) == run_files(single)
 
 
 def test_workers_stay_out_of_config_and_hash(tmp_path):

@@ -1,5 +1,7 @@
 """Optimizer updates, checkpoint IO, and the warm-started task loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,21 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(raw[:20])
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(bad)
+
+
+def test_checkpoint_load_holds_one_copy(tmp_path):
+    # the values are read into the returned array, not into bytes first
+    params = vec(np.arange(65536.0))  # a 0.5 MB vector
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, params)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.values.tobytes() == params.values.tobytes()
+    assert peak < 1.5 * params.values.nbytes
 
 
 def test_checkpoint_spec_binding(tmp_path):
