@@ -10,13 +10,21 @@ OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless they are already set.
 """
 
 import os
+import sys
 
 # BLAS libraries read these once, when numpy loads, so they are set before
 # the first submodule imports numpy; seed processes inherit them. On gaplab's
 # small matrices a second thread only spins. A value the user set is kept.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Whether the loaded BLAS runs on the threads these variables ask for: numpy
+# is not loaded yet, or the user set one and so chose the threads. A forked
+# process inherits the loaded BLAS, so gaplab forks only when this holds.
+_blas_threads_as_set = ("numpy" not in sys.modules
+                        or any(var in os.environ for var in _BLAS_THREAD_VARS))
+for _var in _BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
+# The public names: every name imported below.
 from ._version import __version__  # noqa: E402  (after the thread variables)
 from .autodiff import (Conv3x3, Dense, Flatten, MaxPool2x2, ModelSpec,
                        ParamVector, ReLU, accuracy, backward, forward,
@@ -41,27 +49,3 @@ from .trainer import (CheckpointStore, OptimizerState, SequenceResult,
                       TrainConfig, TrainingHooks, load_checkpoint,
                       run_sequence, save_checkpoint, sgd_step, train_task)
 
-__all__ = [
-    "__version__",
-    "ArgumentError", "DivergenceError", "FormatError", "GapLabError",
-    "InsufficientTraceError", "LabelRangeError", "MissingCheckpointError",
-    "ShapeError", "SpecMismatchError",
-    "Rng", "derive_seed", "splitmix64_next",
-    "Conv3x3", "Dense", "Flatten", "MaxPool2x2", "ModelSpec", "ParamVector",
-    "ReLU", "accuracy", "backward", "forward", "init_params", "mlp",
-    "small_cnn", "softmax_cross_entropy",
-    "Dataset", "TaskSequence", "batch_iter", "batches_per_epoch", "gen_blobs",
-    "load_raw", "normalize_unit", "save_raw", "split_tasks",
-    "CheckpointStore", "OptimizerState", "SequenceResult", "TrainConfig",
-    "TrainingHooks", "load_checkpoint", "run_sequence", "save_checkpoint",
-    "sgd_step", "train_task",
-    "GapMetrics", "TraceRecord", "TraceRecorder", "TrainTrace",
-    "compute_gap", "eval_test", "format_gap_doc", "format_gap_docs",
-    "read_trace_csv", "write_trace_csv",
-    "LmcCurve", "PathCurve", "barrier", "interpolate", "lmc_curve",
-    "read_lmc_csv", "read_path_csv", "sgd_path_loss", "write_lmc_csv",
-    "write_path_csv",
-    "AnalysisConfig", "DatasetConfig", "ExperimentConfig", "ModelConfig",
-    "RunManifest", "SplitConfig", "canonical_json", "config_hash",
-    "build_dataset", "build_model_spec", "run_experiment", "run_single_seed",
-]

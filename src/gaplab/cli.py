@@ -18,7 +18,7 @@ from .connectivity import (lmc_curve, read_lmc_csv, read_path_csv, sgd_path_loss
                            write_lmc_csv, write_path_csv)
 from .data import RAW_MAX_CLASSES, gen_blobs, normalize_unit, save_raw
 from .errors import ArgumentError, GapLabError, InsufficientTraceError
-from .experiment import build_dataset, run_experiment
+from .experiment import build_dataset, fork_procs, run_experiment
 from .instrument import (compute_gap, format_gap_doc, format_gap_docs,
                          read_trace_csv)
 from .rng import check_seed
@@ -141,14 +141,15 @@ def cmd_lmc(args) -> int:
         if not store.iterations():
             raise ArgumentError(f"{args.sgd_path}: no checkpoints found")
 
-    # both curves are evaluated before anything is written, so a checkpoint
-    # that fails to load leaves no file behind
+    # both curves are evaluated, on every usable CPU, before anything is
+    # written, so a checkpoint that fails to load leaves no file behind
+    procs = fork_procs()
     curve = lmc_curve(spec, theta1, theta2, step, test,
-                      eval_batch=cfg.train.eval_batch)
+                      eval_batch=cfg.train.eval_batch, procs=procs)
     path_curve = None
     if store is not None:
         path_curve = sgd_path_loss(spec, store, store.iterations(), test,
-                                   eval_batch=cfg.train.eval_batch)
+                                   eval_batch=cfg.train.eval_batch, procs=procs)
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

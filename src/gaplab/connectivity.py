@@ -4,6 +4,9 @@ the loss along the straight line with the loss along the recorded SGD path.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import numpy as np
 
 from .autodiff import ModelSpec, ParamVector, check_same_spec
 from .data import Dataset
-from .errors import ArgumentError
+from .errors import ArgumentError, GapLabError
 from .instrument import eval_test, fmt_float, read_table, write_table
 from .trainer import CheckpointStore
 
@@ -86,6 +89,71 @@ def lambda_grid(step: float) -> np.ndarray:
     return np.asarray(grid, dtype=np.float64)
 
 
+def _evaluate_slice(evaluate, start: int, stop: int):
+    """(rows, None) with `evaluate(i)` for i in [start, stop), or (None, err)
+    for the first exception raised."""
+    rows = np.empty((stop - start, 2))
+    try:
+        for i in range(start, stop):
+            rows[i - start] = evaluate(i)
+    except Exception as err:
+        return None, err
+    return rows, None
+
+
+def _evaluate_split(count: int, evaluate, procs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Losses and accuracies, as float64 arrays in index order, of
+    `evaluate(i)` -> (loss, accuracy) for every i in range(count).
+
+    The range is cut into at most `procs` contiguous slices. This process
+    evaluates the first; each other slice goes to a forked child, which sends
+    back its rows, or the exception it stopped at, through a pipe. So the
+    result does not depend on `procs`, and the error raised is the one at the
+    lowest index. Every child is reaped before this returns or raises. The
+    caller decides whether forking is safe; `procs=1` forks nothing.
+    """
+    rows = np.empty((count, 2))
+    procs = max(1, min(procs, count))
+    bounds = [count * k // procs for k in range(procs + 1)]
+    pending = {}  # unreaped child pid -> (read end of its pipe, start, stop)
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: it never returns into the caller
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(_evaluate_slice(evaluate, start, stop), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            pending[pid] = (read_end, start, stop)
+        for i in range(bounds[1]):
+            rows[i] = evaluate(i)
+        for pid, (read_end, start, stop) in list(pending.items()):
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(read_end)
+            del pending[pid]
+            if code != 0:
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise GapLabError(f"an evaluation process died ({how})")
+            part, err = pickle.loads(payload)
+            if err is not None:
+                raise err
+            rows[start:stop] = part
+    finally:
+        for pid, (read_end, _, _) in pending.items():
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows[:, 0], rows[:, 1]
+
+
 def lmc_curve(
     spec: ModelSpec,
     theta1: ParamVector,
@@ -93,18 +161,17 @@ def lmc_curve(
     step: float,
     evalset: Dataset,
     eval_batch: int = 256,
+    procs: int = 1,
 ) -> LmcCurve:
     """Evaluate the test set at every point of the lambda grid.
 
-    Each grid point is an independent pure evaluation of interpolate(),
-    so the points may be computed in any order or in parallel.
+    Each grid point is an independent pure evaluation of interpolate(), so
+    the points are split over `procs` processes (`_evaluate_split`), with
+    the same result for any count.
     """
     lambdas = lambda_grid(step)
-    losses = np.empty(len(lambdas))
-    accuracies = np.empty(len(lambdas))
-    for i, lam in enumerate(lambdas):
-        theta = interpolate(theta1, theta2, lam)
-        losses[i], accuracies[i] = eval_test(spec, theta, evalset, eval_batch)
+    losses, accuracies = _evaluate_split(len(lambdas), lambda i: eval_test(
+        spec, interpolate(theta1, theta2, lambdas[i]), evalset, eval_batch), procs)
     return LmcCurve(lambdas=lambdas, losses=losses, accuracies=accuracies)
 
 
@@ -124,20 +191,21 @@ def sgd_path_loss(
     iterations: list[int] | np.ndarray,
     evalset: Dataset,
     eval_batch: int = 256,
+    procs: int = 1,
 ) -> PathCurve:
     """Evaluate the test set at each stored trajectory checkpoint.
 
-    Every missing checkpoint is reported before any is read. Each one is
-    then loaded, evaluated and dropped in turn, so memory does not grow with
-    the length of the path.
+    Every missing checkpoint is reported before any is read. The checkpoints
+    are split over `procs` processes (`_evaluate_split`), and each process
+    loads, evaluates and drops them in turn, so memory does not grow with the
+    length of the path.
     """
     wanted = sorted(int(i) for i in iterations)
     if not wanted:
         raise ArgumentError("no iterations requested")
-    losses = np.empty(len(wanted))
-    accuracies = np.empty(len(wanted))
-    for i, theta in enumerate(store.load_many(wanted, spec)):
-        losses[i], accuracies[i] = eval_test(spec, theta, evalset, eval_batch)
+    store.require(wanted)
+    losses, accuracies = _evaluate_split(len(wanted), lambda i: eval_test(
+        spec, store.load_iteration(wanted[i], spec), evalset, eval_batch), procs)
     return PathCurve(iterations=np.asarray(wanted), losses=losses, accuracies=accuracies)
 
 

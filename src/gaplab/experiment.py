@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _blas_threads_as_set
 from ._version import __version__
 from .config import DatasetConfig, ExperimentConfig, RunManifest, canonical_json
 from .connectivity import (PathCurve, lmc_curve, sgd_path_loss, write_lmc_csv,
@@ -174,6 +175,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether a child forked now starts like a fresh gaplab process, with
+    this process's imports: on Linux only (macOS's system frameworks can
+    deadlock a forked child), with no other thread alive (a caller's can
+    too), and with BLAS on the threads that importing gaplab set (a program
+    that loaded numpy first keeps numpy's default thread count, which every
+    forked child would inherit)."""
+    return (sys.platform == "linux" and threading.active_count() == 1
+            and _blas_threads_as_set)
+
+
+def fork_procs() -> int:
+    """Processes for work that is split by forking: every usable CPU where
+    `_can_fork` allows a fork, otherwise one (no fork)."""
+    return _usable_cpus() if _can_fork() else 1
+
+
 def _pool_size(cfg: ExperimentConfig) -> int:
     """Seed processes, at most `cfg.workers`: the seeds spread evenly over
     floor(seeds / cpus) rounds (one if fewer seeds than usable CPUs), so every
@@ -188,13 +206,10 @@ def _run_seeds_in_pool(cfg: ExperimentConfig, out: Path, n_procs: int) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # Forked seed processes start with this process's imports and its loaded
-    # BLAS. Fork only on Linux with no other thread alive: macOS's system
-    # frameworks and a caller's threads can deadlock a forked child. Spawned
-    # ones import gaplab afresh and inherit the one-thread BLAS settings it
-    # put into os.environ. A seed is a pure function of (config, seed), so
-    # both write the same bytes.
-    method = "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
+    # Spawned seed processes import gaplab afresh and inherit the one-thread
+    # BLAS settings it put into os.environ. A seed is a pure function of
+    # (config, seed), so forked and spawned ones write the same bytes.
+    method = "fork" if _can_fork() else "spawn"
     with ProcessPoolExecutor(max_workers=n_procs,
                              mp_context=multiprocessing.get_context(method)) as pool:
         futures = [pool.submit(_run_seed, cfg, s, out / f"seed{s}") for s in cfg.seeds]
@@ -221,7 +236,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """All seeds of one configuration, plus aggregate artifacts.
 
     Seeds run in seed processes when `_pool_size` gives more than one
-    (forked on Linux when no other thread is alive, spawned otherwise), and
+    (forked where `_can_fork` allows it, spawned otherwise), and
     in this process otherwise; all of these write the same bytes. A failing
     seed does not stop the others: every seed's status goes into the
     manifest, and then the first failing seed's error is raised.

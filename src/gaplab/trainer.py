@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import re
 import struct
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -245,17 +244,12 @@ class CheckpointStore:
             raise MissingCheckpointError([iteration])
         return load_checkpoint(self._by_iteration[iteration], spec)
 
-    def load_many(
-        self, iterations: list[int], spec: ModelSpec | None = None
-    ) -> Iterator[ParamVector]:
-        """The checkpoints at `iterations`, in that order, each read from disk
-        only when the iterator reaches it, so a caller that consumes one at a
-        time holds one at a time. Every missing iteration is reported here,
-        before any file is read."""
+    def require(self, iterations: list[int]) -> None:
+        """Report every iteration of `iterations` that has no checkpoint, in
+        one MissingCheckpointError; reads no file."""
         missing = [it for it in iterations if it not in self._by_iteration]
         if missing:
             raise MissingCheckpointError(missing)
-        return (self.load_iteration(it, spec) for it in iterations)
 
 
 # ---------------------------------------------------------------------------

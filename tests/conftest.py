@@ -6,10 +6,13 @@ import os
 from multiprocessing import resource_tracker
 from pathlib import Path
 
+# gaplab before numpy, as the gaplab CLI loads them: importing gaplab sets
+# BLAS to one thread before numpy loads, and only then may seeds and lmc
+# evaluations fork (experiment._can_fork)
+from gaplab import experiment  # isort: skip
 import numpy as np
 import pytest
 
-from gaplab import experiment
 from gaplab.autodiff import ParamVector, backward
 from gaplab.instrument import TraceRecord, TrainTrace
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import gaplab
+from gaplab import connectivity, experiment
 from gaplab.cli import main
 from gaplab.instrument import write_trace_csv
 
-from conftest import eval_trace, run_files
+from conftest import eval_trace, run_files, running_children
 
 CONFIG = {
     "dataset": {"kind": "blobs", "classes": 3, "per_class": 40, "dim": 4,
@@ -262,6 +265,140 @@ def test_lmc_sgd_path_empty_directory_exit_2(trained, tmp_path):
                  "--sgd-path", str(tmp_path / "empty"), "--out", str(tmp_path / "figs")])
     assert code == 2
     assert not (tmp_path / "figs" / "lmc.csv").exists()
+
+
+# --- lmc over several evaluation processes -----------------------------------------
+
+forks_on_linux = pytest.mark.skipif(sys.platform != "linux",
+                                    reason="lmc evaluates in forked processes on Linux only")
+
+
+def run_lmc(cfg, ckpt_dir, out, capsys, step="0.25", sgd_path=None):
+    """Exit code, stdout (with `out` written as OUT), stderr and the files
+    written of one `gaplab lmc --sgd-path` run from the first checkpoint of
+    `ckpt_dir` to its last."""
+    ckpts = sorted(ckpt_dir.glob("*.ckpt"))
+    code = main(["lmc", "--config", str(cfg), "--ckpt-a", str(ckpts[0]),
+                 "--ckpt-b", str(ckpts[-1]), "--step", step,
+                 "--sgd-path", str(sgd_path or ckpt_dir), "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
+    return code, stdout.replace(str(out), "OUT"), stderr, files
+
+
+def mark_eval_processes(monkeypatch, marks):
+    """Patch `connectivity.eval_test` so that each evaluation leaves a file
+    named after the process that ran it; forked children inherit the patch."""
+    marks.mkdir(parents=True)
+    real = connectivity.eval_test
+
+    def marked(*args):
+        (marks / str(os.getpid())).touch()
+        return real(*args)
+
+    monkeypatch.setattr(connectivity, "eval_test", marked)
+
+
+@forks_on_linux
+@pytest.mark.parametrize("step, grid", [("0.25", 5), ("0.5", 3)])
+def test_lmc_bytes_do_not_depend_on_evaluation_processes(trained, tmp_path, monkeypatch,
+                                                         capsys, step, grid):
+    # 49 path checkpoints and a 5-point grid do not split evenly over 2 or
+    # 3 processes; the 3-point grid of step 0.5 has fewer points than 4
+    run_tmp, cfg = trained
+    ckpt_dir = run_tmp / "exp" / "seed0" / "checkpoints"
+    assert len(list(ckpt_dir.glob("*.ckpt"))) == 49
+    runs = {}
+    for procs in (1, 2, 3, 4):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: procs)
+        marks = tmp_path / "marks" / str(procs)
+        mark_eval_processes(monkeypatch, marks)
+        runs[procs] = run_lmc(cfg, ckpt_dir, tmp_path / str(procs), capsys, step)
+        assert not running_children()
+        # the grid's and the path's forked children, and this process
+        assert len(list(marks.iterdir())) == min(procs, grid) + procs - 1
+    code, stdout, stderr, files = runs[1]
+    assert code == 0 and stderr == "" and stdout.startswith("wrote OUT/lmc.csv")
+    assert sorted(files) == ["lmc.csv", "lmc.svg", "path.csv"]
+    for procs in (2, 3, 4):
+        assert runs[procs] == runs[1], procs
+
+
+@forks_on_linux
+def test_lmc_truncated_checkpoint_in_a_worker_slice_exit_4(trained, tmp_path, monkeypatch,
+                                                          capsys):
+    run_tmp, cfg = trained
+    ckpt_dir = run_tmp / "exp" / "seed0" / "checkpoints"
+    bad = tmp_path / "bad"
+    shutil.copytree(ckpt_dir, bad)
+    # over 3 processes the 49 checkpoints split 16/16/17: one bad file in each
+    # child's slice, and the lower one must be reported, as in one process
+    ckpts = sorted(bad.glob("*.ckpt"))
+    for ckpt in (ckpts[20], ckpts[40]):
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    runs = {}
+    for procs in (1, 3):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: procs)
+        runs[procs] = run_lmc(cfg, ckpt_dir, tmp_path / "figs", capsys, sgd_path=bad)
+        assert not running_children()
+    code, stdout, stderr, files = runs[1]
+    assert code == 4 and stdout == "" and files == {}
+    assert len(stderr.splitlines()) == 1 and ckpts[20].name in stderr
+    assert runs[3] == runs[1]
+
+
+@forks_on_linux
+def test_lmc_killed_worker_exit_4(trained, tmp_path, monkeypatch, capsys):
+    run_tmp, cfg = trained
+    parent = os.getpid()
+    real = connectivity.eval_test
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(connectivity, "eval_test", dies_in_a_child)
+    code, stdout, stderr, files = run_lmc(cfg, run_tmp / "exp" / "seed0" / "checkpoints",
+                                          tmp_path / "figs", capsys)
+    assert not running_children()
+    assert code == 4 and stdout == "" and files == {}
+    assert stderr == "gaplab: error: an evaluation process died (killed by signal 9)\n"
+
+
+@forks_on_linux
+def test_lmc_as_module_prints_one_wrote_line(trained, tmp_path):
+    # `python -m gaplab.cli` on two CPUs: a forked child that returned into
+    # `main` would print a second line
+    run_tmp, cfg = trained
+    ckpt_dir = run_tmp / "exp" / "seed0" / "checkpoints"
+    ckpts = sorted(ckpt_dir.glob("*.ckpt"))
+    argv = ["lmc", "--config", str(cfg), "--ckpt-a", str(ckpts[0]),
+            "--ckpt-b", str(ckpts[-1]), "--sgd-path", str(ckpt_dir)]
+    script = ("import os, runpy\n"
+              "from gaplab import connectivity, experiment\n"
+              "experiment._usable_cpus = lambda: 2\n"
+              "real = connectivity.eval_test\n"
+              "def marked(*args):\n"
+              "    open(os.path.join('marks', str(os.getpid())), 'w').close()\n"
+              "    return real(*args)\n"
+              "connectivity.eval_test = marked\n"
+              "runpy.run_module('gaplab.cli', run_name='__main__')\n")
+    (tmp_path / "forked" / "marks").mkdir(parents=True)
+    src = str(Path(gaplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", script, *argv, "--out", "."],
+                          cwd=tmp_path / "forked", env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["wrote ./lmc.csv (101 points) and ./lmc.svg"]
+    # this process and one child each for the grid and the path
+    assert len(list((tmp_path / "forked" / "marks").iterdir())) == 3
+    assert main(argv + ["--out", str(tmp_path / "one")]) == 0
+    for name in ("lmc.csv", "path.csv", "lmc.svg"):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 def test_report_renders_figures(trained):

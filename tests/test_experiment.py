@@ -70,10 +70,7 @@ def test_manifest_lists_artifacts_and_hash(tmp_path):
     assert ExperimentConfig.from_json(text).hash() == cfg.hash()
 
 
-# a conv model on [C, H, W] blobs: in-process and forked seeds run BLAS with
-# the threads this process started with (conftest imports numpy before
-# gaplab), spawned seed processes with the one thread that importing gaplab
-# asks for
+# a conv model on [C, H, W] blobs, in-process and in seed processes
 SMALL_CNN = {
     "dataset": dict(SMALL["dataset"], dim=48, shape=[3, 4, 4]),
     "model": {"name": "smallcnn", "channels": [4], "hidden": [8]},
@@ -180,6 +177,62 @@ def test_blas_threads_do_not_change_a_cli_run(tmp_path):
         runs[name] = run_files(tmp_path / name / "exp")
     assert sum(name.endswith(".ckpt") for name in runs["default"]) > 2
     assert runs["two"] == runs["default"]
+
+
+# A program that loads numpy before gaplab, run from a file so that spawned
+# seed processes import it too (as __mp_main__). Every seed, forked or
+# spawned, leaves marks/seed<k> with its PID and the thread count of its
+# loaded OpenBLAS; the program prints its own. Counts are null where
+# OpenBLAS lacks the symbol that THREAD_PROBE reads.
+NUMPY_FIRST = """
+import ctypes, json, os, sys
+from pathlib import Path
+
+import numpy
+from gaplab import experiment
+from gaplab.config import ExperimentConfig
+
+def blas_threads():
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    getters = [getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
+               for lib in libs]
+    return next((get() for get in getters if get is not None), None)
+
+MARKS = Path(__file__).parent / "marks"
+real = experiment.run_single_seed
+
+def marked(cfg, seed, run_dir):
+    (MARKS / f"seed{seed}").write_text(json.dumps([os.getpid(), blas_threads()]))
+    return real(cfg, seed, run_dir)
+
+experiment.run_single_seed = marked
+
+if __name__ == "__main__":
+    experiment._usable_cpus = lambda: 2
+    experiment.run_experiment(ExperimentConfig.from_json(Path(sys.argv[1]).read_text()))
+    print(json.dumps([os.getpid(), blas_threads()]))
+"""
+
+
+def test_seeds_of_a_program_that_loads_numpy_first_run_one_blas_thread(tmp_path):
+    script = tmp_path / "numpy_first.py"
+    script.write_text(NUMPY_FIRST)
+    (tmp_path / "marks").mkdir()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(SMALL, out_dir=str(tmp_path / "exp"))))
+    done = subprocess.run([sys.executable, str(script), str(cfg)], env=clean_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    caller_pid, caller_threads = json.loads(done.stdout)
+    if caller_threads is None:
+        pytest.skip("numpy's OpenBLAS does not export scipy_openblas_get_num_threads64_")
+    seeds = {p.name: json.loads(p.read_text()) for p in (tmp_path / "marks").iterdir()}
+    assert sorted(seeds) == ["seed0", "seed1"]
+    assert caller_pid not in {pid for pid, _ in seeds.values()}
+    assert [threads for _, threads in seeds.values()] == [1, 1]
+    single = run_experiment(config(tmp_path / "single", workers=1))
+    assert run_files(tmp_path / "exp") == run_files(single)
 
 
 def test_pool_size(monkeypatch):

@@ -179,7 +179,7 @@ def test_store_naming_reopen_and_missing(tmp_path):
     loaded = reopened.load_iteration(13, SPEC)
     assert loaded.values.tobytes() == params.values.tobytes()
     with pytest.raises(MissingCheckpointError):
-        reopened.load_many([13, 99])
+        reopened.require([13, 99])
 
 
 def test_store_open_rejects_bad_checkpoint_names(tmp_path):
