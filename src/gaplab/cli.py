@@ -170,6 +170,16 @@ def cmd_report(args) -> int:
     evals = trace.eval_records()
     if not evals:
         raise InsufficientTraceError(f"{trace_path}: trace has no evaluation records")
+    # every input is read and checked before anything is written, so a run
+    # without lmc.csv, or with a malformed curve file, leaves no figure behind
+    lmc_path = run_dir / "lmc.csv"
+    if not lmc_path.is_file():
+        raise ArgumentError(
+            f"{run_dir}: no lmc.csv; re-run train with checkpoints enabled"
+        )
+    curve = read_lmc_csv(lmc_path)
+    path_file = run_dir / "path.csv"
+    path_curve = read_path_csv(path_file) if path_file.is_file() else None
     out = Path(args.out or run_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -194,15 +204,6 @@ def cmd_report(args) -> int:
     for b in interior:
         probe_fig.add_vline(b)
     probe_fig.save(out / "probe.svg")
-
-    lmc_path = run_dir / "lmc.csv"
-    if not lmc_path.is_file():
-        raise ArgumentError(
-            f"{run_dir}: no lmc.csv; re-run train with checkpoints enabled"
-        )
-    curve = read_lmc_csv(lmc_path)
-    path_file = run_dir / "path.csv"
-    path_curve = read_path_csv(path_file) if path_file.is_file() else None
     _lmc_figure(curve, path_curve).save(out / "lmc.svg")
 
     print(f"wrote {out}/accuracy.svg, {out}/probe.svg, {out}/lmc.svg")

@@ -24,7 +24,6 @@ import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .errors import GapLabError, InsufficientTraceError
 from .instrument import (GapMetrics, TraceRecorder, TrainTrace, compute_gap,
                          format_gap_doc, format_gap_docs, write_trace_csv)
 from .rng import derive_seed
-from .trainer import SPLIT_STREAM, CheckpointStore, run_sequence, task_lengths
+from .trainer import SPLIT_STREAM, CheckpointStore, Schedule, run_sequence
 
 # stream ids 0..2 are taken by the trainer (init, batches, splits)
 DATA_STREAM = 3
@@ -68,8 +67,12 @@ class SeedRunResult:
     seed: int
     run_dir: Path
     trace: TrainTrace
-    boundaries: list[int]
+    plan: Schedule
     gap: GapMetrics | None
+
+    @property
+    def boundaries(self) -> list[int]:
+        return self.plan.boundaries
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunResult:
@@ -92,24 +95,10 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         stratified=cfg.split.stratified,
     )
     train_cfg = replace(cfg.train, seed=seed)
-    lengths = task_lengths(task_seq, train_cfg)
-    boundaries = list(accumulate(lengths))
-
-    # theta2: `theta2_epochs` epochs into the second task, if it runs that long
-    theta2_iteration = None
-    if task_seq.n_tasks >= 2 and cfg.analysis.theta2_epochs <= train_cfg.epochs_for(1):
-        per_epoch = lengths[1] // train_cfg.epochs_for(1)
-        theta2_iteration = boundaries[0] + cfg.analysis.theta2_epochs * per_epoch
-
-    store = None
-    extra = set()
-    if cfg.checkpoints:
-        store = CheckpointStore(run_dir / "checkpoints")
-        if theta2_iteration is not None:
-            extra.add(theta2_iteration)
-    recorder = TraceRecorder(spec, test, eval_batch=cfg.train.eval_batch,
-                             store=store, extra_checkpoint_iterations=extra)
-    run_sequence(spec, task_seq, train_cfg, hooks=recorder)
+    plan = Schedule.plan(task_seq, train_cfg, cfg.analysis.theta2_epochs)
+    store = CheckpointStore(run_dir / "checkpoints") if cfg.checkpoints else None
+    recorder = TraceRecorder(spec, test, eval_batch=cfg.train.eval_batch, store=store)
+    run_sequence(spec, task_seq, train_cfg, plan, hooks=recorder)
 
     write_trace_csv(run_dir / "trace.csv", recorder.trace)
 
@@ -118,7 +107,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         try:
             gap = compute_gap(
                 recorder.trace,
-                boundary_iteration=boundaries[0],
+                boundary_iteration=plan.boundaries[0],
                 baseline_evals=cfg.analysis.baseline_evals,
                 recovery_window=cfg.analysis.recovery_window,
                 tolerance=cfg.analysis.tolerance,
@@ -128,20 +117,20 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         except InsufficientTraceError:
             gap = None
 
-    if store is not None and theta2_iteration is not None:
-        theta1 = store.load_iteration(boundaries[0], spec)
-        theta2 = store.load_iteration(theta2_iteration, spec)
+    if store is not None and plan.theta2 is not None:
+        theta1 = store.load_iteration(plan.boundaries[0], spec)
+        theta2 = store.load_iteration(plan.theta2, spec)
         curve = lmc_curve(spec, theta1, theta2, cfg.analysis.lmc_step, test,
                           eval_batch=cfg.train.eval_batch)
         write_lmc_csv(run_dir / "lmc.csv", curve)
-        path_iters = [i for i in store.iterations()
-                      if boundaries[0] <= i <= theta2_iteration]
+        path_iters = sorted(i for i in plan.checkpoints
+                            if plan.boundaries[0] <= i <= plan.theta2)
         # a path iteration that the trace evaluated takes the trace's metrics:
         # the same parameters through the same eval_test. Only the rest, such
         # as an off-cadence theta2, are read back and evaluated.
         metrics = {r.iteration: (r.test_loss, r.test_acc)
                    for r in recorder.trace.eval_records()}
-        unevaluated = [i for i in path_iters if i not in metrics]
+        unevaluated = [i for i in path_iters if i not in plan.evals]
         if unevaluated:
             rest = sgd_path_loss(spec, store, unevaluated, test,
                                  eval_batch=cfg.train.eval_batch)
@@ -150,7 +139,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         write_path_csv(run_dir / "path.csv", PathCurve(path_iters, losses, accuracies))
 
     return SeedRunResult(seed=seed, run_dir=run_dir, trace=recorder.trace,
-                         boundaries=boundaries, gap=gap)
+                         plan=plan, gap=gap)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> GapMetrics | None:

@@ -48,10 +48,19 @@ class TraceRecord:
 @dataclass
 class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
-    boundaries: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.records)
+
+    @property
+    def boundaries(self) -> list[int]:
+        """The last iteration of each task in the trace: every iteration
+        after which the task changes, then the last iteration."""
+        records = self.records
+        if not records:
+            return []
+        return [prev.iteration for prev, record in zip(records, records[1:])
+                if record.task != prev.task] + [records[-1].iteration]
 
     def eval_records(self) -> list[TraceRecord]:
         return [r for r in self.records if r.test_acc is not None]
@@ -96,13 +105,11 @@ class TraceRecorder(TrainingHooks):
         test: Dataset,
         eval_batch: int = 256,
         store: CheckpointStore | None = None,
-        extra_checkpoint_iterations: set[int] | None = None,
     ):
         self.spec = spec
         self.test = test
         self.eval_batch = eval_batch
         self.store = store
-        self.extra_checkpoint_iterations = set(extra_checkpoint_iterations or ())
         self.trace = TrainTrace()
 
     def on_pre_update(self, iteration, task_id, loss, logits, labels):
@@ -134,12 +141,6 @@ class TraceRecorder(TrainingHooks):
         # the checkpoint of the parameters entering training has no record
         if self.trace.records and self.trace.records[-1].iteration == iteration:
             self.trace.records[-1].ckpt = ckpt_id
-
-    def wants_checkpoint(self, iteration) -> bool:
-        return self.store is not None and iteration in self.extra_checkpoint_iterations
-
-    def on_task_end(self, task_id, iteration):
-        self.trace.boundaries.append(iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +285,12 @@ def write_trace_csv(path: str | Path, trace: TrainTrace) -> None:
 
 
 def read_trace_csv(path: str | Path) -> TrainTrace:
-    """The trace of a trace.csv; boundaries are where the task changes."""
+    """The trace of a trace.csv, whose iterations must strictly increase."""
     records = read_table(path, TRACE_HEADER, _trace_record, "trace")
-    trace = TrainTrace(records=records)
     for line_no, (prev, record) in enumerate(zip(records, records[1:]), start=3):
         if record.iteration <= prev.iteration:
             raise FormatError(f"{path}: line {line_no}: iterations must strictly increase")
-        if record.task != prev.task:
-            trace.boundaries.append(prev.iteration)
-    trace.boundaries.append(records[-1].iteration)
-    return trace
+    return TrainTrace(records=records)
 
 
 def _gap_value(value) -> str:

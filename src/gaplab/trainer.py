@@ -1,8 +1,9 @@
 """Momentum-SGD training over a task sequence with warm starts.
 
 On a task switch the next task continues from the previous task's final
-parameters while the optimizer velocity is reset (configurable), and
-evaluation/checkpoint cadence is dense around the boundary so the first
+parameters while the optimizer velocity is reset (configurable). A
+`Schedule`, fixed per seed before training, lists the iterations that are
+evaluated and checkpointed: densely around each boundary, so the first
 iterations of each task are observable one update at a time.
 """
 
@@ -82,11 +83,6 @@ class TrainConfig:
             return self.epochs_per_task[task_id]
         return self.epochs_per_task[-1]
 
-    def task_length(self, task_id: int, pool_size: int) -> int:
-        """Iterations of a task: its epochs times the batches in one pass
-        over its pool."""
-        return self.epochs_for(task_id) * batches_per_epoch(pool_size, self.batch_size)
-
     def _tick(self, i_in_task: int, task_len: int, every: int) -> bool:
         return (
             i_in_task <= self.dense_window
@@ -145,12 +141,6 @@ class TrainingHooks:
         pass
 
     def on_checkpoint(self, iteration, task_id, params):
-        pass
-
-    def wants_checkpoint(self, iteration) -> bool:
-        return False
-
-    def on_task_end(self, task_id, iteration):
         pass
 
 
@@ -256,17 +246,40 @@ class CheckpointStore:
 # Training loops
 # ---------------------------------------------------------------------------
 
-def task_lengths(task_seq: TaskSequence, config: TrainConfig) -> list[int]:
-    """Iterations of each task of a sequence; the task boundaries are the
-    running sums."""
-    return [config.task_length(k, len(task_seq.pool(k))) for k in range(task_seq.n_tasks)]
+@dataclass(frozen=True)
+class Schedule:
+    """The iterations of one seed's run that are evaluated and checkpointed,
+    fixed before training: the ticks of `TrainConfig`'s per-task cadence,
+    and among the checkpoints also iteration 0 (the parameters entering
+    training) and `theta2`, the far end of the LMC and SGD-path analysis,
+    `theta2_epochs` epochs into the second task (None without a second task
+    that runs that long). `boundaries` is the last iteration of each task.
+    """
 
+    boundaries: list[int]
+    evals: frozenset[int]
+    checkpoints: frozenset[int]
+    theta2: int | None
 
-@dataclass
-class SequenceResult:
-    final_params: ParamVector
-    boundaries: list[int]  # global iteration at the end of each task
-    task_lengths: list[int]
+    @classmethod
+    def plan(cls, task_seq: TaskSequence, config: TrainConfig,
+             theta2_epochs: int) -> "Schedule":
+        per_epoch = [batches_per_epoch(len(task_seq.pool(k)), config.batch_size)
+                     for k in range(task_seq.n_tasks)]
+        lengths = [config.epochs_for(k) * n for k, n in enumerate(per_epoch)]
+        boundaries = list(accumulate(lengths))
+        evals, checkpoints = set(), {0}
+        for start, length in zip([0] + boundaries, lengths):
+            for i in range(1, length + 1):
+                if config.is_eval_tick(i, length):
+                    evals.add(start + i)
+                if config.is_checkpoint_tick(i, length):
+                    checkpoints.add(start + i)
+        theta2 = None
+        if task_seq.n_tasks >= 2 and theta2_epochs <= config.epochs_for(1):
+            theta2 = boundaries[0] + theta2_epochs * per_epoch[1]
+            checkpoints.add(theta2)
+        return cls(boundaries, frozenset(evals), frozenset(checkpoints), theta2)
 
 
 def train_task(
@@ -275,20 +288,20 @@ def train_task(
     data: Dataset,
     pool: np.ndarray,
     config: TrainConfig,
+    plan: Schedule,
     hooks: TrainingHooks | None,
     rng: Rng,
     *,
     task_id: int = 0,
-    start_iteration: int = 0,
     state: OptimizerState | None = None,
 ) -> tuple[ParamVector, OptimizerState]:
     """Run task `task_id`'s epochs of momentum SGD over `pool`, driving
     the hook object.
 
     Hook calls per iteration: `on_pre_update` (reusing the backward pass
-    logits), `on_post_update`, then `on_eval` / `on_checkpoint` on their
-    cadence ticks. Divergence aborts with the failing iteration attached;
-    checkpoints written so far are retained.
+    logits), `on_post_update`, then `on_eval` / `on_checkpoint` at the
+    iterations the plan lists. Divergence aborts with the failing
+    iteration attached; checkpoints written so far are retained.
     """
     if hooks is None:
         hooks = TrainingHooks()
@@ -297,12 +310,9 @@ def train_task(
         state = OptimizerState.zeros(len(params))
     if epochs == 0:
         return params, state
-    task_len = config.task_length(task_id, len(pool))
-    iteration = start_iteration
-    i_in_task = 0
-    for batch_idx in batch_iter(pool, config.batch_size, epochs, rng):
-        iteration += 1
-        i_in_task += 1
+    start = plan.boundaries[task_id - 1] if task_id else 0
+    batches = batch_iter(pool, config.batch_size, epochs, rng)
+    for iteration, batch_idx in enumerate(batches, start=start + 1):
         x = data.features[batch_idx]
         y = data.labels[batch_idx]
         try:
@@ -310,13 +320,11 @@ def train_task(
             hooks.on_pre_update(iteration, task_id, loss, logits, y)
             params, state = sgd_step(params, grads, state, config.lr, config.momentum)
             hooks.on_post_update(iteration, task_id, params, x, y)
-            if config.is_eval_tick(i_in_task, task_len):
+            if iteration in plan.evals:
                 hooks.on_eval(iteration, params)
         except DivergenceError as err:
             raise DivergenceError(f"iteration {iteration}: {err}") from err
-        if config.is_checkpoint_tick(i_in_task, task_len) or hooks.wants_checkpoint(
-            iteration
-        ):
+        if iteration in plan.checkpoints:
             hooks.on_checkpoint(iteration, task_id, params)
     return params, state
 
@@ -325,15 +333,17 @@ def run_sequence(
     spec: ModelSpec,
     task_seq: TaskSequence,
     config: TrainConfig,
+    plan: Schedule,
     hooks: TrainingHooks | None = None,
     params: ParamVector | None = None,
-) -> SequenceResult:
-    """Warm-started training over all tasks of a sequence.
+) -> ParamVector:
+    """Warm-started training over all tasks of a sequence; returns the
+    final parameters.
 
     Task k+1 starts from task k's final parameters; optimizer velocity is
     zeroed at each boundary unless `velocity_reset` is off. The parameters
-    entering training are checkpointed at iteration 0, and each task's
-    final iteration always gets an eval and a checkpoint, so the boundary
+    entering training are checkpointed at iteration 0, and the plan gives
+    each task's final iteration an eval and a checkpoint, so the boundary
     checkpoint doubles as the interpolation anchor.
     """
     if hooks is None:
@@ -342,10 +352,8 @@ def run_sequence(
         params = init_params(spec, derive_seed(config.seed, INIT_STREAM))
     rng = Rng(derive_seed(config.seed, BATCH_STREAM))
     hooks.on_checkpoint(0, 0, params)
-    lengths = task_lengths(task_seq, config)
-    boundaries = list(accumulate(lengths))
     state: OptimizerState | None = None
-    for task_id, start in enumerate([0] + boundaries[:-1]):
+    for task_id in range(task_seq.n_tasks):
         if config.velocity_reset:
             state = None
         params, state = train_task(
@@ -354,11 +362,10 @@ def run_sequence(
             task_seq.base,
             task_seq.pool(task_id),
             config,
+            plan,
             hooks,
             rng,
             task_id=task_id,
-            start_iteration=start,
             state=state,
         )
-        hooks.on_task_end(task_id, boundaries[task_id])
-    return SequenceResult(params, boundaries, lengths)
+    return params

@@ -40,7 +40,7 @@ def max_rel_error(analytic, numeric, floor=1e-2):
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def eval_trace(pre_accs, post_accs, boundary=100, spacing=10, task_len=None):
+def eval_trace(pre_accs, post_accs, boundary=100, spacing=10):
     """Trace whose eval ticks carry the given accuracies.
 
     Pre-boundary evals end exactly at the boundary iteration and march
@@ -56,8 +56,7 @@ def eval_trace(pre_accs, post_accs, boundary=100, spacing=10, task_len=None):
         it = boundary + spacing * (k + 1)
         records.append(TraceRecord(it, 1, 1.0, acc, 1.0, acc,
                                    test_loss=1.0, test_acc=acc))
-    end = task_len if task_len is not None else records[-1].iteration
-    return TrainTrace(records=records, boundaries=[boundary, end])
+    return TrainTrace(records=records)
 
 
 def run_files(out):

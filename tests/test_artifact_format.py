@@ -23,7 +23,7 @@ def test_trace_csv_text(tmp_path):
         TraceRecord(2, 0, 1 / 3, 0.5, 1234567890.5, 0.75, test_loss=1e-10, test_acc=2 / 3,
                     ckpt="task0_iter0000002"),
         TraceRecord(3, 1, 0.1 + 0.2, 1.0, 0.0, 0.0, test_loss=0.5, test_acc=1.0),
-    ], boundaries=[2, 3])
+    ])
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     assert path.read_bytes() == (

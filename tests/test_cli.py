@@ -413,6 +413,16 @@ def test_report_missing_trace_exit_2(tmp_path):
     assert main(["report", "--run", str(tmp_path)]) == 2
 
 
+def test_report_without_lmc_exit_2_writes_nothing(tmp_path):
+    cfg = write_config(tmp_path, checkpoints=False)
+    assert main(["train", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "exp" / "seed0"
+    assert not (run_dir / "lmc.csv").exists()
+    out = tmp_path / "figures"
+    assert main(["report", "--run", str(run_dir), "--out", str(out)]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

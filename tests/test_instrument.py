@@ -169,7 +169,7 @@ def test_trace_csv_empty_fields_mean_no_eval(tmp_path):
     trace = TrainTrace(records=[
         TraceRecord(1, 0, 0.5, 0.5, 0.4, 0.6),
         TraceRecord(2, 0, 0.4, 0.6, 0.3, 0.7, test_loss=0.9, test_acc=0.55),
-    ], boundaries=[2])
+    ])
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     text = path.read_text().splitlines()
@@ -184,7 +184,7 @@ def test_trace_csv_infers_boundaries_from_task_changes(tmp_path):
     records = [TraceRecord(i, 0 if i <= 3 else 1, 1.0, 0.5, 1.0, 0.5)
                for i in range(1, 7)]
     path = tmp_path / "trace.csv"
-    write_trace_csv(path, TrainTrace(records=records, boundaries=[3, 6]))
+    write_trace_csv(path, TrainTrace(records=records))
     assert read_trace_csv(path).boundaries == [3, 6]
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gaplab.autodiff import ParamVector, backward, init_params, mlp
+from gaplab.config import AnalysisConfig
 from gaplab.data import gen_blobs, split_tasks
 from gaplab.errors import (
     ArgumentError,
@@ -18,6 +19,7 @@ from gaplab.instrument import TraceRecorder
 from gaplab.trainer import (
     CheckpointStore,
     OptimizerState,
+    Schedule,
     TrainConfig,
     TrainingHooks,
     load_checkpoint,
@@ -200,6 +202,13 @@ def small_problem(seed=0, joint=True, fractions=(50, 50)):
     return spec, seq, test
 
 
+def train(spec, seq, cfg, hooks=None):
+    """run_sequence under the plan of the default analysis; returns the
+    plan and the final parameters."""
+    plan = Schedule.plan(seq, cfg, AnalysisConfig.theta2_epochs)
+    return plan, run_sequence(spec, seq, cfg, plan, hooks)
+
+
 class ParamLog(TrainingHooks):
     """Keeps per-iteration parameter and batch snapshots."""
 
@@ -223,9 +232,9 @@ def test_boundary_arithmetic():
     cfg = TrainConfig(batch_size=16, epochs_per_task=(2, 3), eval_every=100,
                       dense_window=0, dense_tail=0)
     rec = TraceRecorder(spec, test)
-    result = run_sequence(spec, seq, cfg, rec)
-    assert result.task_lengths == [8, 24]
-    assert result.boundaries == [8, 32]
+    plan, _ = train(spec, seq, cfg, rec)
+    assert np.diff([0] + plan.boundaries).tolist() == [8, 24]
+    assert plan.boundaries == [8, 32]
     assert rec.trace.boundaries == [8, 32]
     assert [r.iteration for r in rec.trace.records] == list(range(1, 33))
     assert [r.task for r in rec.trace.records] == [0] * 8 + [1] * 24
@@ -239,7 +248,7 @@ def test_diverged_iteration_keeps_its_record():
     cfg = TrainConfig(lr=1e308, batch_size=16, epochs_per_task=(2, 3))
     rec = TraceRecorder(spec, test)
     with pytest.raises(DivergenceError, match="^iteration 1: parameters became non-finite"):
-        run_sequence(spec, seq, cfg, rec)
+        train(spec, seq, cfg, rec)
     [record] = rec.trace.records
     assert record.iteration == 1 and np.isfinite(record.batch_loss_pre)
     assert np.isnan(record.batch_loss_post) and np.isnan(record.batch_acc_post)
@@ -253,7 +262,7 @@ def test_divergence_in_a_hook_names_its_iteration():
     cfg = TrainConfig(lr=1e200, batch_size=16, epochs_per_task=(2, 3))
     with pytest.raises(DivergenceError,
                        match=r"^iteration \d+: non-finite values in forward logits"):
-        run_sequence(spec, seq, cfg, TraceRecorder(spec, test))
+        train(spec, seq, cfg, TraceRecorder(spec, test))
 
 
 def test_epochs_zero_is_noop():
@@ -264,7 +273,7 @@ def test_epochs_zero_is_noop():
 
     class Both(TrainingHooks):
         def __getattribute__(self, name):
-            if name.startswith("on_") or name == "wants_checkpoint":
+            if name.startswith("on_"):
                 def fan(*args, **kw):
                     out = getattr(rec, name)(*args, **kw)
                     getattr(log, name)(*args, **kw)
@@ -272,10 +281,10 @@ def test_epochs_zero_is_noop():
                 return fan
             return object.__getattribute__(self, name)
 
-    result = run_sequence(spec, seq, cfg, Both())
-    assert result.boundaries == [0, 0]
+    plan, final = train(spec, seq, cfg, Both())
+    assert plan.boundaries == [0, 0]
     assert rec.trace.records == []
-    np.testing.assert_array_equal(result.final_params.values, log.initial.values)
+    np.testing.assert_array_equal(final.values, log.initial.values)
 
 
 def test_warm_start_and_velocity_reset():
@@ -283,8 +292,8 @@ def test_warm_start_and_velocity_reset():
     cfg = TrainConfig(batch_size=16, epochs_per_task=2, eval_every=100,
                       dense_window=0, dense_tail=0, velocity_reset=True)
     log = ParamLog()
-    result = run_sequence(spec, seq, cfg, log)
-    boundary = result.boundaries[0]
+    plan, _ = train(spec, seq, cfg, log)
+    boundary = plan.boundaries[0]
 
     # warm start: the first post-boundary update starts from the boundary
     # params with zero velocity, so it must equal a fresh sgd_step
@@ -302,9 +311,9 @@ def test_velocity_carry_over_changes_updates():
               dense_window=0, dense_tail=0)
     reset = ParamLog()
     carry = ParamLog()
-    run_sequence(spec, seq, TrainConfig(velocity_reset=True, **kw), reset)
-    result = run_sequence(spec, seq, TrainConfig(velocity_reset=False, **kw), carry)
-    boundary = result.boundaries[0]
+    train(spec, seq, TrainConfig(velocity_reset=True, **kw), reset)
+    plan, _ = train(spec, seq, TrainConfig(velocity_reset=False, **kw), carry)
+    boundary = plan.boundaries[0]
     np.testing.assert_array_equal(
         reset.after[boundary].values, carry.after[boundary].values)
     assert (reset.after[boundary + 1].values
@@ -317,7 +326,7 @@ def test_batch_loss_decreases_for_most_steps():
     cfg = TrainConfig(lr=1e-4, batch_size=16, epochs_per_task=3,
                       eval_every=100, dense_window=0, dense_tail=0)
     rec = TraceRecorder(spec, test)
-    run_sequence(spec, seq, cfg, rec)
+    train(spec, seq, cfg, rec)
     records = rec.trace.records
     drops = sum(r.batch_loss_post < r.batch_loss_pre for r in records)
     assert drops / len(records) > 0.95
@@ -328,7 +337,7 @@ def test_long_run_reduces_loss():
     cfg = TrainConfig(batch_size=16, epochs_per_task=(20, 0), eval_every=100,
                       dense_window=0, dense_tail=1)
     rec = TraceRecorder(spec, test)
-    run_sequence(spec, seq, cfg, rec)
+    train(spec, seq, cfg, rec)
     evals = rec.trace.eval_records()
     assert evals[-1].test_loss < 0.5
     assert evals[-1].test_acc > 0.9
@@ -338,14 +347,14 @@ def test_run_sequence_deterministic():
     spec, seq, test = small_problem()
     cfg = TrainConfig(batch_size=16, epochs_per_task=2, seed=5)
     a, b = TraceRecorder(spec, test), TraceRecorder(spec, test)
-    ra = run_sequence(spec, seq, cfg, a)
-    rb = run_sequence(spec, seq, cfg, b)
-    assert ra.final_params.values.tobytes() == rb.final_params.values.tobytes()
+    _, ra = train(spec, seq, cfg, a)
+    _, rb = train(spec, seq, cfg, b)
+    assert ra.values.tobytes() == rb.values.tobytes()
     assert a.trace.records == b.trace.records
 
 
 def test_seed_changes_run():
     spec, seq, test = small_problem()
-    a = run_sequence(spec, seq, TrainConfig(batch_size=16, epochs_per_task=1, seed=0))
-    b = run_sequence(spec, seq, TrainConfig(batch_size=16, epochs_per_task=1, seed=1))
-    assert (a.final_params.values != b.final_params.values).any()
+    _, a = train(spec, seq, TrainConfig(batch_size=16, epochs_per_task=1, seed=0))
+    _, b = train(spec, seq, TrainConfig(batch_size=16, epochs_per_task=1, seed=1))
+    assert (a.values != b.values).any()
