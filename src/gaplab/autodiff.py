@@ -5,7 +5,10 @@ shape-preserving 3x3 convolution (stride 1, zero padding 1), 2x2 max
 pooling (stride 2) and Flatten, closed by a softmax cross-entropy loss.
 All arrays are 64-bit floats in row-major order. Every operation is a
 pure function of its inputs, so repeated calls are bit-identical and the
-whole module is safe to use from multiple threads on shared inputs.
+whole module is safe to use from multiple threads on shared inputs. A
+pass writes in place only into arrays it allocated itself (a Dense or
+Conv3x3 output takes its bias and the ReLU after it in place), never into
+the caller's batch, a view of it, or the parameters.
 
 Image batches and ModelSpec shapes are channels-first, but inside the
 network image activations are channels-last [N, H, W, C]: the batch enters
@@ -315,7 +318,8 @@ def _conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         for dj in range(3):
             window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
             out += window @ w[:, :, di, dj].T
-    return out.reshape(n, h, width, -1) + b
+    out += b
+    return out.reshape(n, h, width, -1)
 
 
 def _conv3x3_backward(x, w, dy, need_dx=True):
@@ -359,40 +363,41 @@ def _maxpool_backward(x, out, dy):
     return dx
 
 
-def _forward_cached(spec: ModelSpec, layer_params, batch: np.ndarray):
-    """Run the layer chain, keeping what each backward pass needs."""
+def _checked_forward(spec: ModelSpec, params: ParamVector, batch: Tensor, caches=None):
+    """Logits and per-layer parameter views of a batch. Appends what each
+    backward pass needs to `caches` when given a list; without one, each
+    activation is freed once the next layer has used it."""
+    _check_bound(spec, params)
+    layer_params = _unflatten(spec, params.values)
+    batch = _check_batch(spec, batch)
+    keep = (lambda entry: None) if caches is None else caches.append
     x = batch.transpose(0, 2, 3, 1) if batch.ndim == 4 else batch
-    caches = []
+    owned = False  # x is a Dense or Conv3x3 output: never the batch, a view of it or a cache
     for layer, lp in zip(spec.layers, layer_params):
         if isinstance(layer, Dense):
             w, b = lp
-            caches.append(("dense", x))
-            x = x @ w.T + b
+            keep(("dense", x))
+            x = x @ w.T
+            x += b
         elif isinstance(layer, ReLU):
-            x = np.maximum(x, 0.0)
-            caches.append(("relu", x))  # > 0 where its input is; the next layer keeps it too
+            x = np.maximum(x, 0.0, out=x) if owned else np.maximum(x, 0.0)
+            keep(("relu", x))  # > 0 where its input is; the next layer keeps it too
         elif isinstance(layer, Conv3x3):
             w, b = lp
-            caches.append(("conv", x))
+            keep(("conv", x))
             x = _conv3x3_forward(x, w, b)
         elif isinstance(layer, MaxPool2x2):
             out = _maxpool_forward(x)
-            caches.append(("pool", (x, out)))
+            keep(("pool", (x, out)))
             x = out
+            del out
         else:  # Flatten, in [N, C, H, W] order
             x = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
-            caches.append(("flatten", x.shape))
+            keep(("flatten", x.shape))
             x = x.reshape(x.shape[0], -1)
-    return x, caches
-
-
-def _checked_forward(spec: ModelSpec, params: ParamVector, batch: Tensor):
-    """Logits, per-layer parameter views and backward caches of a batch."""
-    _check_bound(spec, params)
-    layer_params = _unflatten(spec, params.values)
-    logits, caches = _forward_cached(spec, layer_params, _check_batch(spec, batch))
-    _require_finite(logits, "forward logits")
-    return logits, layer_params, caches
+        owned = isinstance(layer, (Dense, Conv3x3))
+    _require_finite(x, "forward logits")
+    return x, layer_params
 
 
 def forward(spec: ModelSpec, params: ParamVector, batch: Tensor) -> Tensor:
@@ -408,7 +413,8 @@ def backward(
     The logits are returned so callers probing the pre-update batch state
     can reuse this forward pass instead of running another one.
     """
-    logits, layer_params, caches = _checked_forward(spec, params, batch)
+    caches = []
+    logits, layer_params = _checked_forward(spec, params, batch, caches)
     loss, dlogits = softmax_cross_entropy(logits, labels)
 
     grads = np.zeros_like(params.values)

@@ -121,8 +121,10 @@ def sgd_step(
         raise ArgumentError("optimizer state length does not match parameters")
     # overflow surfaces as the isfinite check below, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        velocity = momentum * state.velocity + grads.values
-        values = params.values - lr * velocity
+        velocity = momentum * state.velocity
+        velocity += grads.values
+        values = lr * velocity
+        np.subtract(params.values, values, out=values)
     if not np.all(np.isfinite(values)):
         raise DivergenceError("parameters became non-finite after SGD step")
     return ParamVector(values, params.spec_digest), OptimizerState(velocity)

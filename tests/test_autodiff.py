@@ -1,10 +1,13 @@
-"""Model forward/backward correctness against finite differences and
-hand-computed cross-entropy values."""
+"""Model forward/backward correctness against finite differences,
+hand-computed cross-entropy values and reference kernels, including the
+cache-free, in-place forward pass against a caching, out-of-place one."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_gradient, max_rel_error
 from gaplab.autodiff import (
@@ -29,9 +32,12 @@ from gaplab.autodiff import (
     _conv3x3_forward,
     _maxpool_backward,
     _maxpool_forward,
+    _pad_channels_last,
     _unflatten,
 )
+from gaplab.data import Dataset
 from gaplab.errors import DivergenceError, ShapeError, SpecMismatchError
+from gaplab.instrument import eval_test
 from gaplab.rng import Rng
 
 
@@ -141,7 +147,8 @@ def test_conv3x3_kernels_match_einsum_reference(n, c_in, c_out, h, w):
 def full_chain_backward(spec, params, batch, labels):
     """Reference: the backward loop that also computes the input gradient
     of the first layer with parameters, and of every layer before it."""
-    logits, layer_params, caches = _checked_forward(spec, params, batch)
+    caches = []
+    logits, layer_params = _checked_forward(spec, params, batch, caches)
     loss, dlogits = softmax_cross_entropy(logits, labels)
     grads = np.zeros_like(params.values)
     dx = dlogits
@@ -184,6 +191,106 @@ def test_backward_equals_full_chain(spec):
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grads.values.tobytes() == want_grads.tobytes()
     assert logits.tobytes() == want_logits.tobytes()
+
+
+# --- the lean forward pass against the caching reference -------------------
+
+def caching_conv3x3_forward(x, w, b):
+    """Reference: the conv forward with an out-of-place bias add."""
+    n, h, width, c = x.shape
+    xp = _pad_channels_last(x)
+    out = np.zeros((n * h * width, w.shape[0]), dtype=np.float64)
+    for di in range(3):
+        for dj in range(3):
+            window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
+            out += window @ w[:, :, di, dj].T
+    return out.reshape(n, h, width, -1) + b
+
+
+def caching_forward(spec, params, batch):
+    """Reference: the layer chain with out-of-place bias and ReLU, keeping
+    every layer's cache alive until the pass ends."""
+    x = batch.transpose(0, 2, 3, 1) if batch.ndim == 4 else batch
+    caches = []
+    for layer, lp in zip(spec.layers, _unflatten(spec, params.values)):
+        if isinstance(layer, Dense):
+            w, b = lp
+            caches.append(("dense", x))
+            x = x @ w.T + b
+        elif isinstance(layer, ReLU):
+            x = np.maximum(x, 0.0)
+            caches.append(("relu", x))
+        elif isinstance(layer, Conv3x3):
+            w, b = lp
+            caches.append(("conv", x))
+            x = caching_conv3x3_forward(x, w, b)
+        elif isinstance(layer, MaxPool2x2):
+            out = _maxpool_forward(x)
+            caches.append(("pool", (x, out)))
+            x = out
+        else:
+            x = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
+            caches.append(("flatten", x.shape))
+            x = x.reshape(x.shape[0], -1)
+    return x
+
+
+def caching_eval_test(spec, params, test, eval_batch):
+    loss_sum = 0.0
+    correct = 0.0
+    for start in range(0, test.n, eval_batch):
+        x = test.features[start:start + eval_batch]
+        y = test.labels[start:start + eval_batch]
+        logits = caching_forward(spec, params, x)
+        batch_loss, _ = softmax_cross_entropy(logits, y)
+        loss_sum += batch_loss * len(y)
+        correct += accuracy(logits, y) * len(y)
+    return loss_sum / test.n, correct / test.n
+
+
+LEAN_SPECS = [
+    mlp(6, [8, 5], 4),
+    mlp((2, 3, 4), [], 3),                   # Flatten -> Dense on [C, H, W]
+    small_cnn((3, 8, 8), [4, 6], [8], 3),    # two conv blocks
+    # widths kept through each Dense and Conv3x3: a bias added to the
+    # layer's input instead of its output still broadcasts
+    mlp(4, [4], 4),
+    small_cnn((2, 4, 4), [2, 2], [2], 2),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(LEAN_SPECS), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([0.1, 1.0, 30.0]), eval_batch=st.integers(2, 9),
+       full=st.integers(0, 3), data=st.data())
+def test_forward_and_eval_test_equal_caching_reference(spec, seed, scale, eval_batch, full, data):
+    rest = data.draw(st.integers(1, eval_batch - 1))  # the last batch is short
+    n = full * eval_batch + rest
+    rng = Rng(seed)
+    params = ParamVector(scale * rng.normals(spec.param_count), spec.digest)
+    x, y = random_batch(spec, n, seed ^ 1)
+    test = Dataset(x, y, spec.n_classes)
+    assert forward(spec, params, x).tobytes() == caching_forward(spec, params, x).tobytes()
+    got = np.array(eval_test(spec, params, test, eval_batch))
+    want = np.array(caching_eval_test(spec, params, test, eval_batch))
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec((ReLU(), Dense(4, 3)), (4,), 3),                     # ReLU on the batch
+    ModelSpec((Flatten(), ReLU(), Dense(24, 3)), (2, 3, 4), 3),    # ReLU on a view of it
+    small_cnn((3, 8, 8), [4, 6], [8], 3),
+], ids=["relu-first", "flatten-relu", "smallcnn"])
+def test_passes_never_write_the_callers_arrays(spec):
+    params = init_params(spec, 7)
+    x, y = random_batch(spec, 10, 8)  # normals: half the entries are negative
+    test = Dataset(x.copy(), y, spec.n_classes)
+    want_x, want_features = x.tobytes(), test.features.tobytes()
+    forward(spec, params, x)
+    backward(spec, params, x, y)
+    eval_test(spec, params, test, 4)
+    assert x.tobytes() == want_x
+    assert test.features.tobytes() == want_features
 
 
 # --- max-pool kernels against the argmax reference ------------------------

@@ -16,6 +16,7 @@ from gaplab.errors import (
     SpecMismatchError,
 )
 from gaplab.instrument import TraceRecorder
+from gaplab.rng import Rng
 from gaplab.trainer import (
     CheckpointStore,
     OptimizerState,
@@ -58,6 +59,18 @@ def test_sgd_step_zero_momentum_is_plain_sgd():
     grads = vec(np.full(n, 3.0))
     out, _ = sgd_step(params, grads, OptimizerState.zeros(n), 0.1, 0.0)
     assert out.values[0] == pytest.approx(2.0 - 0.1 * 3.0, abs=1e-15)
+
+
+def test_sgd_step_leaves_its_inputs_unwritten():
+    n = SPEC.param_count
+    rng = Rng(3)
+    params = vec(rng.normals(n))
+    grads = vec(rng.normals(n))
+    state = OptimizerState(rng.normals(n))
+    before = [a.copy() for a in (params.values, grads.values, state.velocity)]
+    sgd_step(params, grads, state, lr=0.1, momentum=0.9)
+    for got, want in zip((params.values, grads.values, state.velocity), before):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sgd_step_guards():
