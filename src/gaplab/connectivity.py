@@ -4,18 +4,17 @@ the loss along the straight line with the loss along the recorded SGD path.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import ModelSpec, ParamVector, check_same_spec
 from .data import Dataset
-from .errors import ArgumentError, GapLabError
-from .instrument import eval_test, fmt_float, read_table, write_table
+from .errors import ArgumentError
+from .instrument import (ForkedEvaluation, eval_test, evaluate_each, fmt_float, read_table,
+                         write_table)
 from .trainer import CheckpointStore
 
 
@@ -89,25 +88,13 @@ def lambda_grid(step: float) -> np.ndarray:
     return np.asarray(grid, dtype=np.float64)
 
 
-def _evaluate_slice(evaluate, start: int, stop: int):
-    """(rows, None) with `evaluate(i)` for i in [start, stop), or (None, err)
-    for the first exception raised."""
-    rows = np.empty((stop - start, 2))
-    try:
-        for i in range(start, stop):
-            rows[i - start] = evaluate(i)
-    except Exception as err:
-        return None, err
-    return rows, None
-
-
 def _evaluate_split(count: int, evaluate, procs: int) -> tuple[np.ndarray, np.ndarray]:
     """Losses and accuracies, as float64 arrays in index order, of
     `evaluate(i)` -> (loss, accuracy) for every i in range(count).
 
     The range is cut into at most `procs` contiguous slices. This process
-    evaluates the first; each other slice goes to a forked child, which sends
-    back its rows, or the exception it stopped at, through a pipe. So the
+    evaluates the first; each other slice goes to a `ForkedEvaluation`,
+    which sends back its rows, or the exception it stopped at. So the
     result does not depend on `procs`, and the error raised is the one at the
     lowest index. Every child is reaped before this returns or raises. The
     caller decides whether forking is safe; `procs=1` forks nothing.
@@ -115,42 +102,21 @@ def _evaluate_split(count: int, evaluate, procs: int) -> tuple[np.ndarray, np.nd
     rows = np.empty((count, 2))
     procs = max(1, min(procs, count))
     bounds = [count * k // procs for k in range(procs + 1)]
-    pending = {}  # unreaped child pid -> (read end of its pipe, start, stop)
+    children = []  # (start, stop, child)
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: it never returns into the caller
-                status = 1
-                try:
-                    os.close(read_end)
-                    with open(write_end, "wb") as pipe:
-                        pickle.dump(_evaluate_slice(evaluate, start, stop), pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            pending[pid] = (read_end, start, stop)
+            children.append((start, stop, ForkedEvaluation(
+                partial(evaluate_each, evaluate, range(start, stop)))))
         for i in range(bounds[1]):
             rows[i] = evaluate(i)
-        for pid, (read_end, start, stop) in list(pending.items()):
-            with open(read_end, "rb", closefd=False) as pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(read_end)
-            del pending[pid]
-            if code != 0:
-                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-                raise GapLabError(f"an evaluation process died ({how})")
-            part, err = pickle.loads(payload)
+        for start, stop, child in children:
+            part, err = child.join()
             if err is not None:
                 raise err
             rows[start:stop] = part
     finally:
-        for pid, (read_end, _, _) in pending.items():
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for _, _, child in children:
+            child.kill()
     return rows[:, 0], rows[:, 1]
 
 

@@ -79,7 +79,11 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
     """One full training run plus measurement artifacts.
 
     The seed directory is owned by the runner and is recreated from
-    scratch, so stale artifacts from earlier runs cannot leak in.
+    scratch, so stale artifacts from earlier runs cannot leak in. Where
+    `_spare_cpu` allows, the test evaluations are shared with one forked
+    evaluator process while this one trains (`TraceRecorder`'s `forked`);
+    the artifacts, the error raised and the files left behind on an error
+    are the same either way.
     """
     if run_dir.exists():
         shutil.rmtree(run_dir)
@@ -97,8 +101,9 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
     train_cfg = replace(cfg.train, seed=seed)
     plan = Schedule.plan(task_seq, train_cfg, cfg.analysis.theta2_epochs)
     store = CheckpointStore(run_dir / "checkpoints") if cfg.checkpoints else None
-    recorder = TraceRecorder(spec, test, eval_batch=cfg.train.eval_batch, store=store)
-    run_sequence(spec, task_seq, train_cfg, plan, hooks=recorder)
+    with TraceRecorder(spec, test, eval_batch=cfg.train.eval_batch, store=store,
+                       forked=_spare_cpu(cfg)) as recorder:
+        run_sequence(spec, task_seq, train_cfg, plan, hooks=recorder)
 
     write_trace_csv(run_dir / "trace.csv", recorder.trace)
 
@@ -188,6 +193,16 @@ def _pool_size(cfg: ExperimentConfig) -> int:
     seeds, cpus = len(cfg.seeds), _usable_cpus()
     rounds = max(1, seeds // cpus)
     return min(-(-seeds // rounds), cfg.workers or seeds)
+
+
+def _spare_cpu(cfg: ExperimentConfig) -> bool:
+    """Whether each seed may fork an evaluator process: where `_can_fork`
+    allows, when the seed processes that run at once leave a usable CPU
+    idle, and, if `cfg.workers` is set, when it covers the seed processes
+    and their evaluators together."""
+    procs = _pool_size(cfg)
+    return (_can_fork() and _usable_cpus() > procs
+            and (cfg.workers is None or 2 * procs <= cfg.workers))
 
 
 def _run_seeds_in_pool(cfg: ExperimentConfig, out: Path, n_procs: int) -> list:

@@ -10,14 +10,25 @@ task boundary.
 from __future__ import annotations
 
 import csv
+import fcntl
+import os
+import pickle
+import signal
 import statistics
+import sys
+import termios
+import warnings
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .autodiff import ModelSpec, ParamVector, accuracy, forward, softmax_cross_entropy
 from .data import Dataset
-from .errors import ArgumentError, FormatError, InsufficientTraceError
-from .trainer import CheckpointStore, TrainingHooks
+from .errors import (ArgumentError, DivergenceError, FormatError, GapLabError,
+                     InsufficientTraceError)
+from .trainer import CheckpointStore, TrainingHooks, diverged_at
 
 TRACE_HEADER = [
     "iter",
@@ -89,6 +100,96 @@ def eval_test(
     return loss_sum / test.n, correct / test.n
 
 
+def evaluate_each(evaluate, items) -> tuple[list, Exception | None]:
+    """`evaluate(item)` for each item in turn, up to the first exception:
+    the results before it, and that exception or None."""
+    rows = []
+    try:
+        for item in items:
+            rows.append(evaluate(item))
+    except Exception as err:
+        return rows, err
+    return rows, None
+
+
+class ForkedEvaluation:
+    """A forked evaluation process: it runs `work()` and sends the result
+    back, pickled, through a pipe.
+
+    The child never returns into the caller: it ends in `os._exit`. `join`
+    waits for the result and reaps the child; `kill` kills and reaps a child
+    that `join` has not, so callers call it on every exit path. The caller
+    decides whether forking is safe.
+    """
+
+    def __init__(self, work):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child
+            status = 1
+            try:
+                os.close(read_end)
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(work(), pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        self.pid, self._read_end = pid, read_end
+
+    def join(self):
+        """The result of `work()`. A child that died raises GapLabError."""
+        with open(self._read_end, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        os.close(self._read_end)
+        self._read_end = None
+        if code != 0:
+            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+            raise GapLabError(f"an evaluation process died ({how})")
+        return pickle.loads(payload)
+
+    def kill(self) -> None:
+        if self._read_end is not None:
+            os.close(self._read_end)
+            self._read_end = None
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
+def _evaluate_unshown(evaluate, items) -> tuple[list, Exception | None, list]:
+    """`evaluate_each(evaluate, items)` and the warnings, by the filters in
+    force, it would have shown, as (message, filename, line number)."""
+    with warnings.catch_warnings(record=True) as shown:
+        rows, err = evaluate_each(evaluate, items)
+    return rows, err, [(w.message, w.filename, w.lineno) for w in shown]
+
+
+def _show(message: Warning, filename: str, lineno: int) -> None:
+    """Show a warning that another process raised at `filename:lineno`
+    as if raised here: through the filters, and once only by the registry
+    of the module there."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__file__", None) == filename:
+            warnings.warn_explicit(message, type(message), filename, lineno,
+                                   module=module.__name__,
+                                   registry=vars(module).setdefault("__warningregistry__", {}))
+            return
+    warnings.warn_explicit(message, type(message), filename, lineno)
+
+
+def _received(read_end: int, write_end: int, count: int):
+    """Each vector of `count` float64 values sent through a pipe, read into
+    one reused array, until the sending end is closed. As a generator it
+    starts in the process that iterates it: the evaluator child, which first
+    closes its own copy of the sending end."""
+    os.close(write_end)
+    values = np.empty(count)
+    with open(read_end, "rb") as pipe:
+        while pipe.readinto(values) == values.nbytes:
+            yield values
+
+
 class TraceRecorder(TrainingHooks):
     """Accumulates the training trace and serves the trainer's hook points.
 
@@ -97,6 +198,22 @@ class TraceRecorder(TrainingHooks):
     loss and logits; its "after" side is one forward pass with the updated
     parameters. After a diverged update the failed iteration's record
     stays in the trace, with NaN post-update fields.
+
+    `on_eval` runs `eval_test` in this process, unless `forked` is set (on
+    Linux, by a caller that has decided that forking is safe, as
+    `experiment._spare_cpu` does): then the first call forks one evaluator
+    process. A call whose evaluator has read every vector sent before sends
+    it the parameter vector and returns; while the evaluator has one still
+    to read, this process evaluates, so neither waits for the other. The
+    evaluator's results are filled in when the recorder's `with` block
+    ends, which also reaps it. If one of its evaluations failed, the error
+    is raised there (a divergence with its iteration, as `train_task`
+    raises it), in place of any error of the training that went on after
+    it, and the checkpoints saved from that iteration on are deleted: the
+    trace, the error and the files are those of evaluating in this
+    process, which stops at the failing iteration. The evaluator's warnings
+    (numpy's overflow, say) are shown by this process before that error,
+    each at most once per place. An interrupt only kills the evaluator.
     """
 
     def __init__(
@@ -105,12 +222,17 @@ class TraceRecorder(TrainingHooks):
         test: Dataset,
         eval_batch: int = 256,
         store: CheckpointStore | None = None,
+        forked: bool = False,
     ):
         self.spec = spec
         self.test = test
         self.eval_batch = eval_batch
         self.store = store
+        self.forked = forked
         self.trace = TrainTrace()
+        self._evaluator: ForkedEvaluation | None = None
+        self._to_evaluator = -1  # the sending end of the evaluator's input pipe
+        self._owed: list[TraceRecord] = []  # records sent, in order
 
     def on_pre_update(self, iteration, task_id, loss, logits, labels):
         self.trace.records.append(TraceRecord(
@@ -131,8 +253,66 @@ class TraceRecorder(TrainingHooks):
 
     def on_eval(self, iteration, params):
         record = self.trace.records[-1]
-        record.test_loss, record.test_acc = eval_test(
-            self.spec, params, self.test, self.eval_batch)
+        if self.forked and self._evaluator is None:
+            self._fork_evaluator(params)
+        if self._evaluator is None or self._unread():
+            record.test_loss, record.test_acc = eval_test(
+                self.spec, params, self.test, self.eval_batch)
+            return
+        self._owed.append(record)
+        # a pipe that the evaluator closed by ending raises BrokenPipeError,
+        # and leaving the `with` block then raises what ended it
+        view = memoryview(np.ascontiguousarray(params.values)).cast("B")
+        while view:
+            view = view[os.write(self._to_evaluator, view):]
+
+    def _fork_evaluator(self, params: ParamVector) -> None:
+        digest = params.spec_digest
+        read_end, self._to_evaluator = os.pipe()
+        self._evaluator = ForkedEvaluation(partial(
+            _evaluate_unshown,
+            lambda values: eval_test(self.spec, ParamVector(values, digest),
+                                     self.test, self.eval_batch),
+            _received(read_end, self._to_evaluator, len(params))))
+        os.close(read_end)
+        try:  # room for a whole vector, so that a hand-off never waits
+            fcntl.fcntl(self._to_evaluator, fcntl.F_SETPIPE_SZ, params.values.nbytes)
+        except OSError:  # past the system's limit: a hand-off may wait
+            pass
+
+    def _unread(self) -> int:
+        """Bytes sent that the evaluator has not read yet."""
+        unread = fcntl.ioctl(self._to_evaluator, termios.FIONREAD, bytes(4))
+        return int.from_bytes(unread, sys.byteorder)
+
+    def __enter__(self) -> "TraceRecorder":
+        return self
+
+    def __exit__(self, kind, err, tb) -> None:
+        evaluator, self._evaluator = self._evaluator, None
+        if evaluator is None:
+            return
+        try:
+            os.close(self._to_evaluator)  # the end of the evaluator's input
+            if kind is None or issubclass(kind, Exception):
+                self._collect(evaluator)
+        finally:
+            evaluator.kill()
+
+    def _collect(self, evaluator: ForkedEvaluation) -> None:
+        rows, err, shown = evaluator.join()
+        owed, self._owed = self._owed, []
+        for record, (loss, acc) in zip(owed, rows):
+            record.test_loss, record.test_acc = loss, acc
+        for warning in shown:
+            _show(*warning)
+        if err is not None:
+            iteration = owed[len(rows)].iteration
+            if self.store is not None:
+                self.store.discard_from(iteration)
+            if isinstance(err, DivergenceError):
+                raise diverged_at(iteration, err) from err
+            raise err
 
     def on_checkpoint(self, iteration, task_id, params):
         if self.store is None:

@@ -130,6 +130,11 @@ def sgd_step(
     return ParamVector(values, params.spec_digest), OptimizerState(velocity)
 
 
+def diverged_at(iteration: int, err: DivergenceError) -> DivergenceError:
+    """`err` as the divergence of training iteration `iteration`."""
+    return DivergenceError(f"iteration {iteration}: {err}")
+
+
 class TrainingHooks:
     """No-op instrumentation interface; TraceRecorder overrides it."""
 
@@ -228,6 +233,11 @@ class CheckpointStore:
         self._by_iteration[iteration] = path
         return ckpt_id
 
+    def discard_from(self, iteration: int) -> None:
+        """Delete the checkpoints of `iteration` and of every later one."""
+        for it in [i for i in self._by_iteration if i >= iteration]:
+            self._by_iteration.pop(it).unlink()
+
     def iterations(self) -> list[int]:
         return sorted(self._by_iteration)
 
@@ -325,7 +335,7 @@ def train_task(
             if iteration in plan.evals:
                 hooks.on_eval(iteration, params)
         except DivergenceError as err:
-            raise DivergenceError(f"iteration {iteration}: {err}") from err
+            raise diverged_at(iteration, err) from err
         if iteration in plan.checkpoints:
             hooks.on_checkpoint(iteration, task_id, params)
     return params, state

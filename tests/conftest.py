@@ -92,12 +92,24 @@ def running_children() -> list[int]:
     return sorted(running)
 
 
+def assert_no_process_left_running(after: str) -> None:
+    """Fail if a child process is still running, whether multiprocessing
+    started it or, say, subprocess.Popen or os.fork."""
+    left = multiprocessing.active_children()
+    assert not left, f"child processes left running after {after}: {left}"
+    pids = running_children()
+    assert not pids, f"child processes left running after {after}: PIDs {pids}"
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running_by_the_test():
+    """Check after every test, so that a leak fails the test that caused it."""
+    yield
+    assert_no_process_left_running("this test")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def no_process_left_running():
-    """Fail the run if any test leaves a child process running, whether
-    multiprocessing started it or, say, subprocess.Popen."""
+    """Check once more at the end of the session."""
     yield
-    left = multiprocessing.active_children()
-    assert not left, f"child processes left running after the tests: {left}"
-    pids = running_children()
-    assert not pids, f"child processes left running after the tests: PIDs {pids}"
+    assert_no_process_left_running("the tests")

@@ -2,20 +2,29 @@
 
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaplab
-from gaplab import experiment
+from gaplab import experiment, instrument, trainer
+from gaplab.cli import main
 from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
+from gaplab.data import Dataset
 from gaplab.errors import ArgumentError, DivergenceError
 from gaplab.experiment import build_dataset, run_experiment
+from gaplab.instrument import TraceRecorder
 
 from conftest import run_files, running_children
+from test_pinned import SMALL_CNN as TWO_BLOCK_CNN
 
 # pools of 48/96 samples at batch 16: 3 then 6 iterations per epoch; with
 # 6 task-B epochs the theta2 checkpoint (5 epochs in) exists
@@ -361,3 +370,361 @@ def test_build_model_spec_rejects_cnn_on_flat_data():
     cfg = ModelConfig.from_dict({"name": "smallcnn"})
     with pytest.raises(ArgumentError):
         build_model_spec(cfg, (4,), 3)
+
+
+# --- the evaluator process -------------------------------------------------------
+
+forks_on_linux = pytest.mark.skipif(sys.platform != "linux",
+                                    reason="seeds fork an evaluator on Linux only")
+
+
+@forks_on_linux
+def test_spare_cpu(monkeypatch):
+    def spare(cpus, seeds, workers=None):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        return experiment._spare_cpu(ExperimentConfig.from_dict(
+            dict(SMALL, out_dir="/tmp/x", seeds=list(range(seeds)), workers=workers)))
+
+    # a CPU beyond the seed processes that run at once
+    assert spare(2, 1) and spare(4, 2) and spare(4, 3)
+    assert not (spare(1, 1) or spare(2, 2) or spare(2, 3) or spare(2, 4) or spare(4, 5))
+    # workers caps the seed processes and their evaluators together
+    assert spare(2, 1, workers=2) and spare(4, 2, workers=4)
+    assert not (spare(2, 1, workers=1) or spare(4, 2, workers=3) or spare(4, 3, workers=2))
+
+
+def train(tmp_path, raw, capsys):
+    """`gaplab train` of `raw` into tmp_path/exp, which is then removed, so
+    that every run has the same out_dir and config hash: the exit code,
+    stdout and stderr, each seed's status, and the run's files."""
+    out = tmp_path / "exp"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(raw, out_dir=str(out))))
+    code = main(["train", "--config", str(path)])
+    stdout, stderr = capsys.readouterr()
+    status = json.loads((out / "manifest.json").read_text())["seeds"]
+    files = run_files(out)
+    shutil.rmtree(out)
+    return code, stdout, stderr, status, files
+
+
+def mark_evaluations(monkeypatch, marks):
+    """Patch `instrument.eval_test`, which the trace's evaluations call, so
+    that each one leaves a file named after the process that ran it and
+    holding its parent's PID; a forked evaluator inherits the patch."""
+    marks.mkdir(parents=True)
+    real = instrument.eval_test
+
+    def marked(*args):
+        (marks / str(os.getpid())).write_text(str(os.getppid()))
+        return real(*args)
+
+    monkeypatch.setattr(instrument, "eval_test", marked)
+
+
+def evaluating_processes(marks) -> dict[int, int]:
+    """PID -> parent PID of each process that left a mark."""
+    return {int(p.name): int(p.read_text()) for p in marks.iterdir()}
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def alternate(recorder):
+    """A stand-in for `TraceRecorder._unread` that hands every other
+    evaluation to the evaluator and keeps the rest in this process."""
+    return len(recorder.trace.records) % 2
+
+
+@forks_on_linux
+@pytest.mark.parametrize("raw", [dict(SMALL, seeds=[0]), TWO_BLOCK_CNN],
+                         ids=["mlp", "two-block-smallcnn"])
+def test_seed_bytes_do_not_depend_on_the_evaluator(tmp_path, monkeypatch, capsys, raw):
+    runs = {}
+    for cpus, unread in ((1, None), (2, None), (4, None), (2, alternate)):
+        marks = tmp_path / "marks" / f"{cpus}-{unread is None}"
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            if unread is not None:
+                patch.setattr(TraceRecorder, "_unread", unread)
+            mark_evaluations(patch, marks)
+            runs[cpus, unread] = train(tmp_path, raw, capsys)
+        evaluators = evaluating_processes(marks)
+        this = evaluators.pop(os.getpid(), None)
+        if cpus == 1:  # no CPU to spare: this process evaluated
+            assert this is not None and not evaluators
+        else:  # one evaluator, forked from this process, evaluated too
+            assert list(evaluators.values()) == [os.getpid()]
+            assert_reaped(evaluators)
+        if unread is alternate:
+            assert this is not None
+    code, stdout, stderr, status, files = runs[1, None]
+    assert code == 0 and stderr == "" and stdout.startswith("run complete: ")
+    assert status == {"0": "ok"}
+    assert {"seed0/trace.csv", "seed0/lmc.csv", "seed0/path.csv"} <= set(files)
+    assert sum(name.endswith(".ckpt") for name in files) > 40
+    for key, run in runs.items():
+        assert run == runs[1, None], key
+
+
+@forks_on_linux
+@pytest.mark.parametrize("overrides", [{"seeds": [0], "workers": 1}, {"seeds": [0, 1, 2]}],
+                         ids=["workers-1", "three-seeds"])
+def test_no_evaluator_without_a_spare_cpu(tmp_path, monkeypatch, two_cpus, overrides):
+    marks = tmp_path / "marks"
+    mark_evaluations(monkeypatch, marks)
+    run_experiment(config(tmp_path, **overrides))
+    # every seed evaluated in the process that trained it: this one, or a
+    # seed process forked from it
+    evaluators = evaluating_processes(marks)
+    assert len(evaluators) == len(overrides["seeds"])
+    if overrides.get("workers") == 1:
+        assert list(evaluators) == [os.getpid()]
+    else:
+        assert set(evaluators.values()) == {os.getpid()}
+
+
+def evaluator_keeps_up(monkeypatch):
+    """Patch the recorder so that each hand-off first waits until the
+    evaluator has read every vector sent, or has ended: then every
+    evaluation goes to the evaluator."""
+    real = TraceRecorder._unread
+
+    def waited(self):
+        deadline = time.monotonic() + 60
+        while real(self) and running_children():
+            assert time.monotonic() < deadline, "the evaluator did not keep up"
+            time.sleep(0.001)
+        return 0
+
+    monkeypatch.setattr(TraceRecorder, "_unread", waited)
+
+
+@forks_on_linux
+def test_each_seed_process_forks_its_own_evaluator(tmp_path, monkeypatch):
+    single = run_experiment(config(tmp_path / "single", workers=1))
+    mark_seed_processes(monkeypatch, tmp_path / "seeds")
+    mark_evaluations(monkeypatch, tmp_path / "evals")
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 4)
+    pool = run_experiment(config(tmp_path / "pool"))
+    # two seed processes, and one evaluator forked from each of them; each
+    # seed may have evaluated some iterations itself
+    seeds = {int(p.read_text()) for p in (tmp_path / "seeds").iterdir()}
+    evaluators = evaluating_processes(tmp_path / "evals")
+    forked = {pid for pid, parent in evaluators.items() if parent in seeds}
+    assert len(seeds) == 2 and os.getpid() not in seeds
+    assert sorted(evaluators[pid] for pid in forked) == sorted(seeds)
+    assert set(evaluators) <= seeds | forked
+    assert run_files(pool) == run_files(single)
+
+
+def fail_evaluation(monkeypatch, n):
+    """Patch `instrument.eval_test` so that its n-th call raises, in whichever
+    process evaluates. Every iteration of SMALL is evaluated, so where one
+    process evaluates them all, that is iteration n."""
+    calls = []
+    real = instrument.eval_test
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == n:
+            raise DivergenceError("non-finite values in logits")
+        return real(*args)
+
+    monkeypatch.setattr(instrument, "eval_test", failing)
+
+
+def trained_iterations(monkeypatch, iterations, wait_at=None):
+    """Patch the batch probe to list each iteration it sees in this process;
+    at iteration `wait_at` it first waits until no child process runs, so
+    that an evaluator that stopped has ended."""
+    real = TraceRecorder.on_post_update
+
+    def listed(self, iteration, *args):
+        iterations.append(iteration)
+        deadline = time.monotonic() + 60
+        while iteration == wait_at and running_children():
+            assert time.monotonic() < deadline, "the evaluator did not end"
+            time.sleep(0.01)
+        return real(self, iteration, *args)
+
+    monkeypatch.setattr(TraceRecorder, "on_post_update", listed)
+
+
+FAILED_AT_3 = "iteration 3: non-finite values in logits"
+
+
+@forks_on_linux
+def test_failing_evaluation_in_the_evaluator(tmp_path, monkeypatch, capsys):
+    runs, trained = {}, {}
+    for cpus in (1, 2):
+        trained[cpus] = []
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            evaluator_keeps_up(patch)
+            fail_evaluation(patch, 3)
+            trained_iterations(patch, trained[cpus], wait_at=4)
+            runs[cpus] = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
+    code, stdout, stderr, status, files = runs[1]
+    assert code == 4 and stdout == ""
+    assert stderr == f"gaplab: error: {FAILED_AT_3}\n"
+    assert status == {"0": f"DivergenceError: {FAILED_AT_3}"}
+    # the checkpoints before the failing iteration, and nothing else
+    assert sorted(files) == [f"seed0/checkpoints/task0_iter{i:07d}.ckpt" for i in range(3)]
+    assert runs[2] == runs[1]
+    # in-process evaluation stopped training at iteration 3; with the
+    # evaluator, training went on until the hand-off found it ended, and the
+    # checkpoint of iteration 3 was deleted
+    assert trained == {1: [1, 2, 3], 2: [1, 2, 3, 4]}
+
+
+@forks_on_linux
+def test_training_error_after_a_failed_evaluation_reports_the_evaluation(
+        tmp_path, monkeypatch, capsys):
+    runs = {}
+    for cpus in (1, 2):
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            evaluator_keeps_up(patch)
+            fail_evaluation(patch, 3)
+            steps = []
+            real = trainer.sgd_step
+
+            def diverges_at_4(*args):
+                steps.append(args)
+                if len(steps) == 4:
+                    raise DivergenceError("parameters became non-finite after SGD step")
+                return real(*args)
+
+            patch.setattr(trainer, "sgd_step", diverges_at_4)
+            runs[cpus] = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
+        # with the evaluator, training reached its own error at iteration 4
+        assert len(steps) == {1: 3, 2: 4}[cpus]
+    code, stdout, stderr, status, files = runs[1]
+    assert code == 4 and stderr == f"gaplab: error: {FAILED_AT_3}\n"
+    assert status == {"0": f"DivergenceError: {FAILED_AT_3}"}
+    assert runs[2] == runs[1]
+
+
+@forks_on_linux
+def test_killed_evaluator_exits_4(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    real = instrument.eval_test
+
+    def dies_in_a_child(*args):
+        if os.getpid() != parent:
+            (marks / str(os.getpid())).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(instrument, "eval_test", dies_in_a_child)
+    code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
+    died = "an evaluation process died (killed by signal 9)"
+    assert code == 4 and stdout == ""
+    assert stderr == f"gaplab: error: {died}\n"
+    assert status == {"0": f"GapLabError: {died}"}
+    evaluators = [int(p.name) for p in marks.iterdir()]
+    assert len(evaluators) == 1
+    assert_reaped(evaluators)
+
+
+@forks_on_linux
+def test_evaluator_warnings_are_shown_by_the_seed_process(tmp_path, monkeypatch, capsys):
+    # a test set whose logits overflow: numpy warns in the first evaluation,
+    # which then diverges, while training stays finite
+    real = experiment.build_dataset
+
+    def overflowing_test_set(cfg, seed):
+        train_set, test = real(cfg, seed)
+        return train_set, Dataset(np.full_like(test.features, 1.7e308), test.labels,
+                                  test.n_classes)
+
+    monkeypatch.setattr(experiment, "build_dataset", overflowing_test_set)
+    evaluator_keeps_up(monkeypatch)
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        # each run starts with no warning shown yet, under the default action
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]),
+                                                        capsys)
+        shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        runs[cpus] = code, stderr, status, files, shown
+    code, stderr, status, files, shown = runs[1]
+    assert code == 4 and stderr.startswith("gaplab: error: iteration 1: ")
+    assert shown and all(category is RuntimeWarning for category, *_ in shown)
+    assert runs[2] == runs[1]
+
+
+def warn_of_overflow():
+    warnings.warn("overflow", RuntimeWarning)
+
+
+@forks_on_linux
+def test_evaluator_warning_shown_here_already_is_not_shown_again(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the third evaluation warns and fails, and so does every probe from
+    # iteration 4 on, which the evaluator lets training reach: one place,
+    # so the default action shows the warning once, as in one process
+    real_eval, real_probe = instrument.eval_test, TraceRecorder.on_post_update
+
+    def evaluate(*args):
+        if len(calls) == 2:
+            warn_of_overflow()
+            raise DivergenceError("non-finite values in logits")
+        calls.append(args)
+        return real_eval(*args)
+
+    def probe(self, iteration, *args):
+        if iteration >= 4:
+            warn_of_overflow()
+        return real_probe(self, iteration, *args)
+
+    monkeypatch.setattr(instrument, "eval_test", evaluate)
+    monkeypatch.setattr(TraceRecorder, "on_post_update", probe)
+    evaluator_keeps_up(monkeypatch)
+    runs = {}
+    for cpus in (1, 2):
+        calls = []
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]),
+                                                        capsys)
+        runs[cpus] = code, stderr, [str(w.message) for w in caught]
+    assert runs[1] == (4, f"gaplab: error: {FAILED_AT_3}\n", ["overflow"])
+    assert runs[2] == runs[1]
+
+
+@forks_on_linux
+def test_interrupted_training_kills_the_evaluator(tmp_path, monkeypatch):
+    forked = []
+
+    class Recorded(instrument.ForkedEvaluation):
+        def __init__(self, work):
+            super().__init__(work)  # returns in this process only
+            forked.append(self.pid)
+
+    steps = []
+    real = trainer.sgd_step
+
+    def interrupted_at_5(*args):
+        steps.append(args)
+        if len(steps) == 5:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(instrument, "ForkedEvaluation", Recorded)
+    monkeypatch.setattr(trainer, "sgd_step", interrupted_at_5)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config(tmp_path, seeds=[0]))
+    assert len(forked) == 1
+    assert_reaped(forked)
