@@ -82,8 +82,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
     scratch, so stale artifacts from earlier runs cannot leak in. Where
     `_spare_cpu` allows, the test evaluations are shared with one forked
     evaluator process while this one trains (`TraceRecorder`'s `forked`);
-    the artifacts, the error raised and the files left behind on an error
-    are the same either way.
+    the artifacts, the error raised, the warnings shown and the files left
+    behind on an error are the same either way.
     """
     if run_dir.exists():
         shutil.rmtree(run_dir)
@@ -197,11 +197,11 @@ def _pool_size(cfg: ExperimentConfig) -> int:
 
 def _spare_cpu(cfg: ExperimentConfig) -> bool:
     """Whether each seed may fork an evaluator process: where `_can_fork`
-    allows, when the seed processes that run at once leave a usable CPU
-    idle, and, if `cfg.workers` is set, when it covers the seed processes
-    and their evaluators together."""
+    allows, when the seed processes that run at once leave a whole usable
+    CPU idle for each evaluator, and, if `cfg.workers` is set, when it
+    covers the seed processes and their evaluators together."""
     procs = _pool_size(cfg)
-    return (_can_fork() and _usable_cpus() > procs
+    return (_can_fork() and 2 * procs <= _usable_cpus()
             and (cfg.workers is None or 2 * procs <= cfg.workers))
 
 

@@ -13,6 +13,7 @@ import csv
 import fcntl
 import os
 import pickle
+import select
 import signal
 import statistics
 import sys
@@ -149,6 +150,11 @@ class ForkedEvaluation:
             raise GapLabError(f"an evaluation process died ({how})")
         return pickle.loads(payload)
 
+    def ended(self) -> bool:
+        """Whether the child has ended, or sent its result: then its pipe
+        reads without waiting."""
+        return bool(select.select([self._read_end], [], [], 0)[0])
+
     def kill(self) -> None:
         if self._read_end is not None:
             os.close(self._read_end)
@@ -158,36 +164,75 @@ class ForkedEvaluation:
 
 
 def _evaluate_unshown(evaluate, items) -> tuple[list, Exception | None, list]:
-    """`evaluate_each(evaluate, items)` and the warnings, by the filters in
-    force, it would have shown, as (message, filename, line number)."""
-    with warnings.catch_warnings(record=True) as shown:
-        rows, err = evaluate_each(evaluate, items)
-    return rows, err, [(w.message, w.filename, w.lineno) for w in shown]
+    """`evaluate_each(evaluate, items)` and, for each item evaluated (a
+    failing one too), the warnings that by the filters in force it would
+    have shown, as (message, filename, line number)."""
+    shown = []
+
+    def evaluate_unshown(item):
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return evaluate(item)
+            finally:
+                shown.append([(w.message, w.filename, w.lineno) for w in caught])
+
+    rows, err = evaluate_each(evaluate_unshown, items)
+    return rows, err, shown
+
+
+def _registry(filename: str) -> tuple[str | None, dict | None]:
+    """The name and warning registry of the module loaded from `filename`,
+    the registry that a warning raised there is shown once by."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__file__", None) == filename:
+            return module.__name__, vars(module).setdefault("__warningregistry__", {})
+    return None, None
 
 
 def _show(message: Warning, filename: str, lineno: int) -> None:
-    """Show a warning that another process raised at `filename:lineno`
-    as if raised here: through the filters, and once only by the registry
-    of the module there."""
-    for module in list(sys.modules.values()):
-        if getattr(module, "__file__", None) == filename:
-            warnings.warn_explicit(message, type(message), filename, lineno,
-                                   module=module.__name__,
-                                   registry=vars(module).setdefault("__warningregistry__", {}))
-            return
-    warnings.warn_explicit(message, type(message), filename, lineno)
+    """Show a warning raised at `filename:lineno`, in another process or
+    earlier, as if raised here now: through the filters, and once only by
+    the registry of the module there."""
+    module, registry = _registry(filename)
+    warnings.warn_explicit(message, type(message), filename, lineno,
+                           module=module, registry=registry)
+
+
+def _forget(message: Warning, filename: str, lineno: int) -> None:
+    """Undo the registering of a shown warning, so that `_show` decides
+    afresh whether to show it: the keys of the "default", "module" and
+    "once" actions."""
+    text, category = str(message), type(message)
+    registry = _registry(filename)[1]
+    if registry is not None:
+        registry.pop((text, category, lineno), None)
+        registry.pop((text, category, 0), None)
+    warnings.onceregistry.pop((text, category), None)
 
 
 def _received(read_end: int, write_end: int, count: int):
     """Each vector of `count` float64 values sent through a pipe, read into
-    one reused array, until the sending end is closed. As a generator it
-    starts in the process that iterates it: the evaluator child, which first
-    closes its own copy of the sending end."""
+    one reused array, until the sending end is closed. The pipe is read
+    unbuffered, so that a vector stays in it until the one before has been
+    used. As a generator it starts in the process that iterates it: the
+    evaluator child, which first closes its own copy of the sending end."""
     os.close(write_end)
     values = np.empty(count)
-    with open(read_end, "rb") as pipe:
-        while pipe.readinto(values) == values.nbytes:
+    view = memoryview(values).cast("B")
+    with open(read_end, "rb", buffering=0) as pipe:
+        while True:
+            filled = 0
+            while filled < len(view):
+                got = pipe.readinto(view[filled:])
+                if not got:
+                    return
+                filled += got
             yield values
+
+
+class _EvaluatorEnded(Exception):
+    """Raised by `on_eval` to stop training once the evaluator has ended;
+    leaving the recorder's `with` block raises what ended it instead."""
 
 
 class TraceRecorder(TrainingHooks):
@@ -201,19 +246,23 @@ class TraceRecorder(TrainingHooks):
 
     `on_eval` runs `eval_test` in this process, unless `forked` is set (on
     Linux, by a caller that has decided that forking is safe, as
-    `experiment._spare_cpu` does): then the first call forks one evaluator
-    process. A call whose evaluator has read every vector sent before sends
-    it the parameter vector and returns; while the evaluator has one still
-    to read, this process evaluates, so neither waits for the other. The
-    evaluator's results are filled in when the recorder's `with` block
-    ends, which also reaps it. If one of its evaluations failed, the error
-    is raised there (a divergence with its iteration, as `train_task`
-    raises it), in place of any error of the training that went on after
-    it, and the checkpoints saved from that iteration on are deleted: the
-    trace, the error and the files are those of evaluating in this
-    process, which stops at the failing iteration. The evaluator's warnings
-    (numpy's overflow, say) are shown by this process before that error,
-    each at most once per place. An interrupt only kills the evaluator.
+    `experiment._spare_cpu` does) and a pipe can hold a whole parameter
+    vector: then the first call forks one evaluator process. A call whose
+    evaluator has read every vector sent before sends it the parameter
+    vector and returns; while the evaluator has one still to read, this
+    process evaluates, so neither waits for the other. The evaluator's
+    results are filled in when the recorder's `with` block ends, which also
+    reaps it. An evaluator stops at its first failing evaluation, and the
+    next `on_eval` stops training. Leaving the `with` block then raises
+    that error (a divergence with its iteration, as `train_task` raises
+    it), in place of any error of the training that went on after it, and
+    deletes the checkpoints saved from that iteration on. So the trace, the
+    error and the files are those of evaluating in this process, which
+    stops at the failing iteration. While the evaluator runs, this
+    process's warnings are held back; the `with` block's end shows them and
+    the evaluator's in the order of the iterations that raised them, up to
+    a failing evaluation, through the filters and once per place, as one
+    process would have shown them. An interrupt only kills the evaluator.
     """
 
     def __init__(
@@ -232,7 +281,11 @@ class TraceRecorder(TrainingHooks):
         self.trace = TrainTrace()
         self._evaluator: ForkedEvaluation | None = None
         self._to_evaluator = -1  # the sending end of the evaluator's input pipe
-        self._owed: list[TraceRecord] = []  # records sent, in order
+        # records sent, in order, each with the count of warnings held back
+        # before it was sent
+        self._owed: list[tuple[TraceRecord, int]] = []
+        self._held: list[tuple[Warning, str, int]] = []  # this process's warnings
+        self._showwarning = None  # warnings.showwarning while they are held
 
     def on_pre_update(self, iteration, task_id, loss, logits, labels):
         self.trace.records.append(TraceRecord(
@@ -255,30 +308,39 @@ class TraceRecorder(TrainingHooks):
         record = self.trace.records[-1]
         if self.forked and self._evaluator is None:
             self._fork_evaluator(params)
+        if self._evaluator is not None and self._evaluator.ended():
+            raise _EvaluatorEnded
         if self._evaluator is None or self._unread():
             record.test_loss, record.test_acc = eval_test(
                 self.spec, params, self.test, self.eval_batch)
             return
-        self._owed.append(record)
-        # a pipe that the evaluator closed by ending raises BrokenPipeError,
-        # and leaving the `with` block then raises what ended it
+        self._owed.append((record, len(self._held)))
+        # an evaluator that ended since raises BrokenPipeError here, and
+        # leaving the `with` block then raises what ended it
         view = memoryview(np.ascontiguousarray(params.values)).cast("B")
         while view:
             view = view[os.write(self._to_evaluator, view):]
 
     def _fork_evaluator(self, params: ParamVector) -> None:
-        digest = params.spec_digest
+        self.forked = False  # one evaluator at most
+        nbytes, digest = params.values.nbytes, params.spec_digest
         read_end, self._to_evaluator = os.pipe()
+        try:  # room for a whole vector, so that a hand-off never waits
+            fcntl.fcntl(self._to_evaluator, fcntl.F_SETPIPE_SZ, nbytes)
+        except OSError:  # past the system's limit: a hand-off could wait, so
+            os.close(read_end)  # evaluate here
+            os.close(self._to_evaluator)
+            return
         self._evaluator = ForkedEvaluation(partial(
             _evaluate_unshown,
             lambda values: eval_test(self.spec, ParamVector(values, digest),
                                      self.test, self.eval_batch),
             _received(read_end, self._to_evaluator, len(params))))
         os.close(read_end)
-        try:  # room for a whole vector, so that a hand-off never waits
-            fcntl.fcntl(self._to_evaluator, fcntl.F_SETPIPE_SZ, params.values.nbytes)
-        except OSError:  # past the system's limit: a hand-off may wait
-            pass
+        self._showwarning, warnings.showwarning = warnings.showwarning, self._hold
+
+    def _hold(self, message, category, filename, lineno, file=None, line=None):
+        self._held.append((message, filename, lineno))
 
     def _unread(self) -> int:
         """Bytes sent that the evaluator has not read yet."""
@@ -292,27 +354,54 @@ class TraceRecorder(TrainingHooks):
         evaluator, self._evaluator = self._evaluator, None
         if evaluator is None:
             return
+        warnings.showwarning = self._showwarning
         try:
             os.close(self._to_evaluator)  # the end of the evaluator's input
             if kind is None or issubclass(kind, Exception):
                 self._collect(evaluator)
+            else:
+                self._show_held()
         finally:
             evaluator.kill()
 
-    def _collect(self, evaluator: ForkedEvaluation) -> None:
-        rows, err, shown = evaluator.join()
-        owed, self._owed = self._owed, []
-        for record, (loss, acc) in zip(owed, rows):
-            record.test_loss, record.test_acc = loss, acc
-        for warning in shown:
+    def _show_held(self, stop: int | None = None, evaluated=()) -> None:
+        """Show the warnings held back (before the `stop`-th, if given) with
+        those of each hand-off's evaluation merged in after the warnings
+        held back before it, as one process would have shown them.
+        `evaluated` pairs each hand-off's count of warnings held back before
+        it with the warnings of its evaluation."""
+        held, self._held = self._held, []
+        for warning in held:
+            _forget(*warning)
+        start = 0
+        for mark, shown in evaluated:
+            for warning in held[start:mark] + shown:
+                _show(*warning)
+            start = mark
+        for warning in held[start:stop]:
             _show(*warning)
-        if err is not None:
-            iteration = owed[len(rows)].iteration
-            if self.store is not None:
-                self.store.discard_from(iteration)
-            if isinstance(err, DivergenceError):
-                raise diverged_at(iteration, err) from err
-            raise err
+
+    def _collect(self, evaluator: ForkedEvaluation) -> None:
+        owed, self._owed = self._owed, []
+        try:
+            rows, err, shown = evaluator.join()
+        except GapLabError:  # it died: only this process's warnings are known
+            self._show_held()
+            raise
+        for (record, _), (loss, acc) in zip(owed, rows):
+            record.test_loss, record.test_acc = loss, acc
+        marks = [mark for _, mark in owed]
+        # one process stops at a failing evaluation: nothing held back after
+        # it is shown
+        self._show_held(None if err is None else marks[len(rows)], zip(marks, shown))
+        if err is None:
+            return
+        iteration = owed[len(rows)][0].iteration
+        if self.store is not None:
+            self.store.discard_from(iteration)
+        if isinstance(err, DivergenceError):
+            raise diverged_at(iteration, err) from err
+        raise err
 
     def on_checkpoint(self, iteration, task_id, params):
         if self.store is None:

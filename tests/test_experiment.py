@@ -1,11 +1,13 @@
 """End-to-end experiment runner: artifact layout and parallel equivalence."""
 
+import fcntl
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import termios
 import threading
 import time
 import warnings
@@ -385,9 +387,10 @@ def test_spare_cpu(monkeypatch):
         return experiment._spare_cpu(ExperimentConfig.from_dict(
             dict(SMALL, out_dir="/tmp/x", seeds=list(range(seeds)), workers=workers)))
 
-    # a CPU beyond the seed processes that run at once
-    assert spare(2, 1) and spare(4, 2) and spare(4, 3)
-    assert not (spare(1, 1) or spare(2, 2) or spare(2, 3) or spare(2, 4) or spare(4, 5))
+    # a whole idle CPU for each seed process that runs at once
+    assert spare(2, 1) and spare(4, 2) and spare(8, 3)
+    assert not (spare(1, 1) or spare(2, 2) or spare(2, 3) or spare(2, 4) or spare(4, 3)
+                or spare(4, 5) or spare(3, 2))
     # workers caps the seed processes and their evaluators together
     assert spare(2, 1, workers=2) and spare(4, 2, workers=4)
     assert not (spare(2, 1, workers=1) or spare(4, 2, workers=3) or spare(4, 3, workers=2))
@@ -486,6 +489,42 @@ def test_no_evaluator_without_a_spare_cpu(tmp_path, monkeypatch, two_cpus, overr
     else:
         assert set(evaluators.values()) == {os.getpid()}
 
+
+
+@forks_on_linux
+def test_no_evaluator_where_a_pipe_cannot_hold_a_vector(tmp_path, monkeypatch, two_cpus):
+    # past the system's pipe size limit a hand-off could wait for the
+    # evaluator: the seed evaluates everything itself and leaks no pipe
+    real = fcntl.fcntl
+
+    def limited(fd, cmd, arg=0):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            raise PermissionError("pipe size past the limit")
+        return real(fd, cmd, arg)
+
+    monkeypatch.setattr(fcntl, "fcntl", limited)
+    marks = tmp_path / "marks"
+    mark_evaluations(monkeypatch, marks)
+    fds = len(os.listdir("/proc/self/fd"))
+    single = run_experiment(config(tmp_path / "single", seeds=[0], workers=1))
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert run_files(run_experiment(config(tmp_path / "limited", seeds=[0]))) == run_files(single)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert list(evaluating_processes(marks)) == [os.getpid()]
+
+
+def test_evaluator_reads_one_vector_at_a_time():
+    # a vector stays in the pipe until the evaluator has used the one before,
+    # so that the seed sees it unread and evaluates in place meanwhile
+    read_end, write_end = os.pipe()
+    for i in range(3):
+        os.write(write_end, np.full(4, float(i)).tobytes())
+    received = instrument._received(read_end, os.dup(write_end), 4)
+    assert next(received).tolist() == [0.0] * 4
+    unread = fcntl.ioctl(write_end, termios.FIONREAD, bytes(4))
+    assert int.from_bytes(unread, sys.byteorder) == 2 * 4 * 8
+    os.close(write_end)
+    assert [values.tolist() for values in received] == [[1.0] * 4, [2.0] * 4]
 
 def evaluator_keeps_up(monkeypatch):
     """Patch the recorder so that each hand-off first waits until the
@@ -609,6 +648,51 @@ def test_training_error_after_a_failed_evaluation_reports_the_evaluation(
     assert runs[2] == runs[1]
 
 
+
+@forks_on_linux
+def test_evaluator_that_failed_with_a_vector_unread_stops_training(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the evaluator takes iteration 3's vector and fails on it only once
+    # iteration 4's has been sent. That vector stays unread, so the pipe
+    # never empties again: training stops because the evaluator has ended.
+    parent, sent = os.getpid(), tmp_path / "sent"
+    real_eval, real_on_eval = instrument.eval_test, TraceRecorder.on_eval
+
+    def evaluate(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            deadline = time.monotonic() + 60
+            while os.getpid() != parent and not sent.exists():
+                assert time.monotonic() < deadline, "iteration 4 was not sent"
+                time.sleep(0.001)
+            raise DivergenceError("non-finite values in logits")
+        return real_eval(*args)
+
+    def on_eval(self, iteration, params):
+        deadline = time.monotonic() + 60
+        # iterations 1 to 4 go to the evaluator, and at 5 it has ended
+        while self._evaluator is not None and (
+                self._unread() if iteration <= 4 else running_children()):
+            assert time.monotonic() < deadline, "the evaluator did not go on"
+            time.sleep(0.001)
+        real_on_eval(self, iteration, params)
+        if iteration == 4 and self._evaluator is not None:
+            sent.touch()
+
+    runs, trained = {}, {}
+    for cpus in (1, 2):
+        calls, trained[cpus] = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            patch.setattr(instrument, "eval_test", evaluate)
+            patch.setattr(TraceRecorder, "on_eval", on_eval)
+            trained_iterations(patch, trained[cpus])
+            runs[cpus] = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
+    code, stdout, stderr, status, files = runs[1]
+    assert code == 4 and stderr == f"gaplab: error: {FAILED_AT_3}\n"
+    assert runs[2] == runs[1]
+    assert trained == {1: [1, 2, 3], 2: [1, 2, 3, 4, 5]}
+
 @forks_on_linux
 def test_killed_evaluator_exits_4(tmp_path, monkeypatch, capsys):
     parent = os.getpid()
@@ -622,13 +706,25 @@ def test_killed_evaluator_exits_4(tmp_path, monkeypatch, capsys):
             os.kill(os.getpid(), signal.SIGKILL)
         return real(*args)
 
+    real_probe = TraceRecorder.on_post_update
+
+    def probe(self, iteration, *args):
+        if iteration == 2:
+            warn_in_probe(iteration)
+        return real_probe(self, iteration, *args)
+
     monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(instrument, "eval_test", dies_in_a_child)
-    code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
+    monkeypatch.setattr(TraceRecorder, "on_post_update", probe)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
     died = "an evaluation process died (killed by signal 9)"
     assert code == 4 and stdout == ""
     assert stderr == f"gaplab: error: {died}\n"
     assert status == {"0": f"GapLabError: {died}"}
+    # the warning that the seed held back while the evaluator ran is shown
+    assert [str(w.message) for w in caught] == ["probe 2"]
     evaluators = [int(p.name) for p in marks.iterdir()]
     assert len(evaluators) == 1
     assert_reaped(evaluators)
@@ -670,9 +766,9 @@ def warn_of_overflow():
 @forks_on_linux
 def test_evaluator_warning_shown_here_already_is_not_shown_again(tmp_path, monkeypatch,
                                                                  capsys):
-    # the third evaluation warns and fails, and so does every probe from
-    # iteration 4 on, which the evaluator lets training reach: one place,
-    # so the default action shows the warning once, as in one process
+    # every probe from iteration 2 on warns, and so does the third
+    # evaluation, which fails: one place, so the default action shows the
+    # warning once, as in one process, although both processes raised it
     real_eval, real_probe = instrument.eval_test, TraceRecorder.on_post_update
 
     def evaluate(*args):
@@ -683,7 +779,7 @@ def test_evaluator_warning_shown_here_already_is_not_shown_again(tmp_path, monke
         return real_eval(*args)
 
     def probe(self, iteration, *args):
-        if iteration >= 4:
+        if iteration >= 2:
             warn_of_overflow()
         return real_probe(self, iteration, *args)
 
@@ -702,6 +798,63 @@ def test_evaluator_warning_shown_here_already_is_not_shown_again(tmp_path, monke
     assert runs[1] == (4, f"gaplab: error: {FAILED_AT_3}\n", ["overflow"])
     assert runs[2] == runs[1]
 
+
+
+def warn_in_evaluation():
+    warnings.warn("evaluation", RuntimeWarning)
+
+
+def warn_in_probe(iteration):
+    warnings.warn(f"probe {iteration}", RuntimeWarning)
+
+
+def warn_after_the_failure():
+    warnings.warn("after the failure", RuntimeWarning)
+
+
+@forks_on_linux
+def test_warnings_of_both_processes_are_shown_as_one_process_shows_them(
+        tmp_path, monkeypatch, capsys):
+    # the probe of iteration 2 warns, then the second evaluation, then the
+    # probe of iteration 3, then the third evaluation fails; the probes from
+    # iteration 4 on, which the evaluator lets training reach, warn from
+    # another line. One process shows the first three, in order, and stops.
+    real_eval, real_probe = instrument.eval_test, TraceRecorder.on_post_update
+
+    def evaluate(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            warn_in_evaluation()
+        if len(calls) == 3:
+            raise DivergenceError("non-finite values in logits")
+        return real_eval(*args)
+
+    def probe(self, iteration, *args):
+        if iteration in (2, 3):
+            warn_in_probe(iteration)
+        if iteration >= 4:
+            warn_after_the_failure()
+        return real_probe(self, iteration, *args)
+
+    monkeypatch.setattr(instrument, "eval_test", evaluate)
+    monkeypatch.setattr(TraceRecorder, "on_post_update", probe)
+    evaluator_keeps_up(monkeypatch)
+    runs, trained = {}, {}
+    for cpus in (1, 2):
+        calls, trained[cpus] = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            trained_iterations(patch, trained[cpus], wait_at=4)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                code, stdout, stderr, status, files = train(
+                    tmp_path, dict(SMALL, seeds=[0]), capsys)
+        runs[cpus] = code, stderr, [(str(w.message), w.lineno) for w in caught]
+    assert trained[2] == [1, 2, 3, 4]
+    code, stderr, shown = runs[1]
+    assert code == 4 and stderr == f"gaplab: error: {FAILED_AT_3}\n"
+    assert [message for message, _ in shown] == ["probe 2", "evaluation", "probe 3"]
+    assert runs[2] == runs[1]
 
 @forks_on_linux
 def test_interrupted_training_kills_the_evaluator(tmp_path, monkeypatch):
