@@ -44,6 +44,13 @@ def as_tensor(data) -> Tensor:
     return np.asarray(data, dtype=np.float64)
 
 
+def overflow_checked() -> np.errstate:
+    """The one rule for numeric trouble: no numpy warning, only a finiteness
+    check's DivergenceError. Fresh per `with`: numpy 1.x keeps the replaced
+    state on the instance, so a reused one could leave errors ignored."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _require_finite(arr: np.ndarray, context: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise DivergenceError(f"non-finite values in {context}")
@@ -373,29 +380,30 @@ def _checked_forward(spec: ModelSpec, params: ParamVector, batch: Tensor, caches
     keep = (lambda entry: None) if caches is None else caches.append
     x = batch.transpose(0, 2, 3, 1) if batch.ndim == 4 else batch
     owned = False  # x is a Dense or Conv3x3 output: never the batch, a view of it or a cache
-    for layer, lp in zip(spec.layers, layer_params):
-        if isinstance(layer, Dense):
-            w, b = lp
-            keep(("dense", x))
-            x = x @ w.T
-            x += b
-        elif isinstance(layer, ReLU):
-            x = np.maximum(x, 0.0, out=x) if owned else np.maximum(x, 0.0)
-            keep(("relu", x))  # > 0 where its input is; the next layer keeps it too
-        elif isinstance(layer, Conv3x3):
-            w, b = lp
-            keep(("conv", x))
-            x = _conv3x3_forward(x, w, b)
-        elif isinstance(layer, MaxPool2x2):
-            out = _maxpool_forward(x)
-            keep(("pool", (x, out)))
-            x = out
-            del out
-        else:  # Flatten, in [N, C, H, W] order
-            x = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
-            keep(("flatten", x.shape))
-            x = x.reshape(x.shape[0], -1)
-        owned = isinstance(layer, (Dense, Conv3x3))
+    with overflow_checked():
+        for layer, lp in zip(spec.layers, layer_params):
+            if isinstance(layer, Dense):
+                w, b = lp
+                keep(("dense", x))
+                x = x @ w.T
+                x += b
+            elif isinstance(layer, ReLU):
+                x = np.maximum(x, 0.0, out=x) if owned else np.maximum(x, 0.0)
+                keep(("relu", x))  # > 0 where its input is; the next layer keeps it too
+            elif isinstance(layer, Conv3x3):
+                w, b = lp
+                keep(("conv", x))
+                x = _conv3x3_forward(x, w, b)
+            elif isinstance(layer, MaxPool2x2):
+                out = _maxpool_forward(x)
+                keep(("pool", (x, out)))
+                x = out
+                del out
+            else:  # Flatten, in [N, C, H, W] order
+                x = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
+                keep(("flatten", x.shape))
+                x = x.reshape(x.shape[0], -1)
+            owned = isinstance(layer, (Dense, Conv3x3))
     _require_finite(x, "forward logits")
     return x, layer_params
 
@@ -421,28 +429,29 @@ def backward(
     grad_views = _unflatten(spec, grads)
     # the chain stops at the first layer with parameters: nothing reads its dx
     first = next((i for i, lp in enumerate(layer_params) if lp), len(caches))
-    dx = dlogits
-    for i in reversed(range(first, len(caches))):
-        (kind, saved), lp, gv = caches[i], layer_params[i], grad_views[i]
-        if kind == "dense":
-            w, _ = lp
-            gw, gb = gv
-            gw += dx.T @ saved
-            gb += dx.sum(axis=0)
-            dx = dx @ w if i > first else None
-        elif kind == "relu":
-            dx = dx * (saved > 0.0)
-        elif kind == "conv":
-            w, _ = lp
-            gw, gb = gv
-            dx, dw, db = _conv3x3_backward(saved, w, dx, i > first)
-            gw += dw
-            gb += db
-        elif kind == "pool":
-            dx = _maxpool_backward(*saved, dx)
-        else:  # flatten
-            dx = dx.reshape(saved)
-            dx = dx.transpose(0, 2, 3, 1) if dx.ndim == 4 else dx
+    with overflow_checked():
+        dx = dlogits
+        for i in reversed(range(first, len(caches))):
+            (kind, saved), lp, gv = caches[i], layer_params[i], grad_views[i]
+            if kind == "dense":
+                w, _ = lp
+                gw, gb = gv
+                gw += dx.T @ saved
+                gb += dx.sum(axis=0)
+                dx = dx @ w if i > first else None
+            elif kind == "relu":
+                dx = dx * (saved > 0.0)
+            elif kind == "conv":
+                w, _ = lp
+                gw, gb = gv
+                dx, dw, db = _conv3x3_backward(saved, w, dx, i > first)
+                gw += dw
+                gb += db
+            elif kind == "pool":
+                dx = _maxpool_backward(*saved, dx)
+            else:  # flatten
+                dx = dx.reshape(saved)
+                dx = dx.transpose(0, 2, 3, 1) if dx.ndim == 4 else dx
     _require_finite(grads, "parameter gradients")
     return loss, ParamVector(grads, spec.digest), logits
 
@@ -474,13 +483,14 @@ def softmax_cross_entropy(
     """
     logits, labels = _check_logits(logits, labels)
     n = len(labels)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - log_z
-    loss = float(-log_p[np.arange(n), labels].mean())
-    dlogits = np.exp(log_p)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
+    with overflow_checked():
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        log_p = shifted - log_z
+        loss = float(-log_p[np.arange(n), labels].mean())
+        dlogits = np.exp(log_p)
+        dlogits[np.arange(n), labels] -= 1.0
+        dlogits /= n
     _require_finite(dlogits, "cross-entropy gradient")
     if not math.isfinite(loss):
         raise DivergenceError("non-finite cross-entropy loss")

@@ -62,8 +62,8 @@ def check_blob_args(
         raise ArgumentError(f"need dim >= 2, got {dim}")
     if n_per_class < 2:
         raise ArgumentError(f"need at least 2 samples per class, got {n_per_class}")
-    if spread < 0:
-        raise ArgumentError(f"spread must be nonnegative, got {spread}")
+    if not 0.0 <= spread < math.inf:
+        raise ArgumentError(f"spread must be finite and nonnegative, got {spread}")
     if shape is not None and math.prod(shape) != dim:
         raise ArgumentError(f"shape {shape} does not cover dim={dim}")
 
@@ -171,7 +171,7 @@ def save_raw(dataset: Dataset, features_path: str | Path, labels_path: str | Pat
             f"the raw format holds at most {RAW_MAX_CLASSES} classes, got {dataset.n_classes}"
         )
     feats = dataset.features
-    if feats.min() < 0.0 or feats.max() > 1.0:
+    if not (feats.min() >= 0.0 and feats.max() <= 1.0):  # NaN fails too
         raise ArgumentError(
             "features must lie in [0, 1] before byte serialization; "
             "normalize_unit() rescales a train/test pair"

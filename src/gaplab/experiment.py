@@ -82,8 +82,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
     scratch, so stale artifacts from earlier runs cannot leak in. Where
     `_spare_cpu` allows, the test evaluations are shared with one forked
     evaluator process while this one trains (`TraceRecorder`'s `forked`);
-    the artifacts, the error raised, the warnings shown and the files left
-    behind on an error are the same either way.
+    the artifacts, the error raised and the files left behind on an error
+    are the same either way, and no numpy warning is shown in either.
     """
     if run_dir.exists():
         shutil.rmtree(run_dir)

@@ -18,7 +18,6 @@ import signal
 import statistics
 import sys
 import termios
-import warnings
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -125,7 +124,12 @@ class ForkedEvaluation:
 
     def __init__(self, work):
         read_end, write_end = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
         if pid == 0:  # the child
             status = 1
             try:
@@ -161,53 +165,6 @@ class ForkedEvaluation:
             self._read_end = None
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
-
-
-def _evaluate_unshown(evaluate, items) -> tuple[list, Exception | None, list]:
-    """`evaluate_each(evaluate, items)` and, for each item evaluated (a
-    failing one too), the warnings that by the filters in force it would
-    have shown, as (message, filename, line number)."""
-    shown = []
-
-    def evaluate_unshown(item):
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                return evaluate(item)
-            finally:
-                shown.append([(w.message, w.filename, w.lineno) for w in caught])
-
-    rows, err = evaluate_each(evaluate_unshown, items)
-    return rows, err, shown
-
-
-def _registry(filename: str) -> tuple[str | None, dict | None]:
-    """The name and warning registry of the module loaded from `filename`,
-    the registry that a warning raised there is shown once by."""
-    for module in list(sys.modules.values()):
-        if getattr(module, "__file__", None) == filename:
-            return module.__name__, vars(module).setdefault("__warningregistry__", {})
-    return None, None
-
-
-def _show(message: Warning, filename: str, lineno: int) -> None:
-    """Show a warning raised at `filename:lineno`, in another process or
-    earlier, as if raised here now: through the filters, and once only by
-    the registry of the module there."""
-    module, registry = _registry(filename)
-    warnings.warn_explicit(message, type(message), filename, lineno,
-                           module=module, registry=registry)
-
-
-def _forget(message: Warning, filename: str, lineno: int) -> None:
-    """Undo the registering of a shown warning, so that `_show` decides
-    afresh whether to show it: the keys of the "default", "module" and
-    "once" actions."""
-    text, category = str(message), type(message)
-    registry = _registry(filename)[1]
-    if registry is not None:
-        registry.pop((text, category, lineno), None)
-        registry.pop((text, category, 0), None)
-    warnings.onceregistry.pop((text, category), None)
 
 
 def _received(read_end: int, write_end: int, count: int):
@@ -258,11 +215,7 @@ class TraceRecorder(TrainingHooks):
     it), in place of any error of the training that went on after it, and
     deletes the checkpoints saved from that iteration on. So the trace, the
     error and the files are those of evaluating in this process, which
-    stops at the failing iteration. While the evaluator runs, this
-    process's warnings are held back; the `with` block's end shows them and
-    the evaluator's in the order of the iterations that raised them, up to
-    a failing evaluation, through the filters and once per place, as one
-    process would have shown them. An interrupt only kills the evaluator.
+    stops at the failing iteration. An interrupt only kills the evaluator.
     """
 
     def __init__(
@@ -281,11 +234,7 @@ class TraceRecorder(TrainingHooks):
         self.trace = TrainTrace()
         self._evaluator: ForkedEvaluation | None = None
         self._to_evaluator = -1  # the sending end of the evaluator's input pipe
-        # records sent, in order, each with the count of warnings held back
-        # before it was sent
-        self._owed: list[tuple[TraceRecord, int]] = []
-        self._held: list[tuple[Warning, str, int]] = []  # this process's warnings
-        self._showwarning = None  # warnings.showwarning while they are held
+        self._owed: list[TraceRecord] = []  # the records sent, in order
 
     def on_pre_update(self, iteration, task_id, loss, logits, labels):
         self.trace.records.append(TraceRecord(
@@ -314,7 +263,7 @@ class TraceRecorder(TrainingHooks):
             record.test_loss, record.test_acc = eval_test(
                 self.spec, params, self.test, self.eval_batch)
             return
-        self._owed.append((record, len(self._held)))
+        self._owed.append(record)
         # an evaluator that ended since raises BrokenPipeError here, and
         # leaving the `with` block then raises what ended it
         view = memoryview(np.ascontiguousarray(params.values)).cast("B")
@@ -325,22 +274,20 @@ class TraceRecorder(TrainingHooks):
         self.forked = False  # one evaluator at most
         nbytes, digest = params.values.nbytes, params.spec_digest
         read_end, self._to_evaluator = os.pipe()
-        try:  # room for a whole vector, so that a hand-off never waits
-            fcntl.fcntl(self._to_evaluator, fcntl.F_SETPIPE_SZ, nbytes)
-        except OSError:  # past the system's limit: a hand-off could wait, so
-            os.close(read_end)  # evaluate here
-            os.close(self._to_evaluator)
-            return
-        self._evaluator = ForkedEvaluation(partial(
-            _evaluate_unshown,
-            lambda values: eval_test(self.spec, ParamVector(values, digest),
-                                     self.test, self.eval_batch),
-            _received(read_end, self._to_evaluator, len(params))))
-        os.close(read_end)
-        self._showwarning, warnings.showwarning = warnings.showwarning, self._hold
-
-    def _hold(self, message, category, filename, lineno, file=None, line=None):
-        self._held.append((message, filename, lineno))
+        try:
+            try:  # room for a whole vector, so that a hand-off never waits
+                fcntl.fcntl(self._to_evaluator, fcntl.F_SETPIPE_SZ, nbytes)
+            except OSError:  # past the system's limit: a hand-off could wait,
+                return  # so evaluate here
+            self._evaluator = ForkedEvaluation(partial(
+                evaluate_each,
+                lambda values: eval_test(self.spec, ParamVector(values, digest),
+                                         self.test, self.eval_batch),
+                _received(read_end, self._to_evaluator, len(params))))
+        finally:
+            os.close(read_end)
+            if self._evaluator is None:  # refused, or the fork failed
+                os.close(self._to_evaluator)
 
     def _unread(self) -> int:
         """Bytes sent that the evaluator has not read yet."""
@@ -354,49 +301,21 @@ class TraceRecorder(TrainingHooks):
         evaluator, self._evaluator = self._evaluator, None
         if evaluator is None:
             return
-        warnings.showwarning = self._showwarning
         try:
             os.close(self._to_evaluator)  # the end of the evaluator's input
             if kind is None or issubclass(kind, Exception):
                 self._collect(evaluator)
-            else:
-                self._show_held()
         finally:
             evaluator.kill()
 
-    def _show_held(self, stop: int | None = None, evaluated=()) -> None:
-        """Show the warnings held back (before the `stop`-th, if given) with
-        those of each hand-off's evaluation merged in after the warnings
-        held back before it, as one process would have shown them.
-        `evaluated` pairs each hand-off's count of warnings held back before
-        it with the warnings of its evaluation."""
-        held, self._held = self._held, []
-        for warning in held:
-            _forget(*warning)
-        start = 0
-        for mark, shown in evaluated:
-            for warning in held[start:mark] + shown:
-                _show(*warning)
-            start = mark
-        for warning in held[start:stop]:
-            _show(*warning)
-
     def _collect(self, evaluator: ForkedEvaluation) -> None:
         owed, self._owed = self._owed, []
-        try:
-            rows, err, shown = evaluator.join()
-        except GapLabError:  # it died: only this process's warnings are known
-            self._show_held()
-            raise
-        for (record, _), (loss, acc) in zip(owed, rows):
+        rows, err = evaluator.join()
+        for record, (loss, acc) in zip(owed, rows):
             record.test_loss, record.test_acc = loss, acc
-        marks = [mark for _, mark in owed]
-        # one process stops at a failing evaluation: nothing held back after
-        # it is shown
-        self._show_held(None if err is None else marks[len(rows)], zip(marks, shown))
         if err is None:
             return
-        iteration = owed[len(rows)][0].iteration
+        iteration = owed[len(rows)].iteration
         if self.store is not None:
             self.store.discard_from(iteration)
         if isinstance(err, DivergenceError):

@@ -9,6 +9,7 @@ iterations of each task are observable one update at a time.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ModelSpec, ParamVector, backward, init_params
+from .autodiff import ModelSpec, ParamVector, backward, init_params, overflow_checked
 from .data import Dataset, TaskSequence, batch_iter, batches_per_epoch
 from .errors import (
     ArgumentError,
@@ -58,8 +59,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ArgumentError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ArgumentError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
@@ -119,8 +120,8 @@ def sgd_step(
         raise SpecMismatchError("gradient vector bound to a different spec")
     if len(state.velocity) != len(params.values):
         raise ArgumentError("optimizer state length does not match parameters")
-    # overflow surfaces as the isfinite check below, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow surfaces as the isfinite check below (autodiff's one rule)
+    with overflow_checked():
         velocity = momentum * state.velocity
         velocity += grads.values
         values = lr * velocity

@@ -3,6 +3,7 @@ hand-computed cross-entropy values and reference kernels, including the
 cache-free, in-place forward pass against a caching, out-of-place one."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from gaplab.data import Dataset
 from gaplab.errors import DivergenceError, ShapeError, SpecMismatchError
 from gaplab.instrument import eval_test
 from gaplab.rng import Rng
+from gaplab.trainer import OptimizerState, sgd_step
 
 
 def random_batch(spec, n, seed):
@@ -480,6 +482,38 @@ def test_backward_rejects_nonfinite_input():
     bad.values[0] = np.nan
     with pytest.raises(DivergenceError):
         backward(spec, bad, np.ones((1, 3)), np.array([0]))
+
+
+# a linear model with unit weights: its logits overflow on these features
+LINEAR = mlp(3, [], 2)
+UNIT = ParamVector(np.ones(LINEAR.param_count), LINEAR.digest)
+HUGE = np.full((4, 3), 1.7e308)
+# a hidden activation of 1e-10 keeps the logits finite, (1.7e298, -1.7e298),
+# but the gradient through the output weights, (1, -1) @ w, overflows
+HIDDEN = mlp(2, [2], 2)
+OVERFLOWS = {
+    "forward": lambda: forward(LINEAR, UNIT, HUGE),
+    "backward": lambda: backward(
+        HIDDEN, ParamVector([1e-10, 0, 0, 0, 0, 0, 1.7e308, 1.7e308, -1.7e308, -1.7e308,
+                             0, 0], HIDDEN.digest),
+        np.array([[1.0, 0.0]]), np.array([1])),
+    "cross-entropy-overflow": lambda: softmax_cross_entropy(
+        np.array([[-1.7e308, 1.7e308]]), np.array([0])),
+    "cross-entropy-inf": lambda: softmax_cross_entropy(np.array([[np.inf, 0.0]]),
+                                                       np.array([0])),
+    "sgd_step": lambda: sgd_step(ParamVector(np.full(3, -1e308), "d"),
+                                 ParamVector(np.full(3, 1e308), "d"),
+                                 OptimizerState.zeros(3), 1.0, 0.9),
+    "eval_test": lambda: eval_test(LINEAR, UNIT, Dataset(HUGE, np.zeros(4, np.int64), 2)),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWS)
+def test_overflow_raises_divergence_error_never_a_warning(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError):
+            OVERFLOWS[name]()
 
 
 def test_maxpool_forward_hand_example():

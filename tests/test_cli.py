@@ -100,7 +100,6 @@ def test_train_unknown_config_key_exit_2(tmp_path):
     assert main(["train", "--config", str(path)]) == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("overrides, code", [
     ({"split": {"fractions": [99.5, 0.5]}}, 2),      # seed-time ArgumentError
     ({"train": dict(CONFIG["train"], lr=1e4)}, 4),   # seed 0 diverges
@@ -111,6 +110,33 @@ def test_train_seed_error_exit_codes_in_pool(tmp_path, two_cpus, capsys,
     assert main(["train", "--config", str(cfg)]) == code
     err = capsys.readouterr().err
     assert err.startswith("gaplab: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["plain", "warnings-as-errors"])
+@pytest.mark.parametrize("workers, forks", [(1, False), (None, True)],
+                         ids=["workers-1", "evaluator"])
+def test_diverging_train_as_module_prints_one_line(tmp_path, flags, workers, forks):
+    # pytest captures the warnings of an in-process run; a fresh interpreter
+    # prints what users see. On two CPUs one seed forks an evaluator.
+    cfg = write_config(tmp_path, workers=workers, train=dict(CONFIG["train"], lr=1e4))
+    script = ("import runpy\n"
+              "from gaplab import experiment, instrument\n"
+              "experiment._usable_cpus = lambda: 2\n"
+              "real = instrument.ForkedEvaluation.__init__\n"
+              "def marked(self, work):\n"
+              "    real(self, work)\n"
+              "    open('forked', 'w').close()\n"
+              "instrument.ForkedEvaluation.__init__ = marked\n"
+              "runpy.run_module('gaplab.cli', run_name='__main__')\n")
+    src = str(Path(gaplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, *flags, "-c", script, "train", "--config", str(cfg)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == "gaplab: error: iteration 36: non-finite values in forward logits\n"
+    assert (tmp_path / "forked").exists() == forks
 
 
 def test_train_as_module_runs_seed_processes(tmp_path):

@@ -76,6 +76,9 @@ def test_blobs_rejects_bad_arguments():
         gen_blobs(0, 2, 2, 4, 1.0)  # 80/20 split leaves an empty test set
     with pytest.raises(ArgumentError):
         gen_blobs(0, 2, 10, 4, -0.5)  # negative spread
+    for spread in (float("nan"), float("inf")):
+        with pytest.raises(ArgumentError, match="finite"):
+            gen_blobs(0, 2, 10, 4, spread)
 
 
 # --- raw byte IO -------------------------------------------------------------
@@ -92,9 +95,10 @@ def test_raw_round_trip(tmp_path):
 
 
 def test_save_raw_rejects_unnormalized():
-    ds = Dataset(np.array([[-1.0, 2.0]]), np.array([0]), 2)
-    with pytest.raises(ArgumentError):
-        save_raw(ds, "/tmp/x.bin", "/tmp/y.bin")
+    for row in ([-1.0, 2.0], [0.5, np.nan]):  # NaN fails no `< 0` or `> 1` test
+        ds = Dataset(np.array([row]), np.array([0]), 2)
+        with pytest.raises(ArgumentError):
+            save_raw(ds, "/tmp/x.bin", "/tmp/y.bin")
 
 
 def test_load_raw_truncated_features_reports_offset(tmp_path):

@@ -329,7 +329,6 @@ def test_workers_stay_out_of_config_and_hash(tmp_path):
     assert "workers" not in one.to_dict()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_failing_seed_does_not_stop_the_others(tmp_path, two_cpus, workers):
     cfg = config(tmp_path, workers=workers, seeds=[0, 2, 3], checkpoints=False,
@@ -513,6 +512,26 @@ def test_no_evaluator_where_a_pipe_cannot_hold_a_vector(tmp_path, monkeypatch, t
     assert list(evaluating_processes(marks)) == [os.getpid()]
 
 
+@forks_on_linux
+def test_refused_fork_leaks_no_pipe(tmp_path, monkeypatch, capsys):
+    # a fork refused (too many processes, say) still ends the seed with exit
+    # 4 and one line, and leaves no end of either pipe open
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        instrument.ForkedEvaluation(lambda: None)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert code == 4 and stdout == ""
+    assert stderr == "gaplab: error: [Errno 11] Resource temporarily unavailable\n"
+    assert status == {"0": "BlockingIOError: [Errno 11] Resource temporarily unavailable"}
+
+
 def test_evaluator_reads_one_vector_at_a_time():
     # a vector stays in the pipe until the evaluator has used the one before,
     # so that the seed sees it unread and evaluates in place meanwhile
@@ -693,6 +712,11 @@ def test_evaluator_that_failed_with_a_vector_unread_stops_training(tmp_path, mon
     assert runs[2] == runs[1]
     assert trained == {1: [1, 2, 3], 2: [1, 2, 3, 4, 5]}
 
+
+def warn_in_probe(iteration):
+    warnings.warn(f"probe {iteration}", RuntimeWarning)
+
+
 @forks_on_linux
 def test_killed_evaluator_exits_4(tmp_path, monkeypatch, capsys):
     parent = os.getpid()
@@ -723,7 +747,7 @@ def test_killed_evaluator_exits_4(tmp_path, monkeypatch, capsys):
     assert code == 4 and stdout == ""
     assert stderr == f"gaplab: error: {died}\n"
     assert status == {"0": f"GapLabError: {died}"}
-    # the warning that the seed held back while the evaluator ran is shown
+    # the seed's own warning is shown, although its evaluator died
     assert [str(w.message) for w in caught] == ["probe 2"]
     evaluators = [int(p.name) for p in marks.iterdir()]
     assert len(evaluators) == 1
@@ -731,9 +755,11 @@ def test_killed_evaluator_exits_4(tmp_path, monkeypatch, capsys):
 
 
 @forks_on_linux
-def test_evaluator_warnings_are_shown_by_the_seed_process(tmp_path, monkeypatch, capsys):
-    # a test set whose logits overflow: numpy warns in the first evaluation,
-    # which then diverges, while training stays finite
+def test_overflowing_evaluations_show_no_warning(tmp_path, monkeypatch, capsys):
+    # a test set whose logits overflow: the first evaluation diverges, in
+    # this process or in the evaluator, while training stays finite. Under
+    # "always" a warning of this process would be caught; under "error" one
+    # of the evaluator, which inherits the filters, would change the error.
     real = experiment.build_dataset
 
     def overflowing_test_set(cfg, seed):
@@ -744,117 +770,20 @@ def test_evaluator_warnings_are_shown_by_the_seed_process(tmp_path, monkeypatch,
     monkeypatch.setattr(experiment, "build_dataset", overflowing_test_set)
     evaluator_keeps_up(monkeypatch)
     runs = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-        # each run starts with no warning shown yet, under the default action
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]),
-                                                        capsys)
-        shown = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
-        runs[cpus] = code, stderr, status, files, shown
-    code, stderr, status, files, shown = runs[1]
-    assert code == 4 and stderr.startswith("gaplab: error: iteration 1: ")
-    assert shown and all(category is RuntimeWarning for category, *_ in shown)
-    assert runs[2] == runs[1]
-
-
-def warn_of_overflow():
-    warnings.warn("overflow", RuntimeWarning)
-
-
-@forks_on_linux
-def test_evaluator_warning_shown_here_already_is_not_shown_again(tmp_path, monkeypatch,
-                                                                 capsys):
-    # every probe from iteration 2 on warns, and so does the third
-    # evaluation, which fails: one place, so the default action shows the
-    # warning once, as in one process, although both processes raised it
-    real_eval, real_probe = instrument.eval_test, TraceRecorder.on_post_update
-
-    def evaluate(*args):
-        if len(calls) == 2:
-            warn_of_overflow()
-            raise DivergenceError("non-finite values in logits")
-        calls.append(args)
-        return real_eval(*args)
-
-    def probe(self, iteration, *args):
-        if iteration >= 2:
-            warn_of_overflow()
-        return real_probe(self, iteration, *args)
-
-    monkeypatch.setattr(instrument, "eval_test", evaluate)
-    monkeypatch.setattr(TraceRecorder, "on_post_update", probe)
-    evaluator_keeps_up(monkeypatch)
-    runs = {}
-    for cpus in (1, 2):
-        calls = []
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]),
-                                                        capsys)
-        runs[cpus] = code, stderr, [str(w.message) for w in caught]
-    assert runs[1] == (4, f"gaplab: error: {FAILED_AT_3}\n", ["overflow"])
-    assert runs[2] == runs[1]
-
-
-
-def warn_in_evaluation():
-    warnings.warn("evaluation", RuntimeWarning)
-
-
-def warn_in_probe(iteration):
-    warnings.warn(f"probe {iteration}", RuntimeWarning)
-
-
-def warn_after_the_failure():
-    warnings.warn("after the failure", RuntimeWarning)
-
-
-@forks_on_linux
-def test_warnings_of_both_processes_are_shown_as_one_process_shows_them(
-        tmp_path, monkeypatch, capsys):
-    # the probe of iteration 2 warns, then the second evaluation, then the
-    # probe of iteration 3, then the third evaluation fails; the probes from
-    # iteration 4 on, which the evaluator lets training reach, warn from
-    # another line. One process shows the first three, in order, and stops.
-    real_eval, real_probe = instrument.eval_test, TraceRecorder.on_post_update
-
-    def evaluate(*args):
-        calls.append(args)
-        if len(calls) == 2:
-            warn_in_evaluation()
-        if len(calls) == 3:
-            raise DivergenceError("non-finite values in logits")
-        return real_eval(*args)
-
-    def probe(self, iteration, *args):
-        if iteration in (2, 3):
-            warn_in_probe(iteration)
-        if iteration >= 4:
-            warn_after_the_failure()
-        return real_probe(self, iteration, *args)
-
-    monkeypatch.setattr(instrument, "eval_test", evaluate)
-    monkeypatch.setattr(TraceRecorder, "on_post_update", probe)
-    evaluator_keeps_up(monkeypatch)
-    runs, trained = {}, {}
-    for cpus in (1, 2):
-        calls, trained[cpus] = [], []
-        with monkeypatch.context() as patch:
-            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
-            trained_iterations(patch, trained[cpus], wait_at=4)
+    for action in ("always", "error"):
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
             with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("default")
-                code, stdout, stderr, status, files = train(
-                    tmp_path, dict(SMALL, seeds=[0]), capsys)
-        runs[cpus] = code, stderr, [(str(w.message), w.lineno) for w in caught]
-    assert trained[2] == [1, 2, 3, 4]
-    code, stderr, shown = runs[1]
-    assert code == 4 and stderr == f"gaplab: error: {FAILED_AT_3}\n"
-    assert [message for message, _ in shown] == ["probe 2", "evaluation", "probe 3"]
-    assert runs[2] == runs[1]
+                warnings.simplefilter(action)
+                runs[action, cpus] = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
+            assert caught == [], (action, cpus)
+    code, stdout, stderr, status, files = runs["always", 1]
+    failed = "iteration 1: non-finite values in forward logits"
+    assert code == 4 and stderr == f"gaplab: error: {failed}\n"
+    assert status == {"0": f"DivergenceError: {failed}"}
+    for key, run in runs.items():
+        assert run == runs["always", 1], key
+
 
 @forks_on_linux
 def test_interrupted_training_kills_the_evaluator(tmp_path, monkeypatch):

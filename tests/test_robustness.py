@@ -1,7 +1,7 @@
 """Outside input that once ended in a traceback, a silent wrong result or
 a run directory written before the error: null config values, too many
-classes for the raw format, a seed process that dies, and range rules
-that the config and the command line must share."""
+classes for the raw format, a seed process that dies, non-finite numbers,
+and range rules that the config and the command line must share."""
 
 import json
 from concurrent.futures.process import BrokenProcessPool
@@ -156,6 +156,28 @@ def test_seed_outside_64_bits_exits_2_before_any_file(tmp_path, capsys, where, s
     captured = capsys.readouterr()
     assert captured.err == f"gaplab: error: {named}: must be in [0, 2**64), got {seed}\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+@pytest.mark.parametrize("where", ["config-lr", "config-spread", "gen-data"])
+def test_nonfinite_lr_or_spread_exits_2_before_any_file(tmp_path, capsys, where, value):
+    # json.loads reads NaN and Infinity, and NaN passes a `<= 0` or `< 0` test:
+    # NaN once ran to a divergence (exit 4), and gen-data wrote zero bytes
+    out = tmp_path / "exp"
+    if where == "gen-data":
+        spread = {"NaN": "nan", "Infinity": "inf"}[value]
+        args = ["gen-data", "--spread", spread, "--out", str(out)]
+    else:
+        section, key = {"config-lr": ("train", "lr"),
+                        "config-spread": ("dataset", "spread")}[where]
+        raw = dict(CONFIG[section], **{key: float(value)})
+        args = ["train", "--config", str(write_config(tmp_path, **{section: raw}))]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("gaplab: error: ") and captured.err.count("\n") == 1
+    assert "finite" in captured.err
     assert not out.exists()
 
 

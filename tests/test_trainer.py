@@ -253,7 +253,6 @@ def test_boundary_arithmetic():
     assert [r.task for r in rec.trace.records] == [0] * 8 + [1] * 24
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_diverged_iteration_keeps_its_record():
     # a linear model's first update at this step size overflows in sgd_step
     _, seq, test = small_problem()
@@ -268,7 +267,6 @@ def test_diverged_iteration_keeps_its_record():
     assert record.test_acc is None
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_divergence_in_a_hook_names_its_iteration():
     # the update stays finite but the post-update probe's forward overflows
     spec, seq, test = small_problem()
