@@ -18,9 +18,10 @@ from .connectivity import (lmc_curve, read_lmc_csv, read_path_csv, sgd_path_loss
                            write_lmc_csv, write_path_csv)
 from .data import RAW_MAX_CLASSES, gen_blobs, normalize_unit, save_raw
 from .errors import ArgumentError, GapLabError, InsufficientTraceError
-from .experiment import build_dataset, fork_procs, run_experiment
+from .experiment import build_dataset, run_experiment
 from .instrument import (compute_gap, format_gap_doc, format_gap_docs,
                          read_trace_csv)
+from .procs import fork_procs
 from .rng import check_seed
 from .svgplot import LinePlot
 from .trainer import CheckpointStore, load_checkpoint

@@ -259,7 +259,7 @@ class ExperimentConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     seeds: tuple[int, ...] = (0,)
     checkpoints: bool = True
-    # seed processes; None sizes the pool to the machine. It cannot change
+    # processes a run uses at once; None sizes them to the machine. It cannot change
     # a result, so to_dict (and with it config.json and the hash) omits it
     workers: int | None = None
 

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import procs
 from .autodiff import ModelSpec, ParamVector, check_same_spec
 from .data import Dataset
 from .errors import ArgumentError
-from .instrument import (ForkedEvaluation, eval_test, evaluate_each, fmt_float, read_table,
-                         write_table)
+from .instrument import eval_test, evaluate_each, fmt_float, read_table, write_table
 from .trainer import CheckpointStore
 
 
@@ -88,24 +88,24 @@ def lambda_grid(step: float) -> np.ndarray:
     return np.asarray(grid, dtype=np.float64)
 
 
-def _evaluate_split(count: int, evaluate, procs: int) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate_split(count: int, evaluate, n_procs: int) -> tuple[np.ndarray, np.ndarray]:
     """Losses and accuracies, as float64 arrays in index order, of
     `evaluate(i)` -> (loss, accuracy) for every i in range(count).
 
-    The range is cut into at most `procs` contiguous slices. This process
-    evaluates the first; each other slice goes to a `ForkedEvaluation`,
+    The range is cut into at most `n_procs` contiguous slices. This process
+    evaluates the first; each other slice goes to a forked `procs.Child`,
     which sends back its rows, or the exception it stopped at. So the
-    result does not depend on `procs`, and the error raised is the one at the
-    lowest index. Every child is reaped before this returns or raises. The
-    caller decides whether forking is safe; `procs=1` forks nothing.
+    result does not depend on `n_procs`, and the error raised is the one at
+    the lowest index. Every child is reaped before this returns or raises.
+    The caller decides whether forking is safe; `n_procs=1` forks nothing.
     """
     rows = np.empty((count, 2))
-    procs = max(1, min(procs, count))
-    bounds = [count * k // procs for k in range(procs + 1)]
+    n_procs = max(1, min(n_procs, count))
+    bounds = [count * k // n_procs for k in range(n_procs + 1)]
     children = []  # (start, stop, child)
     try:
         for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append((start, stop, ForkedEvaluation(
+            children.append((start, stop, procs.Child(
                 partial(evaluate_each, evaluate, range(start, stop)))))
         for i in range(bounds[1]):
             rows[i] = evaluate(i)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import overflow_checked
 from .errors import ArgumentError, FormatError, LabelRangeError
 from .rng import Rng
 
@@ -94,9 +95,12 @@ def gen_blobs(
     n_train = _round_half_up(0.8 * n_per_class)
     train_feats, train_labels, test_feats, test_labels = [], [], [], []
     for c in range(n_classes):
-        samples = means[c] + spread * rng.normals(n_per_class * dim).reshape(
-            n_per_class, dim
-        )
+        with overflow_checked():
+            samples = means[c] + spread * rng.normals(n_per_class * dim).reshape(
+                n_per_class, dim
+            )
+        if not np.isfinite(samples).all():
+            raise ArgumentError(f"spread {spread} makes the samples non-finite")
         train_feats.append(samples[:n_train])
         test_feats.append(samples[n_train:])
         train_labels.append(np.full(n_train, c, dtype=np.int64))

@@ -35,7 +35,7 @@ class MissingCheckpointError(GapLabError):
     def __init__(self, missing_iterations):
         self.missing_iterations = list(missing_iterations)
         # args holds the constructor argument, not the message, so that
-        # unpickling (as when a pool worker raises) rebuilds the same error
+        # unpickling (as when a seed child sends it back) rebuilds the same error
         super().__init__(self.missing_iterations)
 
     def __str__(self):

@@ -17,10 +17,7 @@ Run directory layout (one subdirectory per seed):
 
 from __future__ import annotations
 
-import os
 import shutil
-import sys
-import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -28,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _blas_threads_as_set
+from . import procs
 from ._version import __version__
 from .config import DatasetConfig, ExperimentConfig, RunManifest, canonical_json
 from .connectivity import (PathCurve, lmc_curve, sgd_path_loss, write_lmc_csv,
                            write_path_csv)
 from .data import Dataset, gen_blobs, load_raw, split_tasks
-from .errors import GapLabError, InsufficientTraceError
+from .errors import InsufficientTraceError
 from .instrument import (GapMetrics, TraceRecorder, TrainTrace, compute_gap,
                          format_gap_doc, format_gap_docs, write_trace_csv)
 from .rng import derive_seed
@@ -147,87 +144,56 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
                          plan=plan, gap=gap)
 
 
-def _run_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> GapMetrics | None:
-    """One seed as a pool task: the seed directory is written here and only
-    the gap metrics travel back, never the trace."""
-    return run_single_seed(cfg, seed, run_dir).gap
-
-
-def _attempt(call):
-    """The call's result, or the exception it raised, so that one failing
-    seed does not stop the others."""
+def _run_seed(cfg: ExperimentConfig, seed: int, run_dir: Path):
+    """One seed's gap metrics, or the exception it raised, so that a failing
+    seed does not stop the others; from a seed child only this travels back."""
     try:
-        return call()
+        return run_single_seed(cfg, seed, run_dir).gap
     except Exception as err:
         return err
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """Whether a child forked now starts like a fresh gaplab process, with
-    this process's imports: on Linux only (macOS's system frameworks can
-    deadlock a forked child), with no other thread alive (a caller's can
-    too), and with BLAS on the threads that importing gaplab set (a program
-    that loaded numpy first keeps numpy's default thread count, which every
-    forked child would inherit)."""
-    return (sys.platform == "linux" and threading.active_count() == 1
-            and _blas_threads_as_set)
-
-
-def fork_procs() -> int:
-    """Processes for work that is split by forking: every usable CPU where
-    `_can_fork` allows a fork, otherwise one (no fork)."""
-    return _usable_cpus() if _can_fork() else 1
 
 
 def _pool_size(cfg: ExperimentConfig) -> int:
     """Seed processes, at most `cfg.workers`: the seeds spread evenly over
     floor(seeds / cpus) rounds (one if fewer seeds than usable CPUs), so every
     CPU stays busy until fewer than `cpus` seeds are left; under two per CPU."""
-    seeds, cpus = len(cfg.seeds), _usable_cpus()
+    seeds, cpus = len(cfg.seeds), procs.usable_cpus()
     rounds = max(1, seeds // cpus)
     return min(-(-seeds // rounds), cfg.workers or seeds)
 
 
 def _spare_cpu(cfg: ExperimentConfig) -> bool:
-    """Whether each seed may fork an evaluator process: where `_can_fork`
+    """Whether each seed may fork an evaluator process: where `procs.can_fork`
     allows, when the seed processes that run at once leave a whole usable
     CPU idle for each evaluator, and, if `cfg.workers` is set, when it
     covers the seed processes and their evaluators together."""
-    procs = _pool_size(cfg)
-    return (_can_fork() and 2 * procs <= _usable_cpus()
-            and (cfg.workers is None or 2 * procs <= cfg.workers))
+    seed_procs = _pool_size(cfg)
+    return (procs.can_fork() and 2 * seed_procs <= procs.usable_cpus()
+            and (cfg.workers is None or 2 * seed_procs <= cfg.workers))
 
 
-def _run_seeds_in_pool(cfg: ExperimentConfig, out: Path, n_procs: int) -> list:
-    # imported here so that importing the CLI does not pay for them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # Spawned seed processes import gaplab afresh and inherit the one-thread
-    # BLAS settings it put into os.environ. A seed is a pure function of
-    # (config, seed), so forked and spawned ones write the same bytes.
-    method = "fork" if _can_fork() else "spawn"
-    with ProcessPoolExecutor(max_workers=n_procs,
-                             mp_context=multiprocessing.get_context(method)) as pool:
-        futures = [pool.submit(_run_seed, cfg, s, out / f"seed{s}") for s in cfg.seeds]
-        return [_attempt(f.result) for f in futures]
-
-
-def _dead_process_error(outcome):
-    """A seed whose process died (killed, out of memory) as a GapLabError,
-    so that the run still ends with a documented exit code."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    if isinstance(outcome, BrokenProcessPool):
-        return GapLabError(f"a seed process died: {outcome}")
-    return outcome
+def _run_seed_children(works: list, n_procs: int) -> list:
+    """The outcome of each seed's `work()` in a child of its own, forked where
+    `procs.can_fork` allows and spawned otherwise: at most `n_procs` alive,
+    the next started when any ends. A child that dies fails its seed only;
+    every way out kills and reaps the children still alive."""
+    waiting, outcomes, alive = list(enumerate(works)), {}, {}  # child -> index
+    try:
+        while waiting or alive:
+            if waiting and len(alive) < n_procs:
+                i, work = waiting.pop(0)
+                alive[procs.Child(work, "a seed process", not procs.can_fork())] = i
+                continue
+            child = procs.ended(list(alive))[0]
+            try:
+                outcomes[alive[child]] = child.join()
+            except Exception as err:  # the child died, say
+                outcomes[alive[child]] = err
+            del alive[child]
+    finally:
+        for child in alive:
+            child.kill()
+    return [outcomes[i] for i in range(len(works))]
 
 
 def _status(outcome) -> str:
@@ -240,20 +206,17 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """All seeds of one configuration, plus aggregate artifacts.
 
     Seeds run in seed processes when `_pool_size` gives more than one
-    (forked where `_can_fork` allows it, spawned otherwise), and
-    in this process otherwise; all of these write the same bytes. A failing
-    seed does not stop the others: every seed's status goes into the
-    manifest, and then the first failing seed's error is raised.
+    (`_run_seed_children`), and in this process otherwise; all of these
+    write the same bytes. A failing seed does not stop the others: every
+    seed's status goes into the manifest, and then the first failing
+    seed's error is raised.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     n_procs = _pool_size(cfg)
-    if n_procs > 1:
-        outcomes = [_dead_process_error(o) for o in _run_seeds_in_pool(cfg, out, n_procs)]
-    else:
-        outcomes = [_attempt(partial(_run_seed, cfg, s, out / f"seed{s}"))
-                    for s in cfg.seeds]
+    works = [partial(_run_seed, cfg, s, out / f"seed{s}") for s in cfg.seeds]
+    outcomes = _run_seed_children(works, n_procs) if n_procs > 1 else [w() for w in works]
 
     manifest = RunManifest(
         config_hash=cfg.hash(),

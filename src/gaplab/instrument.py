@@ -12,9 +12,6 @@ from __future__ import annotations
 import csv
 import fcntl
 import os
-import pickle
-import select
-import signal
 import statistics
 import sys
 import termios
@@ -24,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import procs
 from .autodiff import ModelSpec, ParamVector, accuracy, forward, softmax_cross_entropy
 from .data import Dataset
-from .errors import (ArgumentError, DivergenceError, FormatError, GapLabError,
-                     InsufficientTraceError)
+from .errors import ArgumentError, DivergenceError, FormatError, InsufficientTraceError
 from .trainer import CheckpointStore, TrainingHooks, diverged_at
 
 TRACE_HEADER = [
@@ -112,81 +109,6 @@ def evaluate_each(evaluate, items) -> tuple[list, Exception | None]:
     return rows, None
 
 
-class ForkedEvaluation:
-    """A forked evaluation process: it runs `work()` and sends the result
-    back, pickled, through a pipe.
-
-    The child never returns into the caller: it ends in `os._exit`. `join`
-    waits for the result and reaps the child; `kill` kills and reaps a child
-    that `join` has not, so callers call it on every exit path. The caller
-    decides whether forking is safe.
-    """
-
-    def __init__(self, work):
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if pid == 0:  # the child
-            status = 1
-            try:
-                os.close(read_end)
-                with open(write_end, "wb") as pipe:
-                    pickle.dump(work(), pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_end)
-        self.pid, self._read_end = pid, read_end
-
-    def join(self):
-        """The result of `work()`. A child that died raises GapLabError."""
-        with open(self._read_end, "rb", closefd=False) as pipe:
-            payload = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        os.close(self._read_end)
-        self._read_end = None
-        if code != 0:
-            how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
-            raise GapLabError(f"an evaluation process died ({how})")
-        return pickle.loads(payload)
-
-    def ended(self) -> bool:
-        """Whether the child has ended, or sent its result: then its pipe
-        reads without waiting."""
-        return bool(select.select([self._read_end], [], [], 0)[0])
-
-    def kill(self) -> None:
-        if self._read_end is not None:
-            os.close(self._read_end)
-            self._read_end = None
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-
-
-def _received(read_end: int, write_end: int, count: int):
-    """Each vector of `count` float64 values sent through a pipe, read into
-    one reused array, until the sending end is closed. The pipe is read
-    unbuffered, so that a vector stays in it until the one before has been
-    used. As a generator it starts in the process that iterates it: the
-    evaluator child, which first closes its own copy of the sending end."""
-    os.close(write_end)
-    values = np.empty(count)
-    view = memoryview(values).cast("B")
-    with open(read_end, "rb", buffering=0) as pipe:
-        while True:
-            filled = 0
-            while filled < len(view):
-                got = pipe.readinto(view[filled:])
-                if not got:
-                    return
-                filled += got
-            yield values
-
-
 class _EvaluatorEnded(Exception):
     """Raised by `on_eval` to stop training once the evaluator has ended;
     leaving the recorder's `with` block raises what ended it instead."""
@@ -232,7 +154,7 @@ class TraceRecorder(TrainingHooks):
         self.store = store
         self.forked = forked
         self.trace = TrainTrace()
-        self._evaluator: ForkedEvaluation | None = None
+        self._evaluator: procs.Child | None = None
         self._to_evaluator = -1  # the sending end of the evaluator's input pipe
         self._owed: list[TraceRecord] = []  # the records sent, in order
 
@@ -257,7 +179,7 @@ class TraceRecorder(TrainingHooks):
         record = self.trace.records[-1]
         if self.forked and self._evaluator is None:
             self._fork_evaluator(params)
-        if self._evaluator is not None and self._evaluator.ended():
+        if self._evaluator is not None and procs.ended([self._evaluator], 0):
             raise _EvaluatorEnded
         if self._evaluator is None or self._unread():
             record.test_loss, record.test_acc = eval_test(
@@ -279,11 +201,11 @@ class TraceRecorder(TrainingHooks):
                 fcntl.fcntl(self._to_evaluator, fcntl.F_SETPIPE_SZ, nbytes)
             except OSError:  # past the system's limit: a hand-off could wait,
                 return  # so evaluate here
-            self._evaluator = ForkedEvaluation(partial(
+            self._evaluator = procs.Child(partial(
                 evaluate_each,
                 lambda values: eval_test(self.spec, ParamVector(values, digest),
                                          self.test, self.eval_batch),
-                _received(read_end, self._to_evaluator, len(params))))
+                procs.received(read_end, self._to_evaluator, len(params))))
         finally:
             os.close(read_end)
             if self._evaluator is None:  # refused, or the fork failed
@@ -308,7 +230,7 @@ class TraceRecorder(TrainingHooks):
         finally:
             evaluator.kill()
 
-    def _collect(self, evaluator: ForkedEvaluation) -> None:
+    def _collect(self, evaluator: procs.Child) -> None:
         owed, self._owed = self._owed, []
         rows, err = evaluator.join()
         for record, (loss, acc) in zip(owed, rows):

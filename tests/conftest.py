@@ -8,8 +8,8 @@ from pathlib import Path
 
 # gaplab before numpy, as the gaplab CLI loads them: importing gaplab sets
 # BLAS to one thread before numpy loads, and only then may seeds and lmc
-# evaluations fork (experiment._can_fork)
-from gaplab import experiment  # isort: skip
+# evaluations fork (procs.can_fork)
+from gaplab import procs  # isort: skip
 import numpy as np
 import pytest
 
@@ -68,9 +68,10 @@ def run_files(out):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Size seed pools as if two CPUs were usable, so that two or three seeds
-    run in a pool (of two or three processes) even on a one-CPU machine."""
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    """Count two usable CPUs (`procs.usable_cpus`, which every caller looks
+    up in `procs`), so that two or three seeds run in seed processes, two
+    or three at once, even on a one-CPU machine."""
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
 
 
 def running_children() -> list[int]:

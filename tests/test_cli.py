@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import gaplab
-from gaplab import connectivity, experiment
+from gaplab import connectivity, procs
 from gaplab.cli import main
 from gaplab.instrument import write_trace_csv
 
@@ -121,13 +121,13 @@ def test_diverging_train_as_module_prints_one_line(tmp_path, flags, workers, for
     # prints what users see. On two CPUs one seed forks an evaluator.
     cfg = write_config(tmp_path, workers=workers, train=dict(CONFIG["train"], lr=1e4))
     script = ("import runpy\n"
-              "from gaplab import experiment, instrument\n"
-              "experiment._usable_cpus = lambda: 2\n"
-              "real = instrument.ForkedEvaluation.__init__\n"
-              "def marked(self, work):\n"
-              "    real(self, work)\n"
+              "from gaplab import procs\n"
+              "procs.usable_cpus = lambda: 2\n"
+              "real = procs.Child.__init__\n"
+              "def marked(self, *args):\n"
+              "    real(self, *args)\n"
               "    open('forked', 'w').close()\n"
-              "instrument.ForkedEvaluation.__init__ = marked\n"
+              "procs.Child.__init__ = marked\n"
               "runpy.run_module('gaplab.cli', run_name='__main__')\n")
     src = str(Path(gaplab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -158,6 +158,34 @@ def test_train_as_module_runs_seed_processes(tmp_path):
     pool_files = run_files(tmp_path / "pool" / "exp")
     assert "seed1/trace.csv" in pool_files
     assert pool_files == run_files(tmp_path / "serial" / "exp")
+
+
+def test_forked_seeds_leave_multiprocessing_unimported(tmp_path):
+    # a fresh interpreter, as users start it: seeds forked from a parent
+    # that has not loaded multiprocessing start lean
+    cfg = write_config(tmp_path, seeds=[0, 1], workers=2)
+    script = ("import runpy, sys\n"
+              "from gaplab import procs\n"
+              "procs.usable_cpus = lambda: 2\n"
+              "real = procs.Child.__init__\n"
+              "def marked(self, *args):\n"
+              "    real(self, *args)\n"
+              "    print('child')\n"
+              "procs.Child.__init__ = marked\n"
+              "try:\n"
+              "    runpy.run_module('gaplab.cli', run_name='__main__')\n"
+              "finally:\n"
+              "    print([m for m in ('multiprocessing', 'concurrent.futures')\n"
+              "           if m in sys.modules])\n")
+    src = str(Path(gaplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", script, "train", "--config", str(cfg)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[:2] == ["child", "child"] and lines[2].startswith("run complete: ")
+    assert lines[-1] == "[]"
 
 
 # --- gap ------------------------------------------------------------------------
@@ -335,19 +363,19 @@ def test_lmc_bytes_do_not_depend_on_evaluation_processes(trained, tmp_path, monk
     ckpt_dir = run_tmp / "exp" / "seed0" / "checkpoints"
     assert len(list(ckpt_dir.glob("*.ckpt"))) == 49
     runs = {}
-    for procs in (1, 2, 3, 4):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: procs)
-        marks = tmp_path / "marks" / str(procs)
+    for cpus in (1, 2, 3, 4):
+        monkeypatch.setattr(procs, "usable_cpus", lambda: cpus)
+        marks = tmp_path / "marks" / str(cpus)
         mark_eval_processes(monkeypatch, marks)
-        runs[procs] = run_lmc(cfg, ckpt_dir, tmp_path / str(procs), capsys, step)
+        runs[cpus] = run_lmc(cfg, ckpt_dir, tmp_path / str(cpus), capsys, step)
         assert not running_children()
         # the grid's and the path's forked children, and this process
-        assert len(list(marks.iterdir())) == min(procs, grid) + procs - 1
+        assert len(list(marks.iterdir())) == min(cpus, grid) + cpus - 1
     code, stdout, stderr, files = runs[1]
     assert code == 0 and stderr == "" and stdout.startswith("wrote OUT/lmc.csv")
     assert sorted(files) == ["lmc.csv", "lmc.svg", "path.csv"]
-    for procs in (2, 3, 4):
-        assert runs[procs] == runs[1], procs
+    for cpus in (2, 3, 4):
+        assert runs[cpus] == runs[1], cpus
 
 
 @forks_on_linux
@@ -363,9 +391,9 @@ def test_lmc_truncated_checkpoint_in_a_worker_slice_exit_4(trained, tmp_path, mo
     for ckpt in (ckpts[20], ckpts[40]):
         ckpt.write_bytes(ckpt.read_bytes()[:-8])
     runs = {}
-    for procs in (1, 3):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: procs)
-        runs[procs] = run_lmc(cfg, ckpt_dir, tmp_path / "figs", capsys, sgd_path=bad)
+    for cpus in (1, 3):
+        monkeypatch.setattr(procs, "usable_cpus", lambda: cpus)
+        runs[cpus] = run_lmc(cfg, ckpt_dir, tmp_path / "figs", capsys, sgd_path=bad)
         assert not running_children()
     code, stdout, stderr, files = runs[1]
     assert code == 4 and stdout == "" and files == {}
@@ -384,7 +412,7 @@ def test_lmc_killed_worker_exit_4(trained, tmp_path, monkeypatch, capsys):
             os.kill(os.getpid(), signal.SIGKILL)
         return real(*args)
 
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
     monkeypatch.setattr(connectivity, "eval_test", dies_in_a_child)
     code, stdout, stderr, files = run_lmc(cfg, run_tmp / "exp" / "seed0" / "checkpoints",
                                           tmp_path / "figs", capsys)
@@ -403,8 +431,8 @@ def test_lmc_as_module_prints_one_wrote_line(trained, tmp_path):
     argv = ["lmc", "--config", str(cfg), "--ckpt-a", str(ckpts[0]),
             "--ckpt-b", str(ckpts[-1]), "--sgd-path", str(ckpt_dir)]
     script = ("import os, runpy\n"
-              "from gaplab import connectivity, experiment\n"
-              "experiment._usable_cpus = lambda: 2\n"
+              "from gaplab import connectivity, procs\n"
+              "procs.usable_cpus = lambda: 2\n"
               "real = connectivity.eval_test\n"
               "def marked(*args):\n"
               "    open(os.path.join('marks', str(os.getpid())), 'w').close()\n"

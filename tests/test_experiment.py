@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import gaplab
-from gaplab import experiment, instrument, trainer
+from gaplab import experiment, instrument, procs, trainer
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
 from gaplab.data import Dataset
@@ -93,7 +93,7 @@ def test_workers_do_not_change_results(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             a = run_experiment(config(tmp_path / model / "single", workers=1, **overrides))
             auto = run_experiment(config(tmp_path / model / "auto", **overrides))
-            patch.setattr(experiment, "_usable_cpus", lambda: 2)
+            patch.setattr(procs, "usable_cpus", lambda: 2)
             environ = dict(os.environ)
             b = run_experiment(config(tmp_path / model / "multi", workers=2, **overrides))
         assert dict(os.environ) == environ
@@ -200,7 +200,7 @@ import ctypes, json, os, sys
 from pathlib import Path
 
 import numpy
-from gaplab import experiment
+from gaplab import experiment, procs
 from gaplab.config import ExperimentConfig
 
 def blas_threads():
@@ -220,7 +220,7 @@ def marked(cfg, seed, run_dir):
 experiment.run_single_seed = marked
 
 if __name__ == "__main__":
-    experiment._usable_cpus = lambda: 2
+    procs.usable_cpus = lambda: 2
     experiment.run_experiment(ExperimentConfig.from_json(Path(sys.argv[1]).read_text()))
     print(json.dumps([os.getpid(), blas_threads()]))
 """
@@ -248,7 +248,7 @@ def test_seeds_of_a_program_that_loads_numpy_first_run_one_blas_thread(tmp_path)
 
 def test_pool_size(monkeypatch):
     def pool_size(cpus, seeds, workers):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(procs, "usable_cpus", lambda: cpus)
         return experiment._pool_size(ExperimentConfig.from_dict(
             dict(SMALL, out_dir="/tmp/x", seeds=seeds, workers=workers)))
 
@@ -323,6 +323,66 @@ def test_seed_processes_are_spawned_while_another_thread_runs(tmp_path, two_cpus
     assert run_files(pool) == run_files(single)
 
 
+def test_next_seed_starts_when_any_seed_child_ends(tmp_path, monkeypatch, two_cpus):
+    # three seeds through two children: seed 0 goes on only once seed 2 has
+    # started, which it can only after seed 1's child, not seed 0's, ended
+    single = run_experiment(config(tmp_path / "single", seeds=[0, 1, 2], workers=1))
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    real_seed = experiment.run_single_seed
+
+    def seed_0_waits_for_seed_2(cfg, seed, run_dir):
+        (marks / f"seed{seed}").touch()
+        deadline = time.monotonic() + 60
+        while seed == 0 and not (marks / "seed2").exists():
+            assert time.monotonic() < deadline, "seed 2 did not start"
+            time.sleep(0.01)
+        return real_seed(cfg, seed, run_dir)
+
+    alive, counts = set(), []  # the children alive after each start
+    real_init, real_join = procs.Child.__init__, procs.Child.join
+
+    def counted(self, *args):
+        real_init(self, *args)
+        alive.add(self.pid)
+        counts.append(len(alive))
+
+    def joined(self):
+        try:
+            return real_join(self)
+        finally:
+            alive.discard(self.pid)
+
+    monkeypatch.setattr(experiment, "run_single_seed", seed_0_waits_for_seed_2)
+    monkeypatch.setattr(procs.Child, "__init__", counted)
+    monkeypatch.setattr(procs.Child, "join", joined)
+    out = run_experiment(config(tmp_path / "two", seeds=[0, 1, 2], workers=2))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == {"0": "ok", "1": "ok", "2": "ok"}
+    assert counts == [1, 2, 2] and not alive
+    assert run_files(out) == run_files(single)
+
+
+def test_interrupt_kills_and_reaps_every_seed_child(tmp_path, monkeypatch, two_cpus):
+    started, running = [], []
+    real = procs.Child.__init__
+
+    def recorded(self, *args):
+        real(self, *args)
+        started.append(self.pid)
+
+    def interrupted(children, timeout=None):
+        running.append(running_children())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(procs.Child, "__init__", recorded)
+    monkeypatch.setattr(procs, "ended", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(config(tmp_path, seeds=[0, 1]))
+    assert running == [sorted(started)] and len(started) == 2
+    assert_reaped(started)
+
+
 def test_workers_stay_out_of_config_and_hash(tmp_path):
     one = config(tmp_path, workers=1)
     assert one.hash() == config(tmp_path, workers=2).hash() == config(tmp_path).hash()
@@ -382,7 +442,7 @@ forks_on_linux = pytest.mark.skipif(sys.platform != "linux",
 @forks_on_linux
 def test_spare_cpu(monkeypatch):
     def spare(cpus, seeds, workers=None):
-        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(procs, "usable_cpus", lambda: cpus)
         return experiment._spare_cpu(ExperimentConfig.from_dict(
             dict(SMALL, out_dir="/tmp/x", seeds=list(range(seeds)), workers=workers)))
 
@@ -449,7 +509,7 @@ def test_seed_bytes_do_not_depend_on_the_evaluator(tmp_path, monkeypatch, capsys
     for cpus, unread in ((1, None), (2, None), (4, None), (2, alternate)):
         marks = tmp_path / "marks" / f"{cpus}-{unread is None}"
         with monkeypatch.context() as patch:
-            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            patch.setattr(procs, "usable_cpus", lambda: cpus)
             if unread is not None:
                 patch.setattr(TraceRecorder, "_unread", unread)
             mark_evaluations(patch, marks)
@@ -520,10 +580,10 @@ def test_refused_fork_leaks_no_pipe(tmp_path, monkeypatch, capsys):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", refused)
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
     fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(BlockingIOError):
-        instrument.ForkedEvaluation(lambda: None)
+        procs.Child(lambda: None)
     assert len(os.listdir("/proc/self/fd")) == fds
     code, stdout, stderr, status, files = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
     assert len(os.listdir("/proc/self/fd")) == fds
@@ -538,7 +598,7 @@ def test_evaluator_reads_one_vector_at_a_time():
     read_end, write_end = os.pipe()
     for i in range(3):
         os.write(write_end, np.full(4, float(i)).tobytes())
-    received = instrument._received(read_end, os.dup(write_end), 4)
+    received = procs.received(read_end, os.dup(write_end), 4)
     assert next(received).tolist() == [0.0] * 4
     unread = fcntl.ioctl(write_end, termios.FIONREAD, bytes(4))
     assert int.from_bytes(unread, sys.byteorder) == 2 * 4 * 8
@@ -566,7 +626,7 @@ def test_each_seed_process_forks_its_own_evaluator(tmp_path, monkeypatch):
     single = run_experiment(config(tmp_path / "single", workers=1))
     mark_seed_processes(monkeypatch, tmp_path / "seeds")
     mark_evaluations(monkeypatch, tmp_path / "evals")
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 4)
     pool = run_experiment(config(tmp_path / "pool"))
     # two seed processes, and one evaluator forked from each of them; each
     # seed may have evaluated some iterations itself
@@ -621,7 +681,7 @@ def test_failing_evaluation_in_the_evaluator(tmp_path, monkeypatch, capsys):
     for cpus in (1, 2):
         trained[cpus] = []
         with monkeypatch.context() as patch:
-            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            patch.setattr(procs, "usable_cpus", lambda: cpus)
             evaluator_keeps_up(patch)
             fail_evaluation(patch, 3)
             trained_iterations(patch, trained[cpus], wait_at=4)
@@ -645,7 +705,7 @@ def test_training_error_after_a_failed_evaluation_reports_the_evaluation(
     runs = {}
     for cpus in (1, 2):
         with monkeypatch.context() as patch:
-            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            patch.setattr(procs, "usable_cpus", lambda: cpus)
             evaluator_keeps_up(patch)
             fail_evaluation(patch, 3)
             steps = []
@@ -702,7 +762,7 @@ def test_evaluator_that_failed_with_a_vector_unread_stops_training(tmp_path, mon
     for cpus in (1, 2):
         calls, trained[cpus] = [], []
         with monkeypatch.context() as patch:
-            patch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            patch.setattr(procs, "usable_cpus", lambda: cpus)
             patch.setattr(instrument, "eval_test", evaluate)
             patch.setattr(TraceRecorder, "on_eval", on_eval)
             trained_iterations(patch, trained[cpus])
@@ -737,7 +797,7 @@ def test_killed_evaluator_exits_4(tmp_path, monkeypatch, capsys):
             warn_in_probe(iteration)
         return real_probe(self, iteration, *args)
 
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
     monkeypatch.setattr(instrument, "eval_test", dies_in_a_child)
     monkeypatch.setattr(TraceRecorder, "on_post_update", probe)
     with warnings.catch_warnings(record=True) as caught:
@@ -772,7 +832,7 @@ def test_overflowing_evaluations_show_no_warning(tmp_path, monkeypatch, capsys):
     runs = {}
     for action in ("always", "error"):
         for cpus in (1, 2):
-            monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(procs, "usable_cpus", lambda: cpus)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter(action)
                 runs[action, cpus] = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
@@ -789,9 +849,9 @@ def test_overflowing_evaluations_show_no_warning(tmp_path, monkeypatch, capsys):
 def test_interrupted_training_kills_the_evaluator(tmp_path, monkeypatch):
     forked = []
 
-    class Recorded(instrument.ForkedEvaluation):
-        def __init__(self, work):
-            super().__init__(work)  # returns in this process only
+    class Recorded(procs.Child):
+        def __init__(self, *args):
+            super().__init__(*args)  # returns in this process only
             forked.append(self.pid)
 
     steps = []
@@ -803,9 +863,9 @@ def test_interrupted_training_kills_the_evaluator(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         return real(*args)
 
-    monkeypatch.setattr(instrument, "ForkedEvaluation", Recorded)
+    monkeypatch.setattr(procs, "Child", Recorded)
     monkeypatch.setattr(trainer, "sgd_step", interrupted_at_5)
-    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
     with pytest.raises(KeyboardInterrupt):
         run_experiment(config(tmp_path, seeds=[0]))
     assert len(forked) == 1

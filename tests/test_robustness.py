@@ -4,17 +4,20 @@ classes for the raw format, a seed process that dies, non-finite numbers,
 and range rules that the config and the command line must share."""
 
 import json
-from concurrent.futures.process import BrokenProcessPool
+import os
+import signal
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from gaplab import experiment
+from gaplab import procs
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig
 from gaplab.instrument import write_trace_csv
 
-from conftest import eval_trace
+from conftest import eval_trace, run_files
 
 CONFIG = {
     "dataset": {"kind": "blobs", "classes": 3, "per_class": 40, "dim": 4,
@@ -26,6 +29,9 @@ CONFIG = {
     "analysis": {"window": 100},
     "seeds": [0],
 }
+
+
+OVERFLOWING_SPREAD = "gaplab: error: spread 1e+308 makes the samples non-finite\n"
 
 
 def write_config(tmp_path, **overrides):
@@ -73,19 +79,70 @@ def test_gen_data_rejects_more_classes_than_a_label_byte_holds(tmp_path, capsys)
     assert len(np.unique(labels)) == 256
 
 
-def test_dead_seed_process_exits_4_and_keeps_the_manifest(tmp_path, capsys,
-                                                         monkeypatch, two_cpus):
-    died = BrokenProcessPool("A process in the process pool was terminated abruptly")
-    monkeypatch.setattr(experiment, "_run_seeds_in_pool",
-                        lambda cfg, out, n_procs: [died] * len(cfg.seeds))
-    path = write_config(tmp_path, seeds=[0, 1], workers=2)
-    assert main(["train", "--config", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "seed process died" in err
+@pytest.mark.parametrize("start", ["forked", "spawned"])
+def test_killed_seed_process_fails_its_seed_only(tmp_path, capsys, monkeypatch, two_cpus,
+                                                 start):
+    # the second seed's child is killed as soon as it has started; an idle
+    # thread makes the seed children spawned instead of forked
+    started, real = [], procs.Child.__init__
+
+    def kills_the_second(self, *args):
+        real(self, *args)
+        started.append(self.pid)
+        if len(started) == 2:
+            os.kill(self.pid, signal.SIGKILL)
+
+    (tmp_path / "single").mkdir()
+    single = write_config(tmp_path / "single", seeds=[0, 1, 2], workers=1)
+    assert main(["train", "--config", str(single)]) == 0
+    monkeypatch.setattr(procs.Child, "__init__", kills_the_second)
+    path = write_config(tmp_path, seeds=[0, 1, 2])
+    stop = threading.Event()
+    idle = threading.Thread(target=stop.wait)
+    if start == "spawned":
+        idle.start()
+    try:
+        assert main(["train", "--config", str(path)]) == 4
+    finally:
+        stop.set()
+        if start == "spawned":
+            idle.join(timeout=10)
+    assert not idle.is_alive()
+    died = "a seed process died (killed by signal 9)"
+    assert capsys.readouterr().err == f"gaplab: error: {died}\n"
     manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
-    assert sorted(manifest["seeds"]) == ["0", "1"]
-    for status in manifest["seeds"].values():
-        assert status.startswith("GapLabError: a seed process died")
+    assert manifest["seeds"] == {"0": "ok", "1": f"GapLabError: {died}", "2": "ok"}
+    assert len(started) == 3
+    for pid in started:  # reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def seeds_0_and_2(out):
+        return {name: data for name, data in run_files(out).items()
+                if name.startswith(("seed0/", "seed2/"))}
+
+    assert "seed2/trace.csv" in seeds_0_and_2(tmp_path / "exp")
+    assert seeds_0_and_2(tmp_path / "exp") == seeds_0_and_2(tmp_path / "single" / "exp")
+
+
+def test_gen_data_spread_that_overflows_exits_2_before_any_file(tmp_path, capsys):
+    out = tmp_path / "data"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["gen-data", "--spread", "1e308", "--out", str(out)]) == 2
+    assert caught == []
+    assert capsys.readouterr() == ("", OVERFLOWING_SPREAD)
+    assert not out.exists()
+
+
+def test_train_with_a_spread_that_overflows_exits_2(tmp_path, capsys):
+    # one seed, trained in this process, where a warning would be caught
+    path = write_config(tmp_path, dataset=dict(CONFIG["dataset"], spread=1e308))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--config", str(path)]) == 2
+    assert caught == []
+    assert capsys.readouterr() == ("", OVERFLOWING_SPREAD)
 
 
 def test_negative_tolerance_exits_2_in_gap_and_in_config(tmp_path, capsys):
