@@ -92,31 +92,25 @@ def _evaluate_split(count: int, evaluate, n_procs: int) -> tuple[np.ndarray, np.
     """Losses and accuracies, as float64 arrays in index order, of
     `evaluate(i)` -> (loss, accuracy) for every i in range(count).
 
-    The range is cut into at most `n_procs` contiguous slices. This process
-    evaluates the first; each other slice goes to a forked `procs.Child`,
-    which sends back its rows, or the exception it stopped at. So the
+    The range is cut into at most `n_procs` contiguous slices, and
+    `procs.outcomes` evaluates each: in a forked child per slice when there
+    is more than one, or here. A slice stops at its first exception, so the
     result does not depend on `n_procs`, and the error raised is the one at
-    the lowest index. Every child is reaped before this returns or raises.
-    The caller decides whether forking is safe; `n_procs=1` forks nothing.
+    the lowest index.
     """
-    rows = np.empty((count, 2))
     n_procs = max(1, min(n_procs, count))
     bounds = [count * k // n_procs for k in range(n_procs + 1)]
-    children = []  # (start, stop, child)
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            children.append((start, stop, procs.Child(
-                partial(evaluate_each, evaluate, range(start, stop)))))
-        for i in range(bounds[1]):
-            rows[i] = evaluate(i)
-        for start, stop, child in children:
-            part, err = child.join()
-            if err is not None:
-                raise err
-            rows[start:stop] = part
-    finally:
-        for _, _, child in children:
-            child.kill()
+    rows = []
+    for outcome in procs.outcomes(
+            [partial(evaluate_each, evaluate, range(a, b))
+             for a, b in zip(bounds, bounds[1:])], n_procs, "an evaluation process"):
+        if isinstance(outcome, Exception):  # the child died
+            raise outcome
+        part, err = outcome
+        if err is not None:
+            raise err
+        rows.extend(part)
+    rows = np.asarray(rows, dtype=np.float64).reshape(count, 2)
     return rows[:, 0], rows[:, 1]
 
 

@@ -155,45 +155,22 @@ def _run_seed(cfg: ExperimentConfig, seed: int, run_dir: Path):
 
 def _pool_size(cfg: ExperimentConfig) -> int:
     """Seed processes, at most `cfg.workers`: the seeds spread evenly over
-    floor(seeds / cpus) rounds (one if fewer seeds than usable CPUs), so every
-    CPU stays busy until fewer than `cpus` seeds are left; under two per CPU."""
-    seeds, cpus = len(cfg.seeds), procs.usable_cpus()
+    floor(seeds / cpus) rounds (one if fewer seeds than CPUs to fork onto,
+    `procs.fork_procs`), so every CPU stays busy until fewer than `cpus`
+    seeds are left; under two per CPU."""
+    seeds, cpus = len(cfg.seeds), procs.fork_procs()
     rounds = max(1, seeds // cpus)
     return min(-(-seeds // rounds), cfg.workers or seeds)
 
 
 def _spare_cpu(cfg: ExperimentConfig) -> bool:
-    """Whether each seed may fork an evaluator process: where `procs.can_fork`
-    allows, when the seed processes that run at once leave a whole usable
-    CPU idle for each evaluator, and, if `cfg.workers` is set, when it
-    covers the seed processes and their evaluators together."""
+    """Whether each seed may fork an evaluator process: when the seed
+    processes that run at once leave a whole CPU to fork onto
+    (`procs.fork_procs`) idle for each evaluator, and, if `cfg.workers` is
+    set, when it covers the seed processes and their evaluators together."""
     seed_procs = _pool_size(cfg)
-    return (procs.can_fork() and 2 * seed_procs <= procs.usable_cpus()
+    return (2 * seed_procs <= procs.fork_procs()
             and (cfg.workers is None or 2 * seed_procs <= cfg.workers))
-
-
-def _run_seed_children(works: list, n_procs: int) -> list:
-    """The outcome of each seed's `work()` in a child of its own, forked where
-    `procs.can_fork` allows and spawned otherwise: at most `n_procs` alive,
-    the next started when any ends. A child that dies fails its seed only;
-    every way out kills and reaps the children still alive."""
-    waiting, outcomes, alive = list(enumerate(works)), {}, {}  # child -> index
-    try:
-        while waiting or alive:
-            if waiting and len(alive) < n_procs:
-                i, work = waiting.pop(0)
-                alive[procs.Child(work, "a seed process", not procs.can_fork())] = i
-                continue
-            child = procs.ended(list(alive))[0]
-            try:
-                outcomes[alive[child]] = child.join()
-            except Exception as err:  # the child died, say
-                outcomes[alive[child]] = err
-            del alive[child]
-    finally:
-        for child in alive:
-            child.kill()
-    return [outcomes[i] for i in range(len(works))]
 
 
 def _status(outcome) -> str:
@@ -205,18 +182,17 @@ def _status(outcome) -> str:
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """All seeds of one configuration, plus aggregate artifacts.
 
-    Seeds run in seed processes when `_pool_size` gives more than one
-    (`_run_seed_children`), and in this process otherwise; all of these
-    write the same bytes. A failing seed does not stop the others: every
-    seed's status goes into the manifest, and then the first failing
-    seed's error is raised.
+    Seeds run in forked seed processes when `_pool_size` gives more than
+    one (`procs.outcomes`), and in this process otherwise; both write the
+    same bytes. A failing seed, or a seed process that dies or cannot be
+    forked, does not stop the others: every seed's status goes into the
+    manifest, and then the first failing seed's error is raised.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    n_procs = _pool_size(cfg)
     works = [partial(_run_seed, cfg, s, out / f"seed{s}") for s in cfg.seeds]
-    outcomes = _run_seed_children(works, n_procs) if n_procs > 1 else [w() for w in works]
+    outcomes = procs.outcomes(works, _pool_size(cfg), "a seed process")
 
     manifest = RunManifest(
         config_hash=cfg.hash(),

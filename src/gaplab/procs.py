@@ -1,5 +1,7 @@
-"""Child processes: the CPUs to use, whether a child may be forked, and `Child`,
-the one protocol of every child gaplab starts (seed, evaluator, `lmc` slice)."""
+"""Child processes: the CPUs to use, whether a child may be forked, `Child`,
+the one protocol of every child gaplab starts (seed, evaluator, `lmc` slice),
+and `outcomes`, the one rule for spreading works over children: fork where
+safe, else run here."""
 
 from __future__ import annotations
 
@@ -37,13 +39,11 @@ def fork_procs() -> int:
     return usable_cpus() if can_fork() else 1
 
 
-def _send(work, write_end) -> None:
+def _send(work, write_end: int) -> None:
     """The child's side: `work()`, pickled into the pipe, then `os._exit`
     (1 if either raised), so that the child never returns to its caller."""
     status = 1
     try:
-        if not isinstance(write_end, int):  # a spawned child's Connection
-            write_end = write_end.fileno()
         with open(write_end, "wb") as pipe:
             pickle.dump(work(), pipe)
         status = 0
@@ -52,26 +52,14 @@ def _send(work, write_end) -> None:
 
 
 class Child:
-    """A child that runs `work()` and sends the result back: forked, or with
-    `spawn` (where `can_fork()` is false) a fresh interpreter, for a `work`
-    that pickles. `join` waits for the result and reaps the child; `kill`
-    kills and reaps a child not joined, so callers call it on every way out.
-    `what` names the child in the error of its death."""
+    """A forked child that runs `work()` and sends the result back. `join`
+    waits for the result and reaps the child; `kill` kills and reaps a child
+    not joined, so callers call it on every way out. `what` names the child
+    in the error of its death. The caller decides whether forking is safe
+    (`can_fork`)."""
 
-    def __init__(self, work, what: str = "an evaluation process", spawn: bool = False):
-        self.what, self._proc = what, None
-        if spawn:  # multiprocessing here only, so that a forking parent stays lean
-            import multiprocessing
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            self._proc = multiprocessing.get_context("spawn").Process(
-                target=_send, args=(work, writer))
-            try:
-                self._proc.start()
-                self.pid, self._read_end = self._proc.pid, os.dup(reader.fileno())
-            finally:
-                reader.close()
-                writer.close()
-            return
+    def __init__(self, work, what: str = "an evaluation process"):
+        self.what = what
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -104,11 +92,7 @@ class Child:
             self._reap()
 
     def _reap(self) -> int:
-        if self._proc is None:
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        else:  # through multiprocessing, which then forgets the child
-            self._proc.join()
-            code = self._proc.exitcode
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         os.close(self._read_end)
         self._read_end = None
         return code
@@ -118,6 +102,37 @@ def ended(children: list[Child], timeout: float | None = None) -> list[Child]:
     """Those of `children` that have ended or sent their result, waiting up to
     `timeout` seconds (None: without limit) for one."""
     return select.select(children, [], [], timeout)[0]
+
+
+def outcomes(works: list, n_procs: int, what: str) -> list:
+    """The outcome of each `work()`, in order. Where `n_procs > 1` and
+    `can_fork()` holds, each work runs in a `Child` of its own, at most
+    `n_procs` alive and the next started when any ends; a child that dies,
+    or whose fork is refused, makes that error its work's outcome, and every
+    way out kills and reaps the children still alive. Otherwise each work
+    runs here, in turn."""
+    if n_procs <= 1 or not can_fork():
+        return [work() for work in works]
+    waiting, done, alive = list(enumerate(works)), {}, {}  # child -> index
+    try:
+        while waiting or alive:
+            if waiting and len(alive) < n_procs:
+                i, work = waiting.pop(0)
+                try:
+                    alive[Child(work, what)] = i
+                except OSError as err:  # the fork refused, say
+                    done[i] = err
+                continue
+            child = ended(list(alive))[0]
+            try:
+                done[alive[child]] = child.join()
+            except Exception as err:  # the child died, say
+                done[alive[child]] = err
+            del alive[child]
+    finally:
+        for child in alive:
+            child.kill()
+    return [done[i] for i in range(len(works))]
 
 
 def received(read_end: int, write_end: int, count: int):

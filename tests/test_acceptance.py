@@ -7,6 +7,7 @@ deterministic, so these checks are exact regression gates, not statistics.
 """
 
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import fd_gradient, max_rel_error
 from gap_oracles import CASES, check_case
+from gaplab import procs
 from gaplab.autodiff import ParamVector, backward, init_params, mlp, small_cnn
 from gaplab.config import ExperimentConfig, build_model_spec
 from gaplab.connectivity import barrier, interpolate, lmc_curve, sgd_path_loss
@@ -60,11 +62,25 @@ def experiment_config(out_dir, fractions=(50, 50), joint=True, lr=0.01,
     })
 
 
+def run_seed(cfg, seed):
+    """One seed's result, or the exception it raised, which a forked child
+    sends back as its result."""
+    try:
+        return run_single_seed(cfg, seed, Path(cfg.out_dir) / f"seed{seed}")
+    except Exception as err:
+        return err
+
+
 def run_seeds(cfg):
-    out = {}
-    for seed in SEEDS:
-        out[seed] = run_single_seed(cfg, seed, Path(cfg.out_dir) / f"seed{seed}")
-    return out
+    """Every seed's result, each seed trained in a forked child of its own,
+    at most one per usable CPU, where `procs.can_fork` allows, and in this
+    process otherwise; the first seed that failed raises its error."""
+    results = procs.outcomes([partial(run_seed, cfg, seed) for seed in SEEDS],
+                             procs.fork_procs(), "a seed process")
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return dict(zip(SEEDS, results))
 
 
 def pre_boundary_sigma(result, n_evals=20):

@@ -140,8 +140,8 @@ def test_diverging_train_as_module_prints_one_line(tmp_path, flags, workers, for
 
 
 def test_train_as_module_runs_seed_processes(tmp_path):
-    # started the way users start it, so a seed process, forked or spawned,
-    # must be able to run the package and must not re-run the command
+    # started the way users start it, so a forked seed process must be able
+    # to run the package and must not re-run the command
     for sub in ("pool", "serial"):
         (tmp_path / sub).mkdir()
     cfg = write_config(tmp_path / "pool", seeds=[0, 1], workers=2)
@@ -369,8 +369,9 @@ def test_lmc_bytes_do_not_depend_on_evaluation_processes(trained, tmp_path, monk
         mark_eval_processes(monkeypatch, marks)
         runs[cpus] = run_lmc(cfg, ckpt_dir, tmp_path / str(cpus), capsys, step)
         assert not running_children()
-        # the grid's and the path's forked children, and this process
-        assert len(list(marks.iterdir())) == min(cpus, grid) + cpus - 1
+        # one forked child per slice of the grid and of the path, and this
+        # process only where nothing forks
+        assert len(list(marks.iterdir())) == (min(cpus, grid) + cpus if cpus > 1 else 1)
     code, stdout, stderr, files = runs[1]
     assert code == 0 and stderr == "" and stdout.startswith("wrote OUT/lmc.csv")
     assert sorted(files) == ["lmc.csv", "lmc.svg", "path.csv"]
@@ -448,8 +449,8 @@ def test_lmc_as_module_prints_one_wrote_line(trained, tmp_path):
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["wrote ./lmc.csv (101 points) and ./lmc.svg"]
-    # this process and one child each for the grid and the path
-    assert len(list((tmp_path / "forked" / "marks").iterdir())) == 3
+    # two children each for the grid and the path, and none of it here
+    assert len(list((tmp_path / "forked" / "marks").iterdir())) == 4
     assert main(argv + ["--out", str(tmp_path / "one")]) == 0
     for name in ("lmc.csv", "path.csv", "lmc.svg"):
         assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()

@@ -190,43 +190,32 @@ def test_blas_threads_do_not_change_a_cli_run(tmp_path):
     assert runs["two"] == runs["default"]
 
 
-# A program that loads numpy before gaplab, run from a file so that spawned
-# seed processes import it too (as __mp_main__). Every seed, forked or
-# spawned, leaves marks/seed<k> with its PID and the thread count of its
-# loaded OpenBLAS; the program prints its own. Counts are null where
-# OpenBLAS lacks the symbol that THREAD_PROBE reads.
+# A program that loads numpy before gaplab, so that a forked seed would
+# inherit BLAS on numpy's default threads: every seed leaves marks/seed<k>
+# with the PID that ran it, and the program prints its own.
 NUMPY_FIRST = """
-import ctypes, json, os, sys
+import os, sys
 from pathlib import Path
 
 import numpy
 from gaplab import experiment, procs
 from gaplab.config import ExperimentConfig
 
-def blas_threads():
-    with open("/proc/self/maps") as maps:
-        libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    getters = [getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
-               for lib in libs]
-    return next((get() for get in getters if get is not None), None)
-
 MARKS = Path(__file__).parent / "marks"
 real = experiment.run_single_seed
 
 def marked(cfg, seed, run_dir):
-    (MARKS / f"seed{seed}").write_text(json.dumps([os.getpid(), blas_threads()]))
+    (MARKS / f"seed{seed}").write_text(str(os.getpid()))
     return real(cfg, seed, run_dir)
 
 experiment.run_single_seed = marked
-
-if __name__ == "__main__":
-    procs.usable_cpus = lambda: 2
-    experiment.run_experiment(ExperimentConfig.from_json(Path(sys.argv[1]).read_text()))
-    print(json.dumps([os.getpid(), blas_threads()]))
+procs.usable_cpus = lambda: 2
+experiment.run_experiment(ExperimentConfig.from_json(Path(sys.argv[1]).read_text()))
+print(os.getpid())
 """
 
 
-def test_seeds_of_a_program_that_loads_numpy_first_run_one_blas_thread(tmp_path):
+def test_seeds_of_a_program_that_loads_numpy_first_run_in_its_process(tmp_path):
     script = tmp_path / "numpy_first.py"
     script.write_text(NUMPY_FIRST)
     (tmp_path / "marks").mkdir()
@@ -235,13 +224,8 @@ def test_seeds_of_a_program_that_loads_numpy_first_run_one_blas_thread(tmp_path)
     done = subprocess.run([sys.executable, str(script), str(cfg)], env=clean_env(),
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    caller_pid, caller_threads = json.loads(done.stdout)
-    if caller_threads is None:
-        pytest.skip("numpy's OpenBLAS does not export scipy_openblas_get_num_threads64_")
-    seeds = {p.name: json.loads(p.read_text()) for p in (tmp_path / "marks").iterdir()}
-    assert sorted(seeds) == ["seed0", "seed1"]
-    assert caller_pid not in {pid for pid, _ in seeds.values()}
-    assert [threads for _, threads in seeds.values()] == [1, 1]
+    pids = {p.name: int(p.read_text()) for p in (tmp_path / "marks").iterdir()}
+    assert pids == {"seed0": int(done.stdout), "seed1": int(done.stdout)}
     single = run_experiment(config(tmp_path / "single", workers=1))
     assert run_files(tmp_path / "exp") == run_files(single)
 
@@ -263,6 +247,10 @@ def test_pool_size(monkeypatch):
         for workers in range(1, size + 2):
             assert pool_size(cpus, list(range(n)), workers) == min(size, workers), \
                 (cpus, n, workers)
+    # where forking is unsafe, one seed process: this one
+    monkeypatch.setattr(procs, "can_fork", lambda: False)
+    for seeds, workers, _ in cases:
+        assert pool_size(4, seeds, workers) == 1, (seeds, workers)
 
 
 def test_three_seeds_on_two_cpus_run_in_one_round(tmp_path, two_cpus):
@@ -280,8 +268,8 @@ def test_three_seeds_on_two_cpus_run_in_one_round(tmp_path, two_cpus):
 
 def mark_seed_processes(monkeypatch, marks):
     """Patch `run_single_seed` in this process so that each seed leaves a
-    file naming the process that ran it. A forked seed process inherits the
-    patch; a spawned one imports gaplab afresh and leaves no file."""
+    file naming the process that ran it; a forked seed process inherits the
+    patch."""
     marks.mkdir()
     real = experiment.run_single_seed
 
@@ -305,8 +293,8 @@ def test_seed_processes_are_forked_when_only_one_thread_runs(tmp_path, two_cpus,
     assert run_files(pool) == run_files(single)
 
 
-def test_seed_processes_are_spawned_while_another_thread_runs(tmp_path, two_cpus,
-                                                               monkeypatch):
+def test_seeds_run_in_this_process_while_another_thread_runs(tmp_path, two_cpus,
+                                                              monkeypatch):
     single = run_experiment(config(tmp_path / "single", workers=1))
     mark_seed_processes(monkeypatch, tmp_path / "marks")
     stop = threading.Event()
@@ -318,8 +306,8 @@ def test_seed_processes_are_spawned_while_another_thread_runs(tmp_path, two_cpus
         stop.set()
         idle.join(timeout=10)
     assert not idle.is_alive()
-    assert not running_children()
-    assert not any((tmp_path / "marks").iterdir())
+    pids = {p.name: int(p.read_text()) for p in (tmp_path / "marks").iterdir()}
+    assert pids == {"seed0": os.getpid(), "seed1": os.getpid()}
     assert run_files(pool) == run_files(single)
 
 
@@ -381,6 +369,11 @@ def test_interrupt_kills_and_reaps_every_seed_child(tmp_path, monkeypatch, two_c
         run_experiment(config(tmp_path, seeds=[0, 1]))
     assert running == [sorted(started)] and len(started) == 2
     assert_reaped(started)
+
+
+def test_outcomes_run_here_where_forking_is_unsafe(monkeypatch):
+    monkeypatch.setattr(procs, "can_fork", lambda: False)
+    assert procs.outcomes([os.getpid, os.getpid], 2, "a test process") == [os.getpid()] * 2
 
 
 def test_workers_stay_out_of_config_and_hash(tmp_path):
@@ -453,6 +446,9 @@ def test_spare_cpu(monkeypatch):
     # workers caps the seed processes and their evaluators together
     assert spare(2, 1, workers=2) and spare(4, 2, workers=4)
     assert not (spare(2, 1, workers=1) or spare(4, 2, workers=3) or spare(4, 3, workers=2))
+    # where forking is unsafe, no evaluator
+    monkeypatch.setattr(procs, "can_fork", lambda: False)
+    assert not (spare(2, 1) or spare(8, 3) or spare(4, 2, workers=4))
 
 
 def train(tmp_path, raw, capsys):
@@ -590,6 +586,25 @@ def test_refused_fork_leaks_no_pipe(tmp_path, monkeypatch, capsys):
     assert code == 4 and stdout == ""
     assert stderr == "gaplab: error: [Errno 11] Resource temporarily unavailable\n"
     assert status == {"0": "BlockingIOError: [Errno 11] Resource temporarily unavailable"}
+
+
+def test_refused_seed_fork_fails_its_seed_and_writes_the_manifest(tmp_path, monkeypatch,
+                                                                   capsys, two_cpus):
+    # each seed whose process cannot be forked gets that error as its status,
+    # and the run still writes config.json and manifest.json
+    def refused():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refused)
+    fds = len(os.listdir("/proc/self/fd"))
+    code, stdout, stderr, status, files = train(
+        tmp_path, dict(SMALL, seeds=[0, 1], workers=2), capsys)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert code == 4 and stdout == ""
+    assert stderr == "gaplab: error: [Errno 11] Resource temporarily unavailable\n"
+    refusal = "BlockingIOError: [Errno 11] Resource temporarily unavailable"
+    assert status == {"0": refusal, "1": refusal}
+    assert files == {}
 
 
 def test_evaluator_reads_one_vector_at_a_time():

@@ -6,7 +6,6 @@ and range rules that the config and the command line must share."""
 import json
 import os
 import signal
-import threading
 import warnings
 
 import numpy as np
@@ -79,11 +78,8 @@ def test_gen_data_rejects_more_classes_than_a_label_byte_holds(tmp_path, capsys)
     assert len(np.unique(labels)) == 256
 
 
-@pytest.mark.parametrize("start", ["forked", "spawned"])
-def test_killed_seed_process_fails_its_seed_only(tmp_path, capsys, monkeypatch, two_cpus,
-                                                 start):
-    # the second seed's child is killed as soon as it has started; an idle
-    # thread makes the seed children spawned instead of forked
+def test_killed_seed_process_fails_its_seed_only(tmp_path, capsys, monkeypatch, two_cpus):
+    # the second seed's child is killed as soon as it has started
     started, real = [], procs.Child.__init__
 
     def kills_the_second(self, *args):
@@ -97,17 +93,7 @@ def test_killed_seed_process_fails_its_seed_only(tmp_path, capsys, monkeypatch, 
     assert main(["train", "--config", str(single)]) == 0
     monkeypatch.setattr(procs.Child, "__init__", kills_the_second)
     path = write_config(tmp_path, seeds=[0, 1, 2])
-    stop = threading.Event()
-    idle = threading.Thread(target=stop.wait)
-    if start == "spawned":
-        idle.start()
-    try:
-        assert main(["train", "--config", str(path)]) == 4
-    finally:
-        stop.set()
-        if start == "spawned":
-            idle.join(timeout=10)
-    assert not idle.is_alive()
+    assert main(["train", "--config", str(path)]) == 4
     died = "a seed process died (killed by signal 9)"
     assert capsys.readouterr().err == f"gaplab: error: {died}\n"
     manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
