@@ -12,6 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from . import procs
 from ._version import __version__
 from .config import AnalysisConfig, DatasetConfig, ExperimentConfig
 from .connectivity import (lmc_curve, read_lmc_csv, read_path_csv, sgd_path_loss,
@@ -21,7 +22,6 @@ from .errors import ArgumentError, GapLabError, InsufficientTraceError
 from .experiment import build_dataset, run_experiment
 from .instrument import (compute_gap, format_gap_doc, format_gap_docs,
                          read_trace_csv)
-from .procs import fork_procs
 from .rng import check_seed
 from .svgplot import LinePlot
 from .trainer import CheckpointStore, load_checkpoint
@@ -142,15 +142,16 @@ def cmd_lmc(args) -> int:
         if not store.iterations():
             raise ArgumentError(f"{args.sgd_path}: no checkpoints found")
 
-    # both curves are evaluated, on every usable CPU, before anything is
-    # written, so a checkpoint that fails to load leaves no file behind
-    procs = fork_procs()
+    # both curves are evaluated, on every usable CPU where forking is safe
+    # (`procs.outcomes`), before anything is written, so a checkpoint that
+    # fails to load leaves no file behind
+    cpus = procs.usable_cpus()
     curve = lmc_curve(spec, theta1, theta2, step, test,
-                      eval_batch=cfg.train.eval_batch, procs=procs)
+                      eval_batch=cfg.train.eval_batch, procs=cpus)
     path_curve = None
     if store is not None:
         path_curve = sgd_path_loss(spec, store, store.iterations(), test,
-                                   eval_batch=cfg.train.eval_batch, procs=procs)
+                                   eval_batch=cfg.train.eval_batch, procs=cpus)
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -222,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate and serialize a synthetic dataset")
-    p.add_argument("--kind", choices=["blobs"], default="blobs")
     p.add_argument("--classes", type=int, default=DatasetConfig.classes,
                    help=f"at most {RAW_MAX_CLASSES}: a raw-format label is one byte")
     p.add_argument("--per-class", type=int, default=DatasetConfig.per_class)

@@ -85,17 +85,17 @@ def _typed(value, where: str, hint):
     raise ArgumentError(f"{where}: expected {expected}, got {_describe_value(value)}")
 
 
-def _parse(cls, d, where: str, skip=(), sections=None) -> dict:
+def _parse(cls, d, where: str, sections=None) -> dict:
     """Keyword arguments for the dataclass `cls` from the object `d`.
 
-    Every key must name a field (less `skip`), every field without a
-    default must be present, and every value must have its field's
-    declared type; `sections` maps keys to the parsers of nested objects.
+    Every key must name a field, every field without a default must be
+    present, and every value must have its field's declared type;
+    `sections` maps keys to the parsers of nested objects.
     Absent keys are left out, so that the dataclass defaults apply.
     """
     if not isinstance(d, dict):
         raise ArgumentError(f"{where}: expected an object, got {type(d).__name__}")
-    known = {f.name: f for f in fields(cls) if f.name not in skip}
+    known = {f.name: f for f in fields(cls)}
     unknown = sorted(set(d) - set(known))
     if unknown:
         raise ArgumentError(f"{where}: unknown keys {unknown}")
@@ -234,9 +234,7 @@ class AnalysisConfig:
 
 
 def train_config_from_dict(d: dict, where: str = "train") -> TrainConfig:
-    # per-run seeds come from the top-level seed list, so TrainConfig.seed is
-    # not settable from a config document
-    return _check(where, TrainConfig, **_parse(TrainConfig, d, where, skip=("seed",)))
+    return _check(where, TrainConfig, **_parse(TrainConfig, d, where))
 
 
 def _plain(value):
@@ -316,11 +314,9 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The document that from_dict reads back to this config, less
-        `workers`, which cannot change a result, and `train.seed`, which
-        each run takes from `seeds`."""
+        `workers`, which cannot change a result."""
         d = _plain(asdict(self))
         d.pop("workers", None)
-        del d["train"]["seed"]
         return d
 
     def hash(self) -> str:
@@ -337,8 +333,7 @@ class RunManifest:
     seeds: dict[str, str] = field(default_factory=dict)
 
     def add(self, path: str) -> None:
-        if path not in self.artifacts:
-            self.artifacts.append(path)
+        self.artifacts.append(path)
 
     def to_json(self) -> str:
         d = asdict(self)

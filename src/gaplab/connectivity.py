@@ -15,7 +15,7 @@ from .autodiff import ModelSpec, ParamVector, check_same_spec
 from .data import Dataset
 from .errors import ArgumentError
 from .instrument import eval_test, evaluate_each, fmt_float, read_table, write_table
-from .trainer import CheckpointStore
+from .trainer import CheckpointStore, TrainConfig
 
 
 def _curve_arrays(x, losses, accuracies, x_dtype) -> tuple[np.ndarray, ...]:
@@ -120,7 +120,7 @@ def lmc_curve(
     theta2: ParamVector,
     step: float,
     evalset: Dataset,
-    eval_batch: int = 256,
+    eval_batch: int = TrainConfig.eval_batch,
     procs: int = 1,
 ) -> LmcCurve:
     """Evaluate the test set at every point of the lambda grid.
@@ -150,7 +150,7 @@ def sgd_path_loss(
     store: CheckpointStore,
     iterations: list[int] | np.ndarray,
     evalset: Dataset,
-    eval_batch: int = 256,
+    eval_batch: int = TrainConfig.eval_batch,
     procs: int = 1,
 ) -> PathCurve:
     """Evaluate the test set at each stored trajectory checkpoint.

@@ -18,7 +18,7 @@ Run directory layout (one subdirectory per seed):
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -95,12 +95,11 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         seed=derive_seed(seed, SPLIT_STREAM),
         stratified=cfg.split.stratified,
     )
-    train_cfg = replace(cfg.train, seed=seed)
-    plan = Schedule.plan(task_seq, train_cfg, cfg.analysis.theta2_epochs)
+    plan = Schedule.plan(task_seq, cfg.train, cfg.analysis.theta2_epochs)
     store = CheckpointStore(run_dir / "checkpoints") if cfg.checkpoints else None
     with TraceRecorder(spec, test, eval_batch=cfg.train.eval_batch, store=store,
                        forked=_spare_cpu(cfg)) as recorder:
-        run_sequence(spec, task_seq, train_cfg, plan, hooks=recorder)
+        run_sequence(spec, task_seq, cfg.train, plan, seed, hooks=recorder)
 
     write_trace_csv(run_dir / "trace.csv", recorder.trace)
 
@@ -155,21 +154,21 @@ def _run_seed(cfg: ExperimentConfig, seed: int, run_dir: Path):
 
 def _pool_size(cfg: ExperimentConfig) -> int:
     """Seed processes, at most `cfg.workers`: the seeds spread evenly over
-    floor(seeds / cpus) rounds (one if fewer seeds than CPUs to fork onto,
-    `procs.fork_procs`), so every CPU stays busy until fewer than `cpus`
-    seeds are left; under two per CPU."""
-    seeds, cpus = len(cfg.seeds), procs.fork_procs()
+    floor(seeds / cpus) rounds (one if fewer seeds than usable CPUs), so
+    every CPU stays busy until fewer than `cpus` seeds are left; under two
+    per CPU. Where forking is unsafe, `procs.outcomes` runs them all here."""
+    seeds, cpus = len(cfg.seeds), procs.usable_cpus()
     rounds = max(1, seeds // cpus)
     return min(-(-seeds // rounds), cfg.workers or seeds)
 
 
 def _spare_cpu(cfg: ExperimentConfig) -> bool:
-    """Whether each seed may fork an evaluator process: when the seed
-    processes that run at once leave a whole CPU to fork onto
-    (`procs.fork_procs`) idle for each evaluator, and, if `cfg.workers` is
+    """Whether each seed may fork an evaluator process: where forking is
+    safe (`procs.can_fork`), when the seed processes that run at once leave
+    a whole usable CPU idle for each evaluator, and, if `cfg.workers` is
     set, when it covers the seed processes and their evaluators together."""
     seed_procs = _pool_size(cfg)
-    return (2 * seed_procs <= procs.fork_procs()
+    return (procs.can_fork() and 2 * seed_procs <= procs.usable_cpus()
             and (cfg.workers is None or 2 * seed_procs <= cfg.workers))
 
 

@@ -25,7 +25,7 @@ from . import procs
 from .autodiff import ModelSpec, ParamVector, accuracy, forward, softmax_cross_entropy
 from .data import Dataset
 from .errors import ArgumentError, DivergenceError, FormatError, InsufficientTraceError
-from .trainer import CheckpointStore, TrainingHooks, diverged_at
+from .trainer import CheckpointStore, TrainConfig, TrainingHooks, diverged_at
 
 TRACE_HEADER = [
     "iter",
@@ -78,7 +78,7 @@ def eval_test(
     spec: ModelSpec,
     params: ParamVector,
     test: Dataset,
-    eval_batch: int = 256,
+    eval_batch: int = TrainConfig.eval_batch,
 ) -> tuple[float, float]:
     """Exact full-test-set mean loss and accuracy in fixed-size batches."""
     if test.n == 0:
@@ -144,7 +144,7 @@ class TraceRecorder(TrainingHooks):
         self,
         spec: ModelSpec,
         test: Dataset,
-        eval_batch: int = 256,
+        eval_batch: int = TrainConfig.eval_batch,
         store: CheckpointStore | None = None,
         forked: bool = False,
     ):

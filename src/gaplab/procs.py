@@ -34,11 +34,6 @@ def can_fork() -> bool:
             and _blas_threads_as_set)
 
 
-def fork_procs() -> int:
-    """Processes for work split by forking: one per usable CPU, or 1 (no fork)."""
-    return usable_cpus() if can_fork() else 1
-
-
 def _send(work, write_end: int) -> None:
     """The child's side: `work()`, pickled into the pipe, then `os._exit`
     (1 if either raised), so that the child never returns to its caller."""

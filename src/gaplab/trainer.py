@@ -38,12 +38,15 @@ SPLIT_STREAM = 2
 
 @dataclass
 class TrainConfig:
-    """Optimizer hyperparameters plus instrumentation cadence.
+    """The config's `train` section: optimizer hyperparameters plus
+    instrumentation cadence. The run's seed is not part of it; it is
+    `run_sequence`'s argument.
 
     `epochs_per_task` may be a single int (every task) or one int per
     task. The first `dense_window` and the last `dense_tail` iterations
-    of each task are evaluated and checkpointed every iteration; in
-    between, `eval_every` / `checkpoint_every` apply.
+    of each task, and its final iteration, are evaluated and checkpointed;
+    in between, every `eval_every`-th / `checkpoint_every`-th iteration
+    is (`Schedule.plan`).
     """
 
     lr: float = 0.01
@@ -56,7 +59,6 @@ class TrainConfig:
     dense_tail: int = 50
     velocity_reset: bool = True
     eval_batch: int = 256
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.lr < math.inf:
@@ -83,20 +85,6 @@ class TrainConfig:
         if task_id < len(self.epochs_per_task):
             return self.epochs_per_task[task_id]
         return self.epochs_per_task[-1]
-
-    def _tick(self, i_in_task: int, task_len: int, every: int) -> bool:
-        return (
-            i_in_task <= self.dense_window
-            or i_in_task > task_len - self.dense_tail
-            or i_in_task % every == 0
-            or i_in_task == task_len
-        )
-
-    def is_eval_tick(self, i_in_task: int, task_len: int) -> bool:
-        return self._tick(i_in_task, task_len, self.eval_every)
-
-    def is_checkpoint_tick(self, i_in_task: int, task_len: int) -> bool:
-        return self._tick(i_in_task, task_len, self.checkpoint_every)
 
 
 @dataclass
@@ -284,9 +272,11 @@ class Schedule:
         evals, checkpoints = set(), {0}
         for start, length in zip([0] + boundaries, lengths):
             for i in range(1, length + 1):
-                if config.is_eval_tick(i, length):
+                dense = (i <= config.dense_window or i > length - config.dense_tail
+                         or i == length)
+                if dense or i % config.eval_every == 0:
                     evals.add(start + i)
-                if config.is_checkpoint_tick(i, length):
+                if dense or i % config.checkpoint_every == 0:
                     checkpoints.add(start + i)
         theta2 = None
         if task_seq.n_tasks >= 2 and theta2_epochs <= config.epochs_for(1):
@@ -302,10 +292,10 @@ def train_task(
     pool: np.ndarray,
     config: TrainConfig,
     plan: Schedule,
-    hooks: TrainingHooks | None,
+    hooks: TrainingHooks,
     rng: Rng,
     *,
-    task_id: int = 0,
+    task_id: int,
     state: OptimizerState | None = None,
 ) -> tuple[ParamVector, OptimizerState]:
     """Run task `task_id`'s epochs of momentum SGD over `pool`, driving
@@ -316,8 +306,6 @@ def train_task(
     iterations the plan lists. Divergence aborts with the failing
     iteration attached; checkpoints written so far are retained.
     """
-    if hooks is None:
-        hooks = TrainingHooks()
     epochs = config.epochs_for(task_id)
     if state is None:
         state = OptimizerState.zeros(len(params))
@@ -347,11 +335,12 @@ def run_sequence(
     task_seq: TaskSequence,
     config: TrainConfig,
     plan: Schedule,
+    seed: int,
     hooks: TrainingHooks | None = None,
-    params: ParamVector | None = None,
 ) -> ParamVector:
-    """Warm-started training over all tasks of a sequence; returns the
-    final parameters.
+    """Warm-started training over all tasks of a sequence from the
+    parameters `init_params` draws from `seed`; returns the final
+    parameters. The batch order is drawn from another stream of `seed`.
 
     Task k+1 starts from task k's final parameters; optimizer velocity is
     zeroed at each boundary unless `velocity_reset` is off. The parameters
@@ -361,9 +350,8 @@ def run_sequence(
     """
     if hooks is None:
         hooks = TrainingHooks()
-    if params is None:
-        params = init_params(spec, derive_seed(config.seed, INIT_STREAM))
-    rng = Rng(derive_seed(config.seed, BATCH_STREAM))
+    params = init_params(spec, derive_seed(seed, INIT_STREAM))
+    rng = Rng(derive_seed(seed, BATCH_STREAM))
     hooks.on_checkpoint(0, 0, params)
     state: OptimizerState | None = None
     for task_id in range(task_seq.n_tasks):

@@ -76,7 +76,7 @@ def run_seeds(cfg):
     at most one per usable CPU, where `procs.can_fork` allows, and in this
     process otherwise; the first seed that failed raises its error."""
     results = procs.outcomes([partial(run_seed, cfg, seed) for seed in SEEDS],
-                             procs.fork_procs(), "a seed process")
+                             procs.usable_cpus(), "a seed process")
     for result in results:
         if isinstance(result, Exception):
             raise result

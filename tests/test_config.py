@@ -1,6 +1,7 @@
 """Config parsing: strict keys, typed fields, canonical hashing."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -16,6 +17,7 @@ from gaplab.config import (
     train_config_from_dict,
 )
 from gaplab.errors import ArgumentError
+from gaplab.trainer import TrainConfig
 
 MINIMAL = {"out_dir": "/tmp/exp"}
 
@@ -54,6 +56,12 @@ def test_unknown_keys_rejected_everywhere():
     for raw in cases:
         with pytest.raises(ArgumentError, match="unknown keys"):
             ExperimentConfig.from_dict(raw)
+
+
+def test_train_document_has_exactly_train_config_fields():
+    # the run's seed comes from `seeds`; the train section holds no other key
+    train = ExperimentConfig.from_dict(MINIMAL).to_dict()["train"]
+    assert sorted(train) == sorted(f.name for f in fields(TrainConfig))
 
 
 def test_out_dir_required():

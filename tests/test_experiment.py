@@ -18,12 +18,14 @@ import pytest
 
 import gaplab
 from gaplab import experiment, instrument, procs, trainer
+from gaplab.autodiff import init_params
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
 from gaplab.data import Dataset
 from gaplab.errors import ArgumentError, DivergenceError
 from gaplab.experiment import build_dataset, run_experiment
 from gaplab.instrument import TraceRecorder
+from gaplab.rng import derive_seed
 
 from conftest import run_files, running_children
 from test_pinned import SMALL_CNN as TWO_BLOCK_CNN
@@ -247,10 +249,6 @@ def test_pool_size(monkeypatch):
         for workers in range(1, size + 2):
             assert pool_size(cpus, list(range(n)), workers) == min(size, workers), \
                 (cpus, n, workers)
-    # where forking is unsafe, one seed process: this one
-    monkeypatch.setattr(procs, "can_fork", lambda: False)
-    for seeds, workers, _ in cases:
-        assert pool_size(4, seeds, workers) == 1, (seeds, workers)
 
 
 def test_three_seeds_on_two_cpus_run_in_one_round(tmp_path, two_cpus):
@@ -418,6 +416,14 @@ def test_build_dataset_blobs_and_model_spec():
     assert train.n == 96 and test.n == 24
     spec = build_model_spec(cfg.model, train.features.shape[1:], train.n_classes)
     assert spec.input_shape == (4,) and spec.n_classes == 3
+
+
+def test_a_seed_trains_from_its_own_initial_parameters(tmp_path):
+    # the run's seed, not a default, reaches run_sequence
+    cfg = config(tmp_path, seeds=[1])
+    store = trainer.CheckpointStore.open(run_experiment(cfg) / "seed1" / "checkpoints")
+    start = init_params(cfg.model_spec, derive_seed(1, trainer.INIT_STREAM))
+    assert store.load_iteration(0).values.tobytes() == start.values.tobytes()
 
 
 def test_build_model_spec_rejects_cnn_on_flat_data():

@@ -166,6 +166,14 @@ def test_eval_batch_0_exits_2_before_any_seed_directory(tmp_path, capsys):
     assert not (tmp_path / "exp").exists()
 
 
+def test_train_seed_exits_2_before_any_file(tmp_path, capsys):
+    # a run's seed comes from the top-level `seeds` list only
+    path = write_config(tmp_path, train={"seed": 1})
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "gaplab: error: train: unknown keys ['seed']\n"
+    assert not (tmp_path / "exp").exists()
+
+
 @pytest.mark.parametrize("dataset", [
     CONFIG["dataset"],                                      # flat blobs
     dict(CONFIG["dataset"], dim=108, shape=[3, 6, 6]),      # second pool meets 3x3

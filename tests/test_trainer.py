@@ -7,7 +7,7 @@ import pytest
 
 from gaplab.autodiff import ParamVector, backward, init_params, mlp
 from gaplab.config import AnalysisConfig
-from gaplab.data import gen_blobs, split_tasks
+from gaplab.data import TaskSequence, gen_blobs, split_tasks
 from gaplab.errors import (
     ArgumentError,
     DivergenceError,
@@ -108,23 +108,33 @@ def test_train_config_epoch_broadcast():
     assert cfg.epochs_for(0) == 2 and cfg.epochs_for(1) == 7 and cfg.epochs_for(2) == 7
 
 
+def one_task_plan(task_len, **cadence):
+    """The schedule of one task of `task_len` iterations (one epoch, one
+    sample per batch)."""
+    cfg = TrainConfig(batch_size=1, epochs_per_task=1, **cadence)
+    task_seq = TaskSequence(base=None, task_indices=[np.arange(task_len)], joint=False)
+    return Schedule.plan(task_seq, cfg, AnalysisConfig.theta2_epochs)
+
+
 def test_tick_cadence_dense_window_tail_and_sparse():
-    cfg = TrainConfig(eval_every=10, dense_window=3, dense_tail=2)
     task_len = 30
+    plan = one_task_plan(task_len, eval_every=10, checkpoint_every=1000,
+                         dense_window=3, dense_tail=2)
     dense_head = [1, 2, 3]
     dense_tail = [29, 30]
     sparse = [10, 20]
     for i in range(1, task_len + 1):
         expected = i in dense_head + dense_tail + sparse or i == task_len
-        assert cfg.is_eval_tick(i, task_len) == expected, i
+        assert (i in plan.evals) == expected, i
+        assert (i in plan.checkpoints) == (i in dense_head + dense_tail), i
 
 
 def test_final_iteration_always_ticks():
-    cfg = TrainConfig(eval_every=1000, checkpoint_every=1000,
-                      dense_window=0, dense_tail=0)
-    assert cfg.is_eval_tick(7, 7)
-    assert cfg.is_checkpoint_tick(7, 7)
-    assert not cfg.is_eval_tick(6, 7)
+    plan = one_task_plan(7, eval_every=1000, checkpoint_every=1000,
+                         dense_window=0, dense_tail=0)
+    assert 7 in plan.evals
+    assert 7 in plan.checkpoints
+    assert 6 not in plan.evals
 
 
 # --- checkpoint IO -----------------------------------------------------------
@@ -215,11 +225,11 @@ def small_problem(seed=0, joint=True, fractions=(50, 50)):
     return spec, seq, test
 
 
-def train(spec, seq, cfg, hooks=None):
-    """run_sequence under the plan of the default analysis; returns the
-    plan and the final parameters."""
+def train(spec, seq, cfg, hooks=None, seed=0):
+    """run_sequence of `seed` under the plan of the default analysis;
+    returns the plan and the final parameters."""
     plan = Schedule.plan(seq, cfg, AnalysisConfig.theta2_epochs)
-    return plan, run_sequence(spec, seq, cfg, plan, hooks)
+    return plan, run_sequence(spec, seq, cfg, plan, seed, hooks)
 
 
 class ParamLog(TrainingHooks):
@@ -356,16 +366,17 @@ def test_long_run_reduces_loss():
 
 def test_run_sequence_deterministic():
     spec, seq, test = small_problem()
-    cfg = TrainConfig(batch_size=16, epochs_per_task=2, seed=5)
+    cfg = TrainConfig(batch_size=16, epochs_per_task=2)
     a, b = TraceRecorder(spec, test), TraceRecorder(spec, test)
-    _, ra = train(spec, seq, cfg, a)
-    _, rb = train(spec, seq, cfg, b)
+    _, ra = train(spec, seq, cfg, a, seed=5)
+    _, rb = train(spec, seq, cfg, b, seed=5)
     assert ra.values.tobytes() == rb.values.tobytes()
     assert a.trace.records == b.trace.records
 
 
 def test_seed_changes_run():
     spec, seq, test = small_problem()
-    _, a = train(spec, seq, TrainConfig(batch_size=16, epochs_per_task=1, seed=0))
-    _, b = train(spec, seq, TrainConfig(batch_size=16, epochs_per_task=1, seed=1))
+    cfg = TrainConfig(batch_size=16, epochs_per_task=1)
+    _, a = train(spec, seq, cfg, seed=0)
+    _, b = train(spec, seq, cfg, seed=1)
     assert (a.values != b.values).any()
