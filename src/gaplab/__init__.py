@@ -45,7 +45,7 @@ from .instrument import (GapMetrics, TraceRecord, TraceRecorder, TrainTrace,
                          compute_gap, eval_test, format_gap_doc, format_gap_docs,
                          read_trace_csv, write_trace_csv)
 from .rng import Rng, derive_seed, splitmix64_next
-from .trainer import (CheckpointStore, OptimizerState, Schedule, TrainConfig,
-                      TrainingHooks, load_checkpoint, run_sequence,
-                      save_checkpoint, sgd_step, train_task)
+from .trainer import (CheckpointStore, Schedule, TrainConfig, TrainingHooks,
+                      load_checkpoint, run_sequence, save_checkpoint, sgd_step,
+                      train_task)
 

@@ -57,12 +57,12 @@ def cmd_gen_data(args) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config is None:
-        raise ArgumentError("--config is required")
+    """The `--config` file, with `--out` and `--seed` applied (`train` and
+    `lmc` both declare all three)."""
     cfg = ExperimentConfig.from_file(args.config)
-    if getattr(args, "out", None):
+    if args.out:
         cfg = replace(cfg, out_dir=args.out)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seeds=(check_seed(args.seed, "--seed"),))
     return cfg
 
@@ -282,10 +282,7 @@ def main(argv=None) -> int:
     except InsufficientTraceError as err:
         print(f"gaplab: {err}", file=sys.stderr)
         return 3
-    except GapLabError as err:
-        print(f"gaplab: error: {err}", file=sys.stderr)
-        return 4
-    except OSError as err:
+    except (GapLabError, OSError) as err:
         print(f"gaplab: error: {err}", file=sys.stderr)
         return 4
 

@@ -61,15 +61,13 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Dataset, Dataset]:
 
 @dataclass
 class SeedRunResult:
-    seed: int
-    run_dir: Path
+    """What one seed's run computed: its trace, its schedule (with the task
+    boundaries) and the gap at the first boundary (None for a single task, or
+    a trace too short to analyze)."""
+
     trace: TrainTrace
     plan: Schedule
     gap: GapMetrics | None
-
-    @property
-    def boundaries(self) -> list[int]:
-        return self.plan.boundaries
 
 
 def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunResult:
@@ -139,8 +137,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         losses, accuracies = zip(*(metrics[i] for i in path_iters))
         write_path_csv(run_dir / "path.csv", PathCurve(path_iters, losses, accuracies))
 
-    return SeedRunResult(seed=seed, run_dir=run_dir, trace=recorder.trace,
-                         plan=plan, gap=gap)
+    return SeedRunResult(trace=recorder.trace, plan=plan, gap=gap)
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, run_dir: Path):

@@ -57,9 +57,6 @@ class TraceRecord:
 class TrainTrace:
     records: list[TraceRecord] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     @property
     def boundaries(self) -> list[int]:
         """The last iteration of each task in the trace: every iteration

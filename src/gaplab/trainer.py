@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ModelSpec, ParamVector, backward, init_params, overflow_checked
-from .data import Dataset, TaskSequence, batch_iter, batches_per_epoch
+from .data import TaskSequence, batch_iter, batches_per_epoch
 from .errors import (
     ArgumentError,
     DivergenceError,
@@ -87,36 +87,29 @@ class TrainConfig:
         return self.epochs_per_task[-1]
 
 
-@dataclass
-class OptimizerState:
-    velocity: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "OptimizerState":
-        return cls(np.zeros(n, dtype=np.float64))
-
-
 def sgd_step(
     params: ParamVector,
     grads: ParamVector,
-    state: OptimizerState,
+    velocity: np.ndarray,
     lr: float,
     momentum: float,
-) -> tuple[ParamVector, OptimizerState]:
-    """v' = momentum * v + g; theta' = theta - lr * v'."""
+) -> tuple[ParamVector, np.ndarray]:
+    """v' = momentum * v + g; theta' = theta - lr * v'. The float64 velocity
+    `v` is the optimizer's whole state; the new parameters and `v'` are new
+    arrays, and no input is written."""
     if params.spec_digest != grads.spec_digest:
         raise SpecMismatchError("gradient vector bound to a different spec")
-    if len(state.velocity) != len(params.values):
+    if len(velocity) != len(params.values):
         raise ArgumentError("optimizer state length does not match parameters")
     # overflow surfaces as the isfinite check below (autodiff's one rule)
     with overflow_checked():
-        velocity = momentum * state.velocity
+        velocity = momentum * velocity
         velocity += grads.values
         values = lr * velocity
         np.subtract(params.values, values, out=values)
     if not np.all(np.isfinite(values)):
         raise DivergenceError("parameters became non-finite after SGD step")
-    return ParamVector(values, params.spec_digest), OptimizerState(velocity)
+    return ParamVector(values, params.spec_digest), velocity
 
 
 def diverged_at(iteration: int, err: DivergenceError) -> DivergenceError:
@@ -288,38 +281,35 @@ class Schedule:
 def train_task(
     spec: ModelSpec,
     params: ParamVector,
-    data: Dataset,
-    pool: np.ndarray,
+    task_seq: TaskSequence,
+    task_id: int,
     config: TrainConfig,
     plan: Schedule,
     hooks: TrainingHooks,
     rng: Rng,
-    *,
-    task_id: int,
-    state: OptimizerState | None = None,
-) -> tuple[ParamVector, OptimizerState]:
-    """Run task `task_id`'s epochs of momentum SGD over `pool`, driving
-    the hook object.
+    velocity: np.ndarray,
+) -> tuple[ParamVector, np.ndarray]:
+    """Run task `task_id`'s epochs of momentum SGD over its pool in
+    `task_seq`, from `params` and `velocity`, driving the hook object;
+    returns the final parameters and velocity (both unchanged for 0 epochs).
 
     Hook calls per iteration: `on_pre_update` (reusing the backward pass
     logits), `on_post_update`, then `on_eval` / `on_checkpoint` at the
     iterations the plan lists. Divergence aborts with the failing
     iteration attached; checkpoints written so far are retained.
     """
-    epochs = config.epochs_for(task_id)
-    if state is None:
-        state = OptimizerState.zeros(len(params))
-    if epochs == 0:
-        return params, state
+    data = task_seq.base
     start = plan.boundaries[task_id - 1] if task_id else 0
-    batches = batch_iter(pool, config.batch_size, epochs, rng)
+    batches = batch_iter(task_seq.pool(task_id), config.batch_size,
+                         config.epochs_for(task_id), rng)
     for iteration, batch_idx in enumerate(batches, start=start + 1):
         x = data.features[batch_idx]
         y = data.labels[batch_idx]
         try:
             loss, grads, logits = backward(spec, params, x, y)
             hooks.on_pre_update(iteration, task_id, loss, logits, y)
-            params, state = sgd_step(params, grads, state, config.lr, config.momentum)
+            params, velocity = sgd_step(params, grads, velocity, config.lr,
+                                        config.momentum)
             hooks.on_post_update(iteration, task_id, params, x, y)
             if iteration in plan.evals:
                 hooks.on_eval(iteration, params)
@@ -327,7 +317,7 @@ def train_task(
             raise diverged_at(iteration, err) from err
         if iteration in plan.checkpoints:
             hooks.on_checkpoint(iteration, task_id, params)
-    return params, state
+    return params, velocity
 
 
 def run_sequence(
@@ -342,31 +332,22 @@ def run_sequence(
     parameters `init_params` draws from `seed`; returns the final
     parameters. The batch order is drawn from another stream of `seed`.
 
-    Task k+1 starts from task k's final parameters; optimizer velocity is
-    zeroed at each boundary unless `velocity_reset` is off. The parameters
-    entering training are checkpointed at iteration 0, and the plan gives
-    each task's final iteration an eval and a checkpoint, so the boundary
-    checkpoint doubles as the interpolation anchor.
+    Task k+1 starts from task k's final parameters. The velocity starts at
+    zero and is zeroed again at each boundary unless `velocity_reset` is
+    off, when it carries over. The parameters entering training are
+    checkpointed at iteration 0, and the plan gives each task's final
+    iteration an eval and a checkpoint, so the boundary checkpoint doubles
+    as the interpolation anchor.
     """
     if hooks is None:
         hooks = TrainingHooks()
     params = init_params(spec, derive_seed(seed, INIT_STREAM))
     rng = Rng(derive_seed(seed, BATCH_STREAM))
     hooks.on_checkpoint(0, 0, params)
-    state: OptimizerState | None = None
+    velocity = np.zeros(len(params))
     for task_id in range(task_seq.n_tasks):
-        if config.velocity_reset:
-            state = None
-        params, state = train_task(
-            spec,
-            params,
-            task_seq.base,
-            task_seq.pool(task_id),
-            config,
-            plan,
-            hooks,
-            rng,
-            task_id=task_id,
-            state=state,
-        )
+        if task_id and config.velocity_reset:
+            velocity = np.zeros(len(params))
+        params, velocity = train_task(spec, params, task_seq, task_id, config,
+                                      plan, hooks, rng, velocity)
     return params

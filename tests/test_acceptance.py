@@ -71,49 +71,58 @@ def run_seed(cfg, seed):
         return err
 
 
-def run_seeds(cfg):
-    """Every seed's result, each seed trained in a forked child of its own,
-    at most one per usable CPU, where `procs.can_fork` allows, and in this
-    process otherwise; the first seed that failed raises its error."""
-    results = procs.outcomes([partial(run_seed, cfg, seed) for seed in SEEDS],
-                             procs.usable_cpus(), "a seed process")
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return dict(zip(SEEDS, results))
+# the four fixtures that compare seeds: their `experiment_config` arguments
+FIXTURES = {
+    "joint": {},
+    "seq": {"joint": False},
+    "small": {"fractions": (10, 90), "lr": SIZE_ORDERING_LR},
+    "large": {"fractions": (75, 25), "lr": SIZE_ORDERING_LR},
+}
 
 
 def pre_boundary_sigma(result, n_evals=20):
-    boundary = result.boundaries[0]
+    boundary = result.plan.boundaries[0]
     accs = [r.test_acc for r in result.trace.eval_records()
             if r.iteration <= boundary]
     return float(np.std(accs[-n_evals:]))
 
 
 @pytest.fixture(scope="module")
-def joint_runs(tmp_path_factory):
-    cfg = experiment_config(tmp_path_factory.mktemp("joint"))
-    return run_seeds(cfg)
+def fixture_runs(tmp_path_factory):
+    """Every seed's result of every fixture in `FIXTURES`, by fixture and
+    seed. All 20 seeds form one batch, so that no fixture's last seed leaves
+    a CPU idle: each trained in a forked child of its own, at most one per
+    usable CPU, where `procs.can_fork` allows, and in this process otherwise.
+    The first seed that failed raises its error."""
+    cfgs = {name: experiment_config(tmp_path_factory.mktemp(name), **kwargs)
+            for name, kwargs in FIXTURES.items()}
+    works = [partial(run_seed, cfg, seed) for cfg in cfgs.values() for seed in SEEDS]
+    results = procs.outcomes(works, procs.usable_cpus(), "a seed process")
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    results = iter(results)
+    return {name: {seed: next(results) for seed in SEEDS} for name in cfgs}
 
 
 @pytest.fixture(scope="module")
-def sequential_runs(tmp_path_factory):
-    cfg = experiment_config(tmp_path_factory.mktemp("seq"), joint=False)
-    return run_seeds(cfg)
+def joint_runs(fixture_runs):
+    return fixture_runs["joint"]
 
 
 @pytest.fixture(scope="module")
-def small_first_runs(tmp_path_factory):
-    cfg = experiment_config(tmp_path_factory.mktemp("small"),
-                            fractions=(10, 90), lr=SIZE_ORDERING_LR)
-    return run_seeds(cfg)
+def sequential_runs(fixture_runs):
+    return fixture_runs["seq"]
 
 
 @pytest.fixture(scope="module")
-def large_first_runs(tmp_path_factory):
-    cfg = experiment_config(tmp_path_factory.mktemp("large"),
-                            fractions=(75, 25), lr=SIZE_ORDERING_LR)
-    return run_seeds(cfg)
+def small_first_runs(fixture_runs):
+    return fixture_runs["small"]
+
+
+@pytest.fixture(scope="module")
+def large_first_runs(fixture_runs):
+    return fixture_runs["large"]
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +193,7 @@ def test_criterion_4_smaller_first_task_deepens_gap(capfd, small_first_runs,
 
 def test_criterion_5_linear_path_low_while_sgd_path_high(capfd, canonical_run):
     cfg, result, spec, test, store = canonical_run
-    boundary = result.boundaries[0]
+    boundary = result.plan.boundaries[0]
     theta2_iteration = boundary + 5 * 25  # 5 epochs x 25 iterations
     theta1 = store.load_iteration(boundary, spec)
     theta2 = store.load_iteration(theta2_iteration, spec)
@@ -210,7 +219,7 @@ def test_criterion_6_batch_accuracy_up_while_test_accuracy_down(
         capfd, joint_runs):
     probe_deltas, test_means, baselines = [], [], []
     for result in joint_runs.values():
-        boundary = result.boundaries[0]
+        boundary = result.plan.boundaries[0]
         records = [r for r in result.trace.records
                    if boundary < r.iteration <= boundary + 200]
         assert len(records) == 200

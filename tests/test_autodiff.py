@@ -40,7 +40,7 @@ from gaplab.data import Dataset
 from gaplab.errors import DivergenceError, ShapeError, SpecMismatchError
 from gaplab.instrument import eval_test
 from gaplab.rng import Rng
-from gaplab.trainer import OptimizerState, sgd_step
+from gaplab.trainer import sgd_step
 
 
 def random_batch(spec, n, seed):
@@ -503,7 +503,7 @@ OVERFLOWS = {
                                                        np.array([0])),
     "sgd_step": lambda: sgd_step(ParamVector(np.full(3, -1e308), "d"),
                                  ParamVector(np.full(3, 1e308), "d"),
-                                 OptimizerState.zeros(3), 1.0, 0.9),
+                                 np.zeros(3), 1.0, 0.9),
     "eval_test": lambda: eval_test(LINEAR, UNIT, Dataset(HUGE, np.zeros(4, np.int64), 2)),
 }
 

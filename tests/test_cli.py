@@ -13,7 +13,8 @@ import pytest
 import gaplab
 from gaplab import connectivity, procs
 from gaplab.cli import main
-from gaplab.instrument import write_trace_csv
+from gaplab.instrument import (TraceRecord, TrainTrace, read_trace_csv,
+                               write_trace_csv)
 
 from conftest import eval_trace, run_files, running_children
 
@@ -68,6 +69,38 @@ def test_gen_data_missing_out_is_usage_error(capsys):
 
 def test_gen_data_bad_values_exit_2(tmp_path):
     assert main(["gen-data", "--classes", "1", "--out", str(tmp_path)]) == 2
+
+
+def test_train_on_a_files_dataset_from_gen_data(tmp_path, capsys):
+    # the `files` path: gen-data --shape writes a raw CNN dataset, which a
+    # smallcnn config trains on, checkpoints and analysis included
+    data = tmp_path / "data"
+    assert main(["gen-data", "--classes", "3", "--per-class", "20", "--dim", "48",
+                 "--shape", "3,4,4", "--out", str(data)]) == 0
+    dataset = {"kind": "files", "classes": 3, "shape": [3, 4, 4],
+               "train_count": 48, "test_count": 12}
+    for part in ("train", "test"):
+        for what in ("features", "labels"):
+            dataset[f"{part}_{what}"] = str(data / f"{part}_{what}.bin")
+    runs = []
+    for sub in ("a", "b"):
+        cfg = write_config(tmp_path, dataset=dataset, out_dir=str(tmp_path / sub),
+                           model={"name": "smallcnn", "channels": [2, 3], "hidden": [4]},
+                           split={"fractions": [50, 50], "joint": False})
+        assert main(["train", "--config", str(cfg)]) == 0
+        runs.append(run_files(tmp_path / sub))
+    assert runs[0] == runs[1]
+    assert {"seed0/trace.csv", "seed0/lmc.csv", "seed0/path.csv"} <= set(runs[0])
+    # 24-sample task pools of the 48 train records, two batches an epoch
+    assert read_trace_csv(tmp_path / "a" / "seed0" / "trace.csv").boundaries == [8, 20]
+    assert any(name.endswith(".ckpt") for name in runs[0])
+    capsys.readouterr()
+    for shape in ("3,x", "0,4,4"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--shape", shape, "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert f"--shape: bad shape '{shape}'" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 # --- train ----------------------------------------------------------------------
@@ -240,6 +273,16 @@ def test_gap_insufficient_trace_exit_3(tmp_path):
     trace_path = tmp_path / "trace.csv"
     write_trace_csv(trace_path, trace)
     assert main(["gap", "--trace", str(trace_path), "--boundary", "100"]) == 3
+
+
+def test_gap_single_task_trace_without_boundary_exit_2(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    write_trace_csv(trace_path, TrainTrace([
+        TraceRecord(i, 0, 1.0, 0.5, 1.0, 0.5, test_loss=1.0, test_acc=0.5)
+        for i in range(1, 6)]))
+    assert main(["gap", "--trace", str(trace_path)]) == 2
+    assert capsys.readouterr() == ("", f"gaplab: error: {trace_path}: trace has a "
+                                       "single task; pass --boundary explicitly\n")
 
 
 def test_gap_corrupt_trace_exit_4(tmp_path):
@@ -466,6 +509,17 @@ def test_report_renders_figures(trained):
 
 def test_report_missing_trace_exit_2(tmp_path):
     assert main(["report", "--run", str(tmp_path)]) == 2
+
+
+def test_report_trace_without_evaluations_exit_3(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    write_trace_csv(trace_path, TrainTrace([
+        TraceRecord(i, 0, 1.0, 0.5, 1.0, 0.5) for i in range(1, 6)]))
+    out = tmp_path / "figures"
+    assert main(["report", "--run", str(tmp_path), "--out", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"gaplab: {trace_path}: trace has no "
+                                       "evaluation records\n")
+    assert not out.exists()
 
 
 def test_report_without_lmc_exit_2_writes_nothing(tmp_path):

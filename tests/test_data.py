@@ -165,6 +165,24 @@ def test_split_stratified_within_one_of_exact():
         assert np.abs(counts - frac * 200).max() <= 1.0
 
 
+def test_split_unstratified_rounds_each_fraction_remainder_last():
+    # per-fraction rounding: round(1.5), round(1.5), then the rest; cumulative
+    # cuts (round(1.5), round(3.0), 10) would give [2, 1, 7]
+    ds = base_dataset(10, 2)
+    seq = split_tasks(ds, [15, 15, 70], joint=False, seed=4, stratified=False)
+    assert [len(ix) for ix in seq.task_indices] == [2, 2, 6]
+    merged = np.sort(np.concatenate(seq.task_indices))
+    np.testing.assert_array_equal(merged, np.arange(10))  # disjoint and complete
+    again = split_tasks(ds, [15, 15, 70], joint=False, seed=4, stratified=False)
+    for a, b in zip(seq.task_indices, again.task_indices):
+        np.testing.assert_array_equal(a, b)
+    # the last task takes the rest, not round(7.2)
+    seq = split_tasks(ds, [14, 14, 72], joint=False, seed=4, stratified=False)
+    assert [len(ix) for ix in seq.task_indices] == [1, 1, 8]
+    with pytest.raises(ArgumentError, match="^a task received no samples"):
+        split_tasks(ds, [1, 99], joint=False, seed=4, stratified=False)
+
+
 def test_joint_pool_accumulates_non_joint_does_not():
     joint = split_tasks(base_dataset(), [50, 50], joint=True, seed=0)
     seq = split_tasks(base_dataset(), [50, 50], joint=False, seed=0)

@@ -22,7 +22,7 @@ from gaplab.autodiff import init_params
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
 from gaplab.data import Dataset
-from gaplab.errors import ArgumentError, DivergenceError
+from gaplab.errors import ArgumentError, DivergenceError, GapLabError
 from gaplab.experiment import build_dataset, run_experiment
 from gaplab.instrument import TraceRecorder
 from gaplab.rng import derive_seed
@@ -660,17 +660,18 @@ def test_each_seed_process_forks_its_own_evaluator(tmp_path, monkeypatch):
     assert run_files(pool) == run_files(single)
 
 
-def fail_evaluation(monkeypatch, n):
-    """Patch `instrument.eval_test` so that its n-th call raises, in whichever
-    process evaluates. Every iteration of SMALL is evaluated, so where one
-    process evaluates them all, that is iteration n."""
+def fail_evaluation(monkeypatch, n, error=None):
+    """Patch `instrument.eval_test` so that its n-th call raises `error` (a
+    divergence by default), in whichever process evaluates. Every iteration
+    of SMALL is evaluated, so where one process evaluates them all, that is
+    iteration n."""
     calls = []
     real = instrument.eval_test
 
     def failing(*args):
         calls.append(args)
         if len(calls) == n:
-            raise DivergenceError("non-finite values in logits")
+            raise error or DivergenceError("non-finite values in logits")
         return real(*args)
 
     monkeypatch.setattr(instrument, "eval_test", failing)
@@ -697,20 +698,26 @@ FAILED_AT_3 = "iteration 3: non-finite values in logits"
 
 
 @forks_on_linux
-def test_failing_evaluation_in_the_evaluator(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("error, failed", [
+    (None, f"DivergenceError: {FAILED_AT_3}"),
+    # raised as it is, with no iteration, as in-process through `train_task`
+    (GapLabError("evaluation failed"), "GapLabError: evaluation failed"),
+], ids=["divergence", "other-error"])
+def test_failing_evaluation_in_the_evaluator(tmp_path, monkeypatch, capsys, error,
+                                             failed):
     runs, trained = {}, {}
     for cpus in (1, 2):
         trained[cpus] = []
         with monkeypatch.context() as patch:
             patch.setattr(procs, "usable_cpus", lambda: cpus)
             evaluator_keeps_up(patch)
-            fail_evaluation(patch, 3)
+            fail_evaluation(patch, 3, error)
             trained_iterations(patch, trained[cpus], wait_at=4)
             runs[cpus] = train(tmp_path, dict(SMALL, seeds=[0]), capsys)
     code, stdout, stderr, status, files = runs[1]
     assert code == 4 and stdout == ""
-    assert stderr == f"gaplab: error: {FAILED_AT_3}\n"
-    assert status == {"0": f"DivergenceError: {FAILED_AT_3}"}
+    assert stderr == f"gaplab: error: {failed.split(': ', 1)[1]}\n"
+    assert status == {"0": failed}
     # the checkpoints before the failing iteration, and nothing else
     assert sorted(files) == [f"seed0/checkpoints/task0_iter{i:07d}.ckpt" for i in range(3)]
     assert runs[2] == runs[1]

@@ -157,6 +157,26 @@ def test_files_dataset_with_count_0_writes_nothing(tmp_path, capsys, key):
     assert not (tmp_path / "exp").exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"workers": 0}, "config.workers: must be >= 1, got 0"),
+    ({"analysis": {"theta2_epochs": 0}}, "analysis.theta2_epochs: must be >= 1, got 0"),
+    ({"dataset": {"kind": "files", "classes": 1, "shape": [4],
+                  "train_features": "a.bin", "train_labels": "b.bin",
+                  "test_features": "c.bin", "test_labels": "d.bin",
+                  "train_count": 8, "test_count": 8}},
+     "dataset.classes: need at least 2, got 1"),
+    ({"train": 5}, "train: expected an object, got int"),
+    ({"model": {"hidden": [0]}}, "model.hidden: entries must be >= 1, got 0"),
+    ({"dataset": dict(CONFIG["dataset"], shape=[])}, "dataset.shape: must not be empty"),
+], ids=["workers-0", "theta2-epochs-0", "files-one-class", "train-not-an-object",
+        "hidden-0", "empty-shape"])
+def test_config_value_out_of_range_exits_2_before_any_file(tmp_path, capsys, override,
+                                                          message):
+    assert main(["train", "--config", str(write_config(tmp_path, **override))]) == 2
+    assert capsys.readouterr() == ("", f"gaplab: error: {message}\n")
+    assert not (tmp_path / "exp").exists()
+
+
 def test_eval_batch_0_exits_2_before_any_seed_directory(tmp_path, capsys):
     path = write_config(tmp_path, train=dict(CONFIG["train"], eval_batch=0))
     assert main(["train", "--config", str(path)]) == 2

@@ -65,21 +65,23 @@ def test_plan_properties(problem):
 
 
 def run_seed0(tmp_path, raw):
+    """Seed 0's result and its run directory."""
     cfg = ExperimentConfig.from_dict(dict(raw, out_dir=str(tmp_path / "exp")))
-    return run_single_seed(cfg, 0, tmp_path / "exp" / "seed0")
+    run_dir = tmp_path / "exp" / "seed0"
+    return run_single_seed(cfg, 0, run_dir), run_dir
 
 
 @pytest.mark.parametrize("raw", [OFF_CADENCE, THREE_TASKS],
                          ids=["off-cadence", "three-tasks"])
 def test_plan_is_what_the_run_did(tmp_path, raw):
-    result = run_seed0(tmp_path, raw)
+    result, run_dir = run_seed0(tmp_path, raw)
     assert sorted(result.plan.evals) == [r.iteration for r in result.trace.eval_records()]
-    store = CheckpointStore.open(result.run_dir / "checkpoints")
+    store = CheckpointStore.open(run_dir / "checkpoints")
     assert sorted(result.plan.checkpoints) == store.iterations()
 
 
 def test_trace_boundaries_read_back_equal_the_run(tmp_path):
-    result = run_seed0(tmp_path, THREE_TASKS)
+    result, run_dir = run_seed0(tmp_path, THREE_TASKS)
     assert result.plan.boundaries[0] == result.plan.boundaries[1]
-    back = read_trace_csv(result.run_dir / "trace.csv")
+    back = read_trace_csv(run_dir / "trace.csv")
     assert back.boundaries == result.trace.boundaries

@@ -19,7 +19,6 @@ from gaplab.instrument import TraceRecorder
 from gaplab.rng import Rng
 from gaplab.trainer import (
     CheckpointStore,
-    OptimizerState,
     Schedule,
     TrainConfig,
     TrainingHooks,
@@ -43,21 +42,21 @@ def test_sgd_step_hand_example():
     n = SPEC.param_count
     params = vec(np.ones(n))
     grads = vec(np.full(n, 0.5))
-    state = OptimizerState.zeros(n)
-    params, state = sgd_step(params, grads, state, lr=0.01, momentum=0.9)
+    velocity = np.zeros(n)
+    params, velocity = sgd_step(params, grads, velocity, lr=0.01, momentum=0.9)
     assert params.values[0] == pytest.approx(0.995, abs=1e-15)
-    assert state.velocity[0] == pytest.approx(0.5, abs=1e-15)
+    assert velocity[0] == pytest.approx(0.5, abs=1e-15)
     # second identical step: v' = 0.9*0.5 + 0.5 = 0.95; theta' = 0.9855
-    params, state = sgd_step(params, grads, state, lr=0.01, momentum=0.9)
+    params, velocity = sgd_step(params, grads, velocity, lr=0.01, momentum=0.9)
     assert params.values[0] == pytest.approx(0.9855, abs=1e-15)
-    assert state.velocity[0] == pytest.approx(0.95, abs=1e-15)
+    assert velocity[0] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_sgd_step_zero_momentum_is_plain_sgd():
     n = SPEC.param_count
     params = vec(np.full(n, 2.0))
     grads = vec(np.full(n, 3.0))
-    out, _ = sgd_step(params, grads, OptimizerState.zeros(n), 0.1, 0.0)
+    out, _ = sgd_step(params, grads, np.zeros(n), 0.1, 0.0)
     assert out.values[0] == pytest.approx(2.0 - 0.1 * 3.0, abs=1e-15)
 
 
@@ -66,10 +65,10 @@ def test_sgd_step_leaves_its_inputs_unwritten():
     rng = Rng(3)
     params = vec(rng.normals(n))
     grads = vec(rng.normals(n))
-    state = OptimizerState(rng.normals(n))
-    before = [a.copy() for a in (params.values, grads.values, state.velocity)]
-    sgd_step(params, grads, state, lr=0.1, momentum=0.9)
-    for got, want in zip((params.values, grads.values, state.velocity), before):
+    velocity = rng.normals(n)
+    before = [a.copy() for a in (params.values, grads.values, velocity)]
+    sgd_step(params, grads, velocity, lr=0.1, momentum=0.9)
+    for got, want in zip((params.values, grads.values, velocity), before):
         assert got.tobytes() == want.tobytes()
 
 
@@ -78,12 +77,13 @@ def test_sgd_step_guards():
     params = vec(np.ones(n))
     other = init_params(mlp(4, [6], 3), 0)
     with pytest.raises(SpecMismatchError):
-        sgd_step(params, other, OptimizerState.zeros(len(other)), 0.1, 0.0)
-    with pytest.raises(ArgumentError):
-        sgd_step(params, params, OptimizerState.zeros(n + 1), 0.1, 0.0)
+        sgd_step(params, other, np.zeros(len(other)), 0.1, 0.0)
+    with pytest.raises(ArgumentError,
+                       match="^optimizer state length does not match parameters$"):
+        sgd_step(params, params, np.zeros(n + 1), 0.1, 0.0)
     huge = vec(np.full(n, 1e308))
     with pytest.raises(DivergenceError):
-        sgd_step(params, huge, OptimizerState.zeros(n), 1e10, 0.0)
+        sgd_step(params, huge, np.zeros(n), 1e10, 0.0)
 
 
 # --- TrainConfig -------------------------------------------------------------
@@ -321,7 +321,7 @@ def test_warm_start_and_velocity_reset():
     theta_b = log.after[boundary]
     batch, labels = log.batches[boundary + 1]
     _, grads, _ = backward(spec, theta_b, batch, labels)
-    expected, _ = sgd_step(theta_b, grads, OptimizerState.zeros(len(theta_b)),
+    expected, _ = sgd_step(theta_b, grads, np.zeros(len(theta_b)),
                            cfg.lr, cfg.momentum)
     np.testing.assert_array_equal(log.after[boundary + 1].values, expected.values)
 
