@@ -15,7 +15,6 @@ run directory is written.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -24,7 +23,7 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
-from .autodiff import ModelSpec, mlp, small_cnn
+from .autodiff import ModelSpec, _sha256_hex, mlp, small_cnn
 from .connectivity import check_step
 from .data import check_blob_args, check_fractions, check_raw_args
 from .errors import ArgumentError, ShapeError
@@ -39,7 +38,7 @@ def canonical_json(obj) -> str:
 
 
 def config_hash(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+    return _sha256_hex(canonical_json(obj).encode("utf-8"))
 
 
 def _is(value, kind) -> bool:

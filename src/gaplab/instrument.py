@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import fcntl
 import os
-import statistics
 import sys
 import termios
 from dataclasses import asdict, dataclass, field
@@ -421,14 +420,26 @@ def format_gap_doc(metrics: GapMetrics, label: str | None = None) -> str:
     return _gap_section(label, asdict(metrics).items())
 
 
+def _median(values):
+    """The median of a non-empty iterable of numbers, with the arithmetic of
+    `statistics.median` (which would load `decimal` into every process): the
+    middle value for an odd count, else the mean of the two middle values."""
+    data = sorted(values)
+    i = len(data) // 2
+    if len(data) % 2 == 1:
+        return data[i]
+    return (data[i - 1] + data[i]) / 2
+
+
 def format_gap_docs(per_seed: dict[int, GapMetrics]) -> str:
-    """Per-seed sections followed by a median summary over the seeds."""
+    """Per-seed sections followed by a summary of the seeds' medians (`_median`:
+    an even count of seeds takes the mean of the two middle values)."""
     parts = [format_gap_doc(m, label=f"seed {s}") for s, m in sorted(per_seed.items())]
     values = list(per_seed.values())
-    medians = [(name, statistics.median(getattr(m, name) for m in values))
+    medians = [(name, _median(getattr(m, name) for m in values))
                for name in ("pre_switch_acc", "min_acc", "gap_depth", "min_iteration")]
     recovered = [m.recovery_iteration for m in values if m.recovered]
-    medians.append(("recovery_iteration", statistics.median(recovered) if recovered else None))
+    medians.append(("recovery_iteration", _median(recovered) if recovered else None))
     medians.append(("recovered_count", f"{len(recovered)}/{len(values)}"))
     parts.append(_gap_section("median", medians))
     return "\n".join(parts)

@@ -88,21 +88,33 @@ def pre_boundary_sigma(result, n_evals=20):
 
 
 @pytest.fixture(scope="module")
-def fixture_runs(tmp_path_factory):
+def canonical_config(tmp_path_factory):
+    """Criterion 5's canonical run: the joint 50-50 config with checkpoints,
+    of which `fixture_runs` trains seed 0."""
+    return experiment_config(tmp_path_factory.mktemp("canonical"), checkpoints=True)
+
+
+@pytest.fixture(scope="module")
+def fixture_runs(tmp_path_factory, canonical_config):
     """Every seed's result of every fixture in `FIXTURES`, by fixture and
-    seed. All 20 seeds form one batch, so that no fixture's last seed leaves
-    a CPU idle: each trained in a forked child of its own, at most one per
-    usable CPU, where `procs.can_fork` allows, and in this process otherwise.
-    The first seed that failed raises its error."""
+    seed, and under "canonical" seed 0 of `canonical_config`. All 21 seeds
+    form one batch, so that no fixture's last seed leaves a CPU idle: each
+    trained in a forked child of its own, at most one per usable CPU, where
+    `procs.can_fork` allows, and in this process otherwise. The canonical
+    seed, the longest with its checkpoints, starts first. The first seed
+    that failed raises its error."""
     cfgs = {name: experiment_config(tmp_path_factory.mktemp(name), **kwargs)
             for name, kwargs in FIXTURES.items()}
-    works = [partial(run_seed, cfg, seed) for cfg in cfgs.values() for seed in SEEDS]
+    works = [partial(run_seed, canonical_config, 0)]
+    works += [partial(run_seed, cfg, seed) for cfg in cfgs.values() for seed in SEEDS]
     results = procs.outcomes(works, procs.usable_cpus(), "a seed process")
     for result in results:
         if isinstance(result, Exception):
             raise result
+    canonical, *results = results
     results = iter(results)
-    return {name: {seed: next(results) for seed in SEEDS} for name in cfgs}
+    runs = {name: {seed: next(results) for seed in SEEDS} for name in cfgs}
+    return dict(runs, canonical={0: canonical})
 
 
 @pytest.fixture(scope="module")
@@ -126,14 +138,12 @@ def large_first_runs(fixture_runs):
 
 
 @pytest.fixture(scope="module")
-def canonical_run(tmp_path_factory):
-    out = tmp_path_factory.mktemp("canonical")
-    cfg = experiment_config(out, checkpoints=True)
-    result = run_single_seed(cfg, 0, out / "seed0")
+def canonical_run(canonical_config, fixture_runs):
+    cfg = canonical_config
     train, test = build_dataset(cfg.dataset, 0)
     spec = build_model_spec(cfg.model, train.features.shape[1:], train.n_classes)
-    store = CheckpointStore.open(out / "seed0" / "checkpoints")
-    return cfg, result, spec, test, store
+    store = CheckpointStore.open(Path(cfg.out_dir) / "seed0" / "checkpoints")
+    return cfg, fixture_runs["canonical"][0], spec, test, store
 
 
 def test_criterion_1_gradients_match_finite_differences(capfd):

@@ -1,7 +1,9 @@
 """Model forward/backward correctness against finite differences,
 hand-computed cross-entropy values and reference kernels, including the
-cache-free, in-place forward pass against a caching, out-of-place one."""
+cache-free, in-place forward pass against a caching, out-of-place one,
+and the spec digest's SHA-256 against hashlib's."""
 
+import hashlib
 import math
 import warnings
 
@@ -34,6 +36,7 @@ from gaplab.autodiff import (
     _maxpool_backward,
     _maxpool_forward,
     _pad_channels_last,
+    _sha256_hex,
     _unflatten,
 )
 from gaplab.data import Dataset
@@ -463,6 +466,13 @@ def test_param_count_mlp():
 def test_spec_digest_distinguishes_architectures():
     assert mlp(4, [5], 3).digest != mlp(4, [6], 3).digest
     assert mlp(4, [5], 3).digest == mlp(4, [5], 3).digest
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_sha256_hex_matches_hashlib(data):
+    # the spec digest and the config hash, without hashlib's OpenSSL
+    assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_forward_shape_and_spec_guards():

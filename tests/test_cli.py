@@ -536,3 +536,40 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# --- process footprint --------------------------------------------------------------
+
+FOOTPRINT_SCRIPT = """\
+import sys
+from pathlib import Path
+from gaplab import procs
+procs.usable_cpus = lambda: 1  # every command's code runs in this process
+from gaplab.cli import main
+cfg, run = sys.argv[1], Path(sys.argv[2])
+ckpts, trace = run / "checkpoints", str(run / "trace.csv")
+assert main(["gen-data", "--classes", "3", "--per-class", "20", "--dim", "4",
+             "--out", "data"]) == 0
+assert main(["train", "--config", cfg]) == 0
+assert main(["lmc", "--config", cfg, "--ckpt-a", str(min(ckpts.glob("*.ckpt"))),
+             "--ckpt-b", str(max(ckpts.glob("*.ckpt"))), "--sgd-path", str(ckpts),
+             "--out", "lmc"]) == 0
+assert main(["gap", "--trace", trace, "--trace", trace]) == 0
+assert main(["report", "--run", str(run)]) == 0
+print(sorted(m for m in ("_hashlib", "hashlib", "_decimal", "statistics") if m in sys.modules))
+"""
+
+
+def test_commands_load_neither_openssl_nor_decimal(tmp_path):
+    # hashlib's OpenSSL and statistics' decimal would cost every gaplab
+    # process about 4 MB resident; a fresh interpreter runs each command here
+    cfg = write_config(tmp_path, workers=1)
+    src = str(Path(gaplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(cfg),
+                           str(tmp_path / "exp" / "seed0")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "lmc" / "path.csv").is_file()
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -83,6 +83,28 @@ def test_manifest_lists_artifacts_and_hash(tmp_path):
     assert ExperimentConfig.from_json(text).hash() == cfg.hash()
 
 
+def test_rerun_into_an_existing_out_dir_starts_each_seed_afresh(tmp_path):
+    # a seed directory is recreated: no file of an earlier run survives,
+    # not even a checkpoint the new schedule would never write
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL, seeds=[0], out_dir=str(tmp_path / "exp"))))
+    out = tmp_path / "exp"
+
+    def files():
+        return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                if p.is_file() and p.name != "manifest.json"}
+
+    assert main(["train", "--config", str(path)]) == 0
+    first = files()
+    ckpts = out / "seed0" / "checkpoints"
+    (out / "seed0" / "stale.txt").write_text("left by an earlier run\n")
+    (ckpts / "task9_iter9999999.ckpt").write_bytes(min(ckpts.glob("*.ckpt")).read_bytes())
+    assert main(["train", "--config", str(path)]) == 0
+    assert files() == first
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(first)
+
+
 # a conv model on [C, H, W] blobs, in-process and in seed processes
 SMALL_CNN = {
     "dataset": dict(SMALL["dataset"], dim=48, shape=[3, 4, 4]),

@@ -1,9 +1,12 @@
 """Evaluation, batch probes, gap metrics, and trace serialization."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import eval_trace
 from gap_oracles import CASES, check_case
@@ -16,6 +19,7 @@ from gaplab.instrument import (
     TraceRecord,
     TraceRecorder,
     TrainTrace,
+    _median,
     compute_gap,
     eval_test,
     format_gap_doc,
@@ -254,3 +258,20 @@ def test_format_gap_docs_median_section():
     assert "recovered_count = 2/3" in doc
     # medians of recovery ignore unrecovered seeds
     assert "recovery_iteration = 50" in doc.split("[median]")[1]
+
+
+INTS = st.integers(-2**62, 2**62)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(values=st.one_of(st.lists(INTS, min_size=1), st.lists(FLOATS, min_size=1),
+                        st.lists(INTS | FLOATS, min_size=1)))
+@example(values=[3, 1, 2]).via("odd count")
+@example(values=[4, 1, 0.5, 2]).via("even count")
+def test_median_matches_statistics_median(values):
+    # odd and even lengths alike: the same value of the same type, which
+    # decides how gap.txt writes it
+    want = statistics.median(values)
+    got = _median(iter(values))
+    assert (type(got), got) == (type(want), want)
