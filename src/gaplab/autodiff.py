@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import _sha256_hex
 from .errors import (
     DivergenceError,
     LabelRangeError,
@@ -36,25 +37,7 @@ from .errors import (
 )
 from .rng import Rng
 
-# CPython's own SHA-256 module: hashlib would load OpenSSL's libcrypto, about
-# 3.6 MB resident in every gaplab process (seed, evaluator, lmc slice), for
-# two digests of short strings. hashlib is the fallback only for a CPython
-# built without its own SHA-256 module.
-try:
-    from _sha2 import sha256 as _sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
-    except ImportError:
-        from hashlib import sha256 as _sha256
-
 Tensor = np.ndarray
-
-
-def _sha256_hex(data: bytes) -> str:
-    """The SHA-256 digest of `data` in hex, as `hashlib.sha256(data).hexdigest()`
-    gives it, without loading OpenSSL (see `_sha256` above)."""
-    return _sha256(data).hexdigest()
 
 
 def as_tensor(data) -> Tensor:

@@ -3,28 +3,54 @@
 Subcommands: gen-data, train, gap, lmc, report. Exit codes: 0 success,
 2 usage or configuration error, 3 analysis-condition signal (e.g. the
 trace never recovers, or is too short to analyze), 4 runtime/data error.
+
+This module loads without numpy, so `gap`, `report` and `--version` run
+without it. The names of the numeric modules that `gen-data`, `train` and
+`lmc` call are listed in `_NUMERIC`: `main` binds them before one of those
+commands runs, and an attribute access (`cli.run_experiment`) loads one on
+demand.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import procs
 from ._version import __version__
-from .config import AnalysisConfig, DatasetConfig, ExperimentConfig
-from .connectivity import (lmc_curve, read_lmc_csv, read_path_csv, sgd_path_loss,
-                           write_lmc_csv, write_path_csv)
-from .data import RAW_MAX_CLASSES, gen_blobs, normalize_unit, save_raw
+from .artifacts import (compute_gap, format_gap_doc, format_gap_docs, read_lmc_csv,
+                        read_path_csv, read_trace_csv, write_lmc_csv, write_path_csv)
+from .config import RAW_MAX_CLASSES, AnalysisConfig, DatasetConfig, ExperimentConfig
 from .errors import ArgumentError, GapLabError, InsufficientTraceError
-from .experiment import build_dataset, run_experiment
-from .instrument import (compute_gap, format_gap_doc, format_gap_docs,
-                         read_trace_csv)
-from .rng import check_seed
 from .svgplot import LinePlot
-from .trainer import CheckpointStore, load_checkpoint
+
+# name -> the numeric module it comes from; a module's own name is the module
+_NUMERIC = {
+    "build_dataset": "experiment", "run_experiment": "experiment",
+    "CheckpointStore": "trainer", "load_checkpoint": "trainer",
+    "lmc_curve": "connectivity", "sgd_path_loss": "connectivity",
+    "gen_blobs": "data", "normalize_unit": "data", "save_raw": "data",
+    "check_seed": "rng",
+    "procs": "procs",
+}
+
+
+def __getattr__(name):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_NUMERIC[name]}", __package__)
+    return module if name == _NUMERIC[name] else getattr(module, name)
+
+
+def _bind_numeric() -> None:
+    """Bind every name of `_NUMERIC` in this module, keeping a binding
+    already made (a caller's wrapper, say)."""
+    names = globals()
+    for name in _NUMERIC:
+        if name not in names:
+            names[name] = __getattr__(name)
 
 
 def _shape_arg(text: str) -> tuple[int, ...]:
@@ -275,6 +301,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.func in (cmd_gen_data, cmd_train, cmd_lmc):
+            _bind_numeric()
         return args.func(args)
     except ArgumentError as err:
         print(f"gaplab: error: {err}", file=sys.stderr)

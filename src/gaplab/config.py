@@ -11,25 +11,47 @@ default, and `null` is accepted only where the declared type allows None.
 Range rules belong to the code that uses the values; each section calls
 those checks when it is loaded, so a bad document is rejected before any
 run directory is written.
+
+This module loads without numpy: the model builders and the range checks
+of the numeric modules are imported where they are called.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Literal, get_args, get_origin, get_type_hints
 
-from .autodiff import ModelSpec, _sha256_hex, mlp, small_cnn
-from .connectivity import check_step
-from .data import check_blob_args, check_fractions, check_raw_args
+from .artifacts import check_gap_args, compute_gap
 from .errors import ArgumentError, ShapeError
-from .instrument import check_gap_args, compute_gap
-from .rng import check_seed
-from .trainer import TrainConfig
+
+if TYPE_CHECKING:
+    from .autodiff import ModelSpec
+
+# CPython's own SHA-256 module: hashlib would load OpenSSL's libcrypto, about
+# 3.6 MB resident in every gaplab process (seed, evaluator, lmc slice), for
+# two digests of short strings. hashlib is the fallback only for a CPython
+# built without its own SHA-256 module.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+RAW_MAX_CLASSES = 256  # a label of the raw data format is one byte
+
+
+def _sha256_hex(data: bytes) -> str:
+    """The SHA-256 digest of `data` in hex, as `hashlib.sha256(data).hexdigest()`
+    gives it, without loading OpenSSL (see `_sha256` above)."""
+    return _sha256(data).hexdigest()
 
 
 def canonical_json(obj) -> str:
@@ -145,6 +167,7 @@ class DatasetConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "dataset") -> "DatasetConfig":
+        from .data import check_blob_args, check_raw_args
         cfg = cls(**_parse(cls, d, where))
         if cfg.shape is not None:
             _at_least(cfg.shape, 1, f"{where}.shape", nonempty=True)
@@ -184,6 +207,7 @@ class ModelConfig:
 
 def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...],
                      n_classes: int) -> ModelSpec:
+    from .autodiff import mlp, small_cnn
     if cfg.name == "smallcnn":
         if len(input_shape) != 3:
             raise ArgumentError(
@@ -201,6 +225,7 @@ class SplitConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "split") -> "SplitConfig":
+        from .data import check_fractions
         cfg = cls(**_parse(cls, d, where))
         if len(cfg.fractions) < 2:
             raise ArgumentError(f"{where}.fractions: need at least 2 tasks, got {len(cfg.fractions)}")
@@ -223,6 +248,7 @@ class AnalysisConfig:
 
     @classmethod
     def from_dict(cls, d: dict, where: str = "analysis") -> "AnalysisConfig":
+        from .connectivity import check_step
         cfg = cls(**_parse(cls, d, where))
         _check(where, check_gap_args, cfg.baseline_evals, cfg.recovery_window,
                cfg.tolerance, cfg.window)
@@ -230,6 +256,57 @@ class AnalysisConfig:
         if cfg.theta2_epochs < 1:
             raise ArgumentError(f"{where}.theta2_epochs: must be >= 1, got {cfg.theta2_epochs}")
         return cfg
+
+
+@dataclass
+class TrainConfig:
+    """The config's `train` section: optimizer hyperparameters plus
+    instrumentation cadence. The run's seed is not part of it; it is
+    `trainer.run_sequence`'s argument.
+
+    `epochs_per_task` may be a single int (every task) or one int per
+    task. The first `dense_window` and the last `dense_tail` iterations
+    of each task, and its final iteration, are evaluated and checkpointed;
+    in between, every `eval_every`-th / `checkpoint_every`-th iteration
+    is (`trainer.Schedule.plan`).
+    """
+
+    lr: float = 0.01
+    momentum: float = 0.9
+    batch_size: int = 64
+    epochs_per_task: tuple[int, ...] | int = 100
+    eval_every: int = 50
+    checkpoint_every: int = 50
+    dense_window: int = 400
+    dense_tail: int = 50
+    velocity_reset: bool = True
+    eval_batch: int = 256
+
+    def __post_init__(self):
+        if not 0.0 < self.lr < math.inf:
+            raise ArgumentError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.batch_size < 1:
+            raise ArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
+        epochs = self.epochs_per_task
+        if isinstance(epochs, int):
+            epochs = (epochs,)
+        self.epochs_per_task = tuple(int(e) for e in epochs)
+        if not self.epochs_per_task:
+            raise ArgumentError("epochs_per_task needs at least one entry")
+        if any(e < 0 for e in self.epochs_per_task):
+            raise ArgumentError("epochs_per_task entries must be >= 0")
+        for name in ("eval_every", "checkpoint_every", "eval_batch"):
+            if getattr(self, name) < 1:
+                raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.dense_window < 0 or self.dense_tail < 0:
+            raise ArgumentError("dense_window and dense_tail must be >= 0")
+
+    def epochs_for(self, task_id: int) -> int:
+        if task_id < len(self.epochs_per_task):
+            return self.epochs_per_task[task_id]
+        return self.epochs_per_task[-1]
 
 
 def train_config_from_dict(d: dict, where: str = "train") -> TrainConfig:
@@ -262,6 +339,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        from .rng import check_seed
         cfg = cls(**_parse(cls, d, "config", sections={
             "dataset": DatasetConfig.from_dict,
             "model": ModelConfig.from_dict,

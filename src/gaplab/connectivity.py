@@ -4,61 +4,18 @@ the loss along the straight line with the loss along the recorded SGD path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from . import procs
+from .artifacts import LmcCurve, PathCurve
 from .autodiff import ModelSpec, ParamVector, check_same_spec
 from .data import Dataset
+from .config import TrainConfig
 from .errors import ArgumentError
-from .instrument import eval_test, evaluate_each, fmt_float, read_table, write_table
-from .trainer import CheckpointStore, TrainConfig
-
-
-def _curve_arrays(x, losses, accuracies, x_dtype) -> tuple[np.ndarray, ...]:
-    """The rules every curve keeps: float64 losses and accuracies, one per
-    point, at strictly ascending positions `x`."""
-    x = np.asarray(x, dtype=x_dtype)
-    losses = np.asarray(losses, dtype=np.float64)
-    accuracies = np.asarray(accuracies, dtype=np.float64)
-    if not (len(x) == len(losses) == len(accuracies)):
-        raise ArgumentError("curve arrays must have equal length")
-    if np.any(np.diff(x) <= 0):
-        raise ArgumentError("curve positions must be strictly ascending")
-    return x, losses, accuracies
-
-
-@dataclass
-class LmcCurve:
-    """Test loss/accuracy along the line (1-lambda)*theta1 + lambda*theta2."""
-
-    lambdas: np.ndarray
-    losses: np.ndarray
-    accuracies: np.ndarray
-
-    def __post_init__(self):
-        self.lambdas, self.losses, self.accuracies = _curve_arrays(
-            self.lambdas, self.losses, self.accuracies, np.float64)
-        if len(self.lambdas) < 2 or self.lambdas[0] != 0.0 or self.lambdas[-1] != 1.0:
-            raise ArgumentError("lambda grid must run from 0 to 1")
-
-
-@dataclass
-class PathCurve:
-    """Test loss/accuracy at stored SGD trajectory checkpoints."""
-
-    iterations: np.ndarray
-    losses: np.ndarray
-    accuracies: np.ndarray
-
-    def __post_init__(self):
-        self.iterations, self.losses, self.accuracies = _curve_arrays(
-            self.iterations, self.losses, self.accuracies, np.int64)
-        if len(self.iterations) == 0:
-            raise ArgumentError("path curve must contain at least one checkpoint")
+from .instrument import eval_test, evaluate_each
+from .trainer import CheckpointStore
 
 
 def interpolate(theta1: ParamVector, theta2: ParamVector, lam: float) -> ParamVector:
@@ -88,8 +45,8 @@ def lambda_grid(step: float) -> np.ndarray:
     return np.asarray(grid, dtype=np.float64)
 
 
-def _evaluate_split(count: int, evaluate, n_procs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Losses and accuracies, as float64 arrays in index order, of
+def _evaluate_split(count: int, evaluate, n_procs: int) -> tuple[tuple, tuple]:
+    """Losses and accuracies, in index order, of
     `evaluate(i)` -> (loss, accuracy) for every i in range(count).
 
     The range is cut into at most `n_procs` contiguous slices, and
@@ -110,8 +67,8 @@ def _evaluate_split(count: int, evaluate, n_procs: int) -> tuple[np.ndarray, np.
         if err is not None:
             raise err
         rows.extend(part)
-    rows = np.asarray(rows, dtype=np.float64).reshape(count, 2)
-    return rows[:, 0], rows[:, 1]
+    losses, accuracies = zip(*rows)
+    return losses, accuracies
 
 
 def lmc_curve(
@@ -140,9 +97,9 @@ def barrier(curve: LmcCurve) -> float:
     never rises above its higher endpoint."""
     endpoint_max = max(curve.losses[0], curve.losses[-1])
     interior = curve.losses[1:-1]
-    if len(interior) == 0:
+    if not interior:
         return 0.0
-    return float(interior.max() - endpoint_max)
+    return max(interior) - endpoint_max
 
 
 def sgd_path_loss(
@@ -166,35 +123,4 @@ def sgd_path_loss(
     store.require(wanted)
     losses, accuracies = _evaluate_split(len(wanted), lambda i: eval_test(
         spec, store.load_iteration(wanted[i], spec), evalset, eval_batch), procs)
-    return PathCurve(iterations=np.asarray(wanted), losses=losses, accuracies=accuracies)
-
-
-# ---------------------------------------------------------------------------
-# CSV serialization
-# ---------------------------------------------------------------------------
-
-LMC_HEADER = ["lambda", "loss", "accuracy"]
-PATH_HEADER = ["iter", "loss", "accuracy"]
-
-
-def write_lmc_csv(path: str | Path, curve: LmcCurve) -> None:
-    write_table(path, LMC_HEADER, (
-        [fmt_float(lam), fmt_float(loss), fmt_float(acc)]
-        for lam, loss, acc in zip(curve.lambdas, curve.losses, curve.accuracies)))
-
-
-def read_lmc_csv(path: str | Path) -> LmcCurve:
-    rows = read_table(path, LMC_HEADER, lambda row: [float(v) for v in row], "curve")
-    return LmcCurve(*zip(*rows))
-
-
-def write_path_csv(path: str | Path, curve: PathCurve) -> None:
-    write_table(path, PATH_HEADER, (
-        [int(it), fmt_float(loss), fmt_float(acc)]
-        for it, loss, acc in zip(curve.iterations, curve.losses, curve.accuracies)))
-
-
-def read_path_csv(path: str | Path) -> PathCurve:
-    rows = read_table(path, PATH_HEADER,
-                      lambda row: (int(row[0]), float(row[1]), float(row[2])), "curve")
-    return PathCurve(*zip(*rows))
+    return PathCurve(iterations=wanted, losses=losses, accuracies=accuracies)

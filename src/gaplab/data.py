@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import overflow_checked
+from .config import RAW_MAX_CLASSES
 from .errors import ArgumentError, FormatError, LabelRangeError
 from .rng import Rng
 
@@ -119,9 +120,6 @@ def gen_blobs(
 # Raw byte format: labels = one u8 per record, features = prod(shape) u8s
 # per record, records concatenated. Loading scales bytes to [0, 1].
 # ---------------------------------------------------------------------------
-
-RAW_MAX_CLASSES = 256  # a label is one byte
-
 
 def _read_exactly(path: str | Path, size: int) -> bytes:
     raw = Path(path).read_bytes()

@@ -27,13 +27,13 @@ import numpy as np
 
 from . import procs
 from ._version import __version__
+from .artifacts import (GapMetrics, PathCurve, TrainTrace, compute_gap, format_gap_doc,
+                        format_gap_docs, write_lmc_csv, write_path_csv, write_trace_csv)
 from .config import DatasetConfig, ExperimentConfig, RunManifest, canonical_json
-from .connectivity import (PathCurve, lmc_curve, sgd_path_loss, write_lmc_csv,
-                           write_path_csv)
+from .connectivity import lmc_curve, sgd_path_loss
 from .data import Dataset, gen_blobs, load_raw, split_tasks
 from .errors import InsufficientTraceError
-from .instrument import (GapMetrics, TraceRecorder, TrainTrace, compute_gap,
-                         format_gap_doc, format_gap_docs, write_trace_csv)
+from .instrument import TraceRecorder
 from .rng import derive_seed
 from .trainer import SPLIT_STREAM, CheckpointStore, Schedule, run_sequence
 

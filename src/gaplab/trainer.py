@@ -9,7 +9,6 @@ iterations of each task are observable one update at a time.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import struct
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import ModelSpec, ParamVector, backward, init_params, overflow_checked
+from .config import TrainConfig
 from .data import TaskSequence, batch_iter, batches_per_epoch
 from .errors import (
     ArgumentError,
@@ -34,57 +34,6 @@ from .rng import Rng, derive_seed
 INIT_STREAM = 0
 BATCH_STREAM = 1
 SPLIT_STREAM = 2
-
-
-@dataclass
-class TrainConfig:
-    """The config's `train` section: optimizer hyperparameters plus
-    instrumentation cadence. The run's seed is not part of it; it is
-    `run_sequence`'s argument.
-
-    `epochs_per_task` may be a single int (every task) or one int per
-    task. The first `dense_window` and the last `dense_tail` iterations
-    of each task, and its final iteration, are evaluated and checkpointed;
-    in between, every `eval_every`-th / `checkpoint_every`-th iteration
-    is (`Schedule.plan`).
-    """
-
-    lr: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 64
-    epochs_per_task: tuple[int, ...] | int = 100
-    eval_every: int = 50
-    checkpoint_every: int = 50
-    dense_window: int = 400
-    dense_tail: int = 50
-    velocity_reset: bool = True
-    eval_batch: int = 256
-
-    def __post_init__(self):
-        if not 0.0 < self.lr < math.inf:
-            raise ArgumentError(f"lr must be positive and finite, got {self.lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 1:
-            raise ArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
-        epochs = self.epochs_per_task
-        if isinstance(epochs, int):
-            epochs = (epochs,)
-        self.epochs_per_task = tuple(int(e) for e in epochs)
-        if not self.epochs_per_task:
-            raise ArgumentError("epochs_per_task needs at least one entry")
-        if any(e < 0 for e in self.epochs_per_task):
-            raise ArgumentError("epochs_per_task entries must be >= 0")
-        for name in ("eval_every", "checkpoint_every", "eval_batch"):
-            if getattr(self, name) < 1:
-                raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.dense_window < 0 or self.dense_tail < 0:
-            raise ArgumentError("dense_window and dense_tail must be >= 0")
-
-    def epochs_for(self, task_id: int) -> int:
-        if task_id < len(self.epochs_per_task):
-            return self.epochs_per_task[task_id]
-        return self.epochs_per_task[-1]
 
 
 def sgd_step(

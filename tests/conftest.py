@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gaplab.autodiff import ParamVector, backward
-from gaplab.instrument import TraceRecord, TrainTrace
+from gaplab.artifacts import TraceRecord, TrainTrace
 
 
 def fd_gradient(spec, params, batch, labels, h=1e-5):

@@ -8,7 +8,7 @@ at or above baseline - tolerance, requiring the full window to exist.
 Iterations sit at boundary 100 with spacing 10 (see conftest.eval_trace).
 """
 
-from gaplab.instrument import compute_gap
+from gaplab.artifacts import compute_gap
 
 from conftest import eval_trace
 

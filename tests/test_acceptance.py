@@ -216,7 +216,7 @@ def test_criterion_5_linear_path_low_while_sgd_path_high(capfd, canonical_run):
     assert len(path_iterations) == 400
     path = sgd_path_loss(spec, store, path_iterations, test)
     endpoint_max = float(max(curve.losses[0], curve.losses[-1]))
-    excess = float(path.losses.max()) - endpoint_max
+    excess = float(max(path.losses)) - endpoint_max
 
     assert DELTA_SGD >= 5.0 * EPS_LIN
     ok = bar <= EPS_LIN and excess >= DELTA_SGD

@@ -7,11 +7,11 @@ shows up here as a failing test."""
 
 import pytest
 
-from gaplab.connectivity import (LmcCurve, PathCurve, lambda_grid, read_lmc_csv,
-                                 read_path_csv, write_lmc_csv, write_path_csv)
+from gaplab.artifacts import (GapMetrics, LmcCurve, PathCurve, TraceRecord, TrainTrace,
+                              format_gap_doc, format_gap_docs, read_lmc_csv, read_path_csv,
+                              read_trace_csv, write_lmc_csv, write_path_csv, write_trace_csv)
+from gaplab.connectivity import lambda_grid
 from gaplab.errors import FormatError
-from gaplab.instrument import (GapMetrics, TraceRecord, TrainTrace, format_gap_doc,
-                               format_gap_docs, read_trace_csv, write_trace_csv)
 
 RECOVERED = GapMetrics(0.9, 0.6, 0.9 - 0.6, 10, 40, True)
 UNRECOVERED = GapMetrics(0.8, 0.7, 0.8 - 0.7, 21, None, False)

@@ -36,9 +36,9 @@ from gaplab.autodiff import (
     _maxpool_backward,
     _maxpool_forward,
     _pad_channels_last,
-    _sha256_hex,
     _unflatten,
 )
+from gaplab.config import _sha256_hex
 from gaplab.data import Dataset
 from gaplab.errors import DivergenceError, ShapeError, SpecMismatchError
 from gaplab.instrument import eval_test

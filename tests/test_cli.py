@@ -12,9 +12,8 @@ import pytest
 
 import gaplab
 from gaplab import connectivity, procs
+from gaplab.artifacts import TraceRecord, TrainTrace, read_trace_csv, write_trace_csv
 from gaplab.cli import main
-from gaplab.instrument import (TraceRecord, TrainTrace, read_trace_csv,
-                               write_trace_csv)
 
 from conftest import eval_trace, run_files, running_children
 

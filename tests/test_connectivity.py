@@ -5,20 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gaplab.artifacts import (LmcCurve, PathCurve, read_lmc_csv, read_path_csv,
+                              write_lmc_csv, write_path_csv)
 from gaplab.autodiff import ParamVector, init_params, mlp
-from gaplab.connectivity import (
-    LmcCurve,
-    PathCurve,
-    barrier,
-    interpolate,
-    lambda_grid,
-    lmc_curve,
-    read_lmc_csv,
-    read_path_csv,
-    sgd_path_loss,
-    write_lmc_csv,
-    write_path_csv,
-)
+from gaplab.connectivity import barrier, interpolate, lambda_grid, lmc_curve, sgd_path_loss
 from gaplab.data import gen_blobs
 from gaplab.errors import ArgumentError, MissingCheckpointError, SpecMismatchError
 from gaplab.instrument import eval_test
@@ -179,7 +169,7 @@ def test_sgd_path_single_and_consistency(tmp_path):
     # single checkpoint: one point equal to eval_test
     single = sgd_path_loss(SPEC, store, [10], test)
     loss, acc = eval_test(SPEC, thetas[1], test)
-    assert single.iterations.tolist() == [10]
+    assert single.iterations == (10,)
     assert abs(single.losses[0] - loss) < 1e-12 and single.accuracies[0] == acc
     # the path's last point must match the lmc endpoint at lambda=1
     path = sgd_path_loss(SPEC, store, [0, 10, 20], test)

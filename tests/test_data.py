@@ -249,3 +249,12 @@ def test_normalize_unit_shared_affine_map():
     assert tn.features.min() >= 0.0 and tn.features.max() <= 1.0
     np.testing.assert_allclose(tn.features, [[0.5, 1.0]])
     np.testing.assert_allclose(sn.features, [[0.0, 0.75]])
+
+
+def test_normalize_unit_constant_features_shift_to_zero():
+    # a zero span divides by 1: every feature becomes 0, none NaN
+    train = Dataset(np.full((2, 3), 7.5), np.array([0, 1]), 2)
+    test = Dataset(np.full((1, 3), 7.5), np.array([1]), 2)
+    tn, sn = normalize_unit(train, test)
+    assert tn.features.tolist() == [[0.0] * 3] * 2
+    assert sn.features.tolist() == [[0.0] * 3]

@@ -136,9 +136,11 @@ def test_workers_do_not_change_results(tmp_path, monkeypatch):
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Imports gaplab in a fresh interpreter and prints, as JSON: the thread
-# variables at the moment numpy's import began, after the import, and the
-# thread count of the OpenBLAS that numpy loaded (null if not found).
+# Imports gaplab, then one numeric submodule (importing gaplab alone loads no
+# numpy), in a fresh interpreter and prints, as JSON: whether gaplab alone
+# loaded numpy, the thread variables at the moment numpy's import began, after
+# the import, and the thread count of the OpenBLAS that numpy loaded (null if
+# not found).
 THREAD_PROBE = """
 import ctypes, json, os, sys
 VARS = %r
@@ -151,6 +153,8 @@ class Watch:
 
 sys.meta_path.insert(0, Watch())
 import gaplab
+numpy_with_gaplab = "numpy" in sys.modules
+import gaplab.rng
 threads = None
 with open("/proc/self/maps") as maps:
     libs = sorted({line.split()[-1] for line in maps if "openblas" in line})
@@ -158,7 +162,8 @@ for lib in libs:
     get = getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_", None)
     if get is not None:
         threads = get()
-print(json.dumps({"at_numpy_import": at_numpy_import, "threads": threads,
+print(json.dumps({"numpy_with_gaplab": numpy_with_gaplab,
+                  "at_numpy_import": at_numpy_import, "threads": threads,
                   "env": {k: os.environ.get(k) for k in VARS}}))
 """ % (BLAS_THREAD_VARS,)
 
@@ -179,6 +184,7 @@ def test_import_sets_one_blas_thread_unless_the_user_set_it():
         return json.loads(done.stdout)
 
     found = probe()
+    assert found.pop("numpy_with_gaplab") is False
     if found["threads"] is None:
         pytest.skip("numpy's OpenBLAS does not export scipy_openblas_get_num_threads64_")
     ones = dict.fromkeys(BLAS_THREAD_VARS, "1")
@@ -389,6 +395,15 @@ def test_interrupt_kills_and_reaps_every_seed_child(tmp_path, monkeypatch, two_c
         run_experiment(config(tmp_path, seeds=[0, 1]))
     assert running == [sorted(started)] and len(started) == 2
     assert_reaped(started)
+
+
+def test_usable_cpus_without_cpu_affinity(monkeypatch):
+    # platforms without os.sched_getaffinity count every CPU, or one
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert procs.usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert procs.usable_cpus() == 1
 
 
 def test_outcomes_run_here_where_forking_is_unsafe(monkeypatch):

@@ -10,23 +10,22 @@ from hypothesis import strategies as st
 
 from conftest import eval_trace
 from gap_oracles import CASES, check_case
-from gaplab.autodiff import (ParamVector, accuracy, backward, forward, init_params,
-                             mlp, softmax_cross_entropy)
-from gaplab.data import Dataset, gen_blobs
-from gaplab.errors import ArgumentError, FormatError, InsufficientTraceError
-from gaplab.instrument import (
+from gaplab.artifacts import (
     GapMetrics,
     TraceRecord,
-    TraceRecorder,
     TrainTrace,
     _median,
     compute_gap,
-    eval_test,
     format_gap_doc,
     format_gap_docs,
     read_trace_csv,
     write_trace_csv,
 )
+from gaplab.autodiff import (ParamVector, accuracy, backward, forward, init_params,
+                             mlp, softmax_cross_entropy)
+from gaplab.data import Dataset, gen_blobs
+from gaplab.errors import ArgumentError, FormatError, InsufficientTraceError
+from gaplab.instrument import TraceRecorder, eval_test
 
 SPEC = mlp(6, [8], 4)
 
@@ -46,6 +45,16 @@ def test_eval_batch_size_invariance():
     loss_c, acc_c = eval_test(SPEC, params, test, eval_batch=7)
     assert acc_a == acc_b == acc_c
     assert abs(loss_a - loss_b) < 1e-12 and abs(loss_a - loss_c) < 1e-12
+
+
+def test_eval_rejects_a_zero_batch_and_an_empty_set():
+    test = blob_test_set()
+    params = init_params(SPEC, 1)
+    with pytest.raises(ArgumentError, match="eval_batch must be >= 1, got 0"):
+        eval_test(SPEC, params, test, eval_batch=0)
+    # an empty evaluation set never reaches eval_test: Dataset refuses it
+    with pytest.raises(ArgumentError, match="at least one sample"):
+        eval_test(SPEC, params, Dataset(test.features[:0], test.labels[:0], test.n_classes))
 
 
 def test_eval_duplication_invariance():
@@ -182,6 +191,10 @@ def test_trace_csv_empty_fields_mean_no_eval(tmp_path):
     assert back.records[0].test_acc is None
     assert back.records[1].test_acc == 0.55
     assert len(back.eval_records()) == 1
+
+
+def test_empty_trace_has_no_boundaries():
+    assert TrainTrace().boundaries == []
 
 
 def test_trace_csv_infers_boundaries_from_task_changes(tmp_path):

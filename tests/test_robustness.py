@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from gaplab import procs
+from gaplab.artifacts import write_trace_csv
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig
-from gaplab.instrument import write_trace_csv
 
 from conftest import eval_trace, run_files
 

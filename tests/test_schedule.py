@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaplab.artifacts import read_trace_csv
 from gaplab.config import ExperimentConfig
 from gaplab.data import TaskSequence
 from gaplab.experiment import run_single_seed
-from gaplab.instrument import read_trace_csv
 from gaplab.trainer import CheckpointStore, Schedule, TrainConfig
 
 from test_pinned import OFF_CADENCE
