@@ -11,9 +11,9 @@ OMP_NUM_THREADS and MKL_NUM_THREADS to 1 unless they are already set.
 Importing gaplab loads neither numpy nor a submodule: a public name (`from
 gaplab import ExperimentConfig`, `gaplab.run_experiment`) loads the module
 that defines it when it is first asked for (PEP 562). `errors`, `config`,
-`artifacts`, `svgplot` and `cli` load without numpy; the numeric modules
-(`rng`, `data`, `autodiff`, `trainer`, `instrument`, `connectivity`,
-`procs`, `experiment`) load it.
+`artifacts`, `svgplot`, `procs` and `cli` load without numpy; the numeric
+modules (`rng`, `data`, `autodiff`, `trainer`, `instrument`, `connectivity`,
+`experiment`) load it.
 """
 
 import importlib

@@ -279,18 +279,12 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     """Uniform(-b, b) weights with b = sqrt(6/(fan_in+fan_out)); zero biases."""
     rng = Rng(seed)
     values = np.zeros(spec.param_count, dtype=np.float64)
-    offset = 0
-    for layer in spec.layers:
-        shape = _weight_shape(layer)
-        if shape is None:
-            continue
-        n_w = math.prod(shape)
+    for w, _ in filter(None, _unflatten(spec, values)):  # biases stay zero
         # the fans count kernel positions: in*9 and out*9 for a Conv3x3
-        fan_in = math.prod(shape[1:])
-        fan_out = shape[0] * math.prod(shape[2:])
+        fan_in = math.prod(w.shape[1:])
+        fan_out = w.shape[0] * math.prod(w.shape[2:])
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        values[offset:offset + n_w] = rng.uniforms(n_w, -bound, bound)
-        offset += _layer_param_count(layer)  # biases stay zero
+        w.flat = rng.uniforms(w.size, -bound, bound)
     return ParamVector(values, spec.digest)
 
 

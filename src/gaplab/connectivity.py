@@ -14,7 +14,7 @@ from .autodiff import ModelSpec, ParamVector, check_same_spec
 from .data import Dataset
 from .config import TrainConfig
 from .errors import ArgumentError
-from .instrument import eval_test, evaluate_each
+from .instrument import eval_test
 from .trainer import CheckpointStore
 
 
@@ -58,14 +58,12 @@ def _evaluate_split(count: int, evaluate, n_procs: int) -> tuple[tuple, tuple]:
     n_procs = max(1, min(n_procs, count))
     bounds = [count * k // n_procs for k in range(n_procs + 1)]
     rows = []
-    for outcome in procs.outcomes(
-            [partial(evaluate_each, evaluate, range(a, b))
+    # `map` is lazy: each slice is evaluated by its `list` call, in its child
+    for part in procs.outcomes(
+            [partial(list, map(evaluate, range(a, b)))
              for a, b in zip(bounds, bounds[1:])], n_procs, "an evaluation process"):
-        if isinstance(outcome, Exception):  # the child died
-            raise outcome
-        part, err = outcome
-        if err is not None:
-            raise err
+        if isinstance(part, Exception):
+            raise part
         rows.extend(part)
     losses, accuracies = zip(*rows)
     return losses, accuracies

@@ -35,10 +35,7 @@ from .data import Dataset, gen_blobs, load_raw, split_tasks
 from .errors import InsufficientTraceError
 from .instrument import TraceRecorder
 from .rng import derive_seed
-from .trainer import SPLIT_STREAM, CheckpointStore, Schedule, run_sequence
-
-# stream ids 0..2 are taken by the trainer (init, batches, splits)
-DATA_STREAM = 3
+from .trainer import DATA_STREAM, SPLIT_STREAM, CheckpointStore, Schedule, run_sequence
 
 
 def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Dataset, Dataset]:
@@ -141,12 +138,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
 
 
 def _run_seed(cfg: ExperimentConfig, seed: int, run_dir: Path):
-    """One seed's gap metrics, or the exception it raised, so that a failing
-    seed does not stop the others; from a seed child only this travels back."""
-    try:
-        return run_single_seed(cfg, seed, run_dir).gap
-    except Exception as err:
-        return err
+    """One seed's gap metrics: from a seed child only this travels back."""
+    return run_single_seed(cfg, seed, run_dir).gap
 
 
 def _pool_size(cfg: ExperimentConfig) -> int:

@@ -43,16 +43,29 @@ def eval_test(
     return loss_sum / test.n, correct / test.n
 
 
-def evaluate_each(evaluate, items) -> tuple[list, Exception | None]:
-    """`evaluate(item)` for each item in turn, up to the first exception:
-    the results before it, and that exception or None."""
+def _evaluate_sent(evaluate, read_end: int, write_end: int, count: int):
+    """The evaluator's loop, in its own process, which first closes its copy
+    of the sending end: `evaluate(values)` for each vector of `count` float64
+    values sent through the pipe, read unbuffered into one reused array (so
+    that a vector stays in the pipe until the one before has been evaluated),
+    until the sending end is closed or the first exception. Returns the
+    results before it, and that exception or None."""
     rows = []
     try:
-        for item in items:
-            rows.append(evaluate(item))
+        os.close(write_end)
+        values = np.empty(count)
+        view = memoryview(values).cast("B")
+        with open(read_end, "rb", buffering=0) as pipe:
+            while True:
+                filled = 0
+                while filled < len(view):
+                    got = pipe.readinto(view[filled:])
+                    if not got:
+                        return rows, None
+                    filled += got
+                rows.append(evaluate(values))
     except Exception as err:
         return rows, err
-    return rows, None
 
 
 class _EvaluatorEnded(Exception):
@@ -148,10 +161,10 @@ class TraceRecorder(TrainingHooks):
             except OSError:  # past the system's limit: a hand-off could wait,
                 return  # so evaluate here
             self._evaluator = procs.Child(partial(
-                evaluate_each,
+                _evaluate_sent,
                 lambda values: eval_test(self.spec, ParamVector(values, digest),
                                          self.test, self.eval_batch),
-                procs.received(read_end, self._to_evaluator, len(params))))
+                read_end, self._to_evaluator, len(params)))
         finally:
             os.close(read_end)
             if self._evaluator is None:  # refused, or the fork failed

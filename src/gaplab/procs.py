@@ -1,7 +1,8 @@
 """Child processes: the CPUs to use, whether a child may be forked, `Child`,
 the one protocol of every child gaplab starts (seed, evaluator, `lmc` slice),
 and `outcomes`, the one rule for spreading works over children: fork where
-safe, else run here."""
+safe, else run here. A work's outcome is its result or the exception it
+raised, in a child and here alike."""
 
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ import select
 import signal
 import sys
 import threading
-
-import numpy as np
 
 from . import _blas_threads_as_set
 from .errors import GapLabError
@@ -34,20 +33,29 @@ def can_fork() -> bool:
             and _blas_threads_as_set)
 
 
+def _outcome(work):
+    """`work()`, or the exception it raised."""
+    try:
+        return work()
+    except Exception as err:
+        return err
+
+
 def _send(work, write_end: int) -> None:
-    """The child's side: `work()`, pickled into the pipe, then `os._exit`
-    (1 if either raised), so that the child never returns to its caller."""
+    """The child's side: `work()`'s outcome, pickled into the pipe, then
+    `os._exit` (1 if the pickling failed or the work raised a BaseException),
+    so that the child never returns to its caller."""
     status = 1
     try:
         with open(write_end, "wb") as pipe:
-            pickle.dump(work(), pipe)
+            pickle.dump(_outcome(work), pipe)
         status = 0
     finally:
         os._exit(status)
 
 
 class Child:
-    """A forked child that runs `work()` and sends the result back. `join`
+    """A forked child that runs `work()` and sends its outcome back. `join`
     waits for the result and reaps the child; `kill` kills and reaps a child
     not joined, so callers call it on every way out. `what` names the child
     in the error of its death. The caller decides whether forking is safe
@@ -72,7 +80,8 @@ class Child:
         return self._read_end
 
     def join(self):
-        """The result of `work()`. A child that died raises GapLabError."""
+        """The result of `work()`, or the Exception it raised, with its type
+        and message. A child that died raises GapLabError."""
         with open(self._read_end, "rb", closefd=False) as pipe:
             payload = pipe.read()
         code = self._reap()
@@ -100,14 +109,15 @@ def ended(children: list[Child], timeout: float | None = None) -> list[Child]:
 
 
 def outcomes(works: list, n_procs: int, what: str) -> list:
-    """The outcome of each `work()`, in order. Where `n_procs > 1` and
-    `can_fork()` holds, each work runs in a `Child` of its own, at most
+    """The outcome of each `work()`, in order: its result, or the Exception
+    it raised, which does not stop the works after it. Where `n_procs > 1`
+    and `can_fork()` holds, each work runs in a `Child` of its own, at most
     `n_procs` alive and the next started when any ends; a child that dies,
     or whose fork is refused, makes that error its work's outcome, and every
     way out kills and reaps the children still alive. Otherwise each work
-    runs here, in turn."""
+    runs here, in turn. A BaseException, such as an interrupt, propagates."""
     if n_procs <= 1 or not can_fork():
-        return [work() for work in works]
+        return [_outcome(work) for work in works]
     waiting, done, alive = list(enumerate(works)), {}, {}  # child -> index
     try:
         while waiting or alive:
@@ -128,23 +138,3 @@ def outcomes(works: list, n_procs: int, what: str) -> list:
         for child in alive:
             child.kill()
     return [done[i] for i in range(len(works))]
-
-
-def received(read_end: int, write_end: int, count: int):
-    """Each vector of `count` float64 values sent through a pipe, read
-    unbuffered into one reused array (so that a vector stays in the pipe
-    until the one before has been used), until the sending end is closed.
-    It starts in the process that iterates it, the evaluator child, which
-    first closes its own copy of the sending end."""
-    os.close(write_end)
-    values = np.empty(count)
-    view = memoryview(values).cast("B")
-    with open(read_end, "rb", buffering=0) as pipe:
-        while True:
-            filled = 0
-            while filled < len(view):
-                got = pipe.readinto(view[filled:])
-                if not got:
-                    return
-                filled += got
-            yield values

@@ -34,6 +34,7 @@ from .rng import Rng, derive_seed
 INIT_STREAM = 0
 BATCH_STREAM = 1
 SPLIT_STREAM = 2
+DATA_STREAM = 3
 
 
 def sgd_step(

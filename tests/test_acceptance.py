@@ -63,12 +63,7 @@ def experiment_config(out_dir, fractions=(50, 50), joint=True, lr=0.01,
 
 
 def run_seed(cfg, seed):
-    """One seed's result, or the exception it raised, which a forked child
-    sends back as its result."""
-    try:
-        return run_single_seed(cfg, seed, Path(cfg.out_dir) / f"seed{seed}")
-    except Exception as err:
-        return err
+    return run_single_seed(cfg, seed, Path(cfg.out_dir) / f"seed{seed}")
 
 
 # the four fixtures that compare seeds: their `experiment_config` arguments

@@ -419,6 +419,14 @@ def test_cross_entropy_rejects_bad_labels():
         softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
 
 
+def test_cross_entropy_rejects_flat_logits_and_too_few_labels():
+    # `_check_logits`' shape guards, which logits from `forward` never reach
+    with pytest.raises(ShapeError, match=r"^logits must be \[B, C\], got shape \(3,\)$"):
+        softmax_cross_entropy(np.zeros(3), np.array([0, 1, 2]))
+    with pytest.raises(ShapeError, match=r"^labels shape \(1,\) does not match batch 2$"):
+        softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
+
+
 # --- accuracy --------------------------------------------------------------
 
 def test_accuracy_basic_and_tie_break():

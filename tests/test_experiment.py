@@ -411,6 +411,23 @@ def test_outcomes_run_here_where_forking_is_unsafe(monkeypatch):
     assert procs.outcomes([os.getpid, os.getpid], 2, "a test process") == [os.getpid()] * 2
 
 
+def boom():
+    raise ArgumentError("boom")
+
+
+@pytest.mark.parametrize("n_procs", [1, 2])
+def test_a_raising_work_has_its_exception_as_outcome_here_and_in_a_child(n_procs):
+    # the same type and message whether the works run here or each in a
+    # forked child, and the work after the raising one still runs
+    if n_procs > 1 and not procs.can_fork():
+        pytest.skip("works run in forked children on Linux only")
+    first, err, last = procs.outcomes([os.getpid, boom, os.getpid], n_procs,
+                                      "a test process")
+    assert type(err) is ArgumentError and str(err) == "boom"
+    here = n_procs == 1
+    assert (first == os.getpid()) == here and (last == os.getpid()) == here
+
+
 def test_workers_stay_out_of_config_and_hash(tmp_path):
     one = config(tmp_path, workers=1)
     assert one.hash() == config(tmp_path, workers=2).hash() == config(tmp_path).hash()
@@ -656,12 +673,17 @@ def test_evaluator_reads_one_vector_at_a_time():
     read_end, write_end = os.pipe()
     for i in range(3):
         os.write(write_end, np.full(4, float(i)).tobytes())
-    received = procs.received(read_end, os.dup(write_end), 4)
-    assert next(received).tolist() == [0.0] * 4
-    unread = fcntl.ioctl(write_end, termios.FIONREAD, bytes(4))
-    assert int.from_bytes(unread, sys.byteorder) == 2 * 4 * 8
-    os.close(write_end)
-    assert [values.tolist() for values in received] == [[1.0] * 4, [2.0] * 4]
+    unread = []
+
+    def evaluate(values):
+        if not unread:  # while the first vector is evaluated
+            unread.append(fcntl.ioctl(write_end, termios.FIONREAD, bytes(4)))
+            os.close(write_end)
+        return values.tolist()
+
+    rows, err = instrument._evaluate_sent(evaluate, read_end, os.dup(write_end), 4)
+    assert int.from_bytes(unread[0], sys.byteorder) == 2 * 4 * 8
+    assert rows == [[0.0] * 4, [1.0] * 4, [2.0] * 4] and err is None
 
 def evaluator_keeps_up(monkeypatch):
     """Patch the recorder so that each hand-off first waits until the

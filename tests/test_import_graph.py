@@ -1,7 +1,8 @@
-"""The import graph: `gaplab` and `gaplab.cli` load without numpy, and so do
-`--version`, `gap` and `report`; every public name of the package loads the
-module that defines it on first use; and the traced benchmark still wraps the
-names that `gaplab.cli` binds only when a command that computes runs."""
+"""The import graph: `gaplab`, `gaplab.cli` and `gaplab.procs` load without
+numpy, and so do `--version`, `gap` and `report`; every public name of the
+package loads the module that defines it on first use; and the traced
+benchmark still wraps the names that `gaplab.cli` binds only when a command
+that computes runs."""
 
 import importlib
 import json
@@ -141,6 +142,12 @@ assert main(["report", "--run", sys.argv[1], "--out", "figs"]) == 0
 loaded["report"] = "numpy" in sys.modules
 print(json.dumps(loaded))
 """
+
+
+def test_procs_import_leaves_numpy_out(tmp_path):
+    # the child protocol is generic: the works it runs bring their own imports
+    out = fresh("import sys, gaplab.procs\nprint('numpy' in sys.modules)", cwd=tmp_path)
+    assert out.splitlines()[-1] == "False"
 
 
 def test_gap_and_report_run_without_numpy(run, tmp_path):

@@ -185,6 +185,13 @@ def test_checkpoint_load_holds_one_copy(tmp_path):
     assert peak < 1.5 * params.values.nbytes
 
 
+def test_checkpoint_save_rejects_a_digest_not_32_bytes(tmp_path):
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(ArgumentError, match="^spec digest must be 32 bytes of hex$"):
+        save_checkpoint(path, ParamVector(np.zeros(3), "ab" * 16))
+    assert not path.exists()
+
+
 def test_checkpoint_spec_binding(tmp_path):
     path = tmp_path / "x.ckpt"
     save_checkpoint(path, init_params(SPEC, 0))
@@ -205,6 +212,14 @@ def test_store_naming_reopen_and_missing(tmp_path):
     assert loaded.values.tobytes() == params.values.tobytes()
     with pytest.raises(MissingCheckpointError):
         reopened.require([13, 99])
+
+
+def test_store_load_iteration_of_a_missing_iteration(tmp_path):
+    store = CheckpointStore(tmp_path / "ckpts")
+    store.save(0, 13, init_params(SPEC, 1))
+    with pytest.raises(MissingCheckpointError) as raised:
+        store.load_iteration(14, SPEC)
+    assert raised.value.missing_iterations == [14]
 
 
 def test_store_open_rejects_bad_checkpoint_names(tmp_path):
