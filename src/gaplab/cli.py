@@ -168,10 +168,12 @@ def cmd_lmc(args) -> int:
         if not store.iterations():
             raise ArgumentError(f"{args.sgd_path}: no checkpoints found")
 
-    # both curves are evaluated, on every usable CPU where forking is safe
-    # (`procs.outcomes`), before anything is written, so a checkpoint that
-    # fails to load leaves no file behind
+    # both curves are evaluated, on every usable CPU up to the config's
+    # `workers` where forking is safe (`procs.outcomes`), before anything is
+    # written, so a checkpoint that fails to load leaves no file behind
     cpus = procs.usable_cpus()
+    if cfg.workers is not None:
+        cpus = min(cpus, cfg.workers)
     curve = lmc_curve(spec, theta1, theta2, step, test,
                       eval_batch=cfg.train.eval_batch, procs=cpus)
     path_curve = None

@@ -9,8 +9,9 @@ section's keys, types and defaults: a key's value must have its field's
 declared type (a JSON list for a tuple), an absent key keeps the field's
 default, and `null` is accepted only where the declared type allows None.
 Range rules belong to the code that uses the values; each section calls
-those checks when it is loaded, so a bad document is rejected before any
-run directory is written.
+those checks when it is built (`__post_init__`), whether it is loaded,
+replaced or constructed directly, so a bad document is rejected before
+any run directory is written.
 
 This module loads without numpy: the model builders and the range checks
 of the numeric modules are imported where they are called.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from pathlib import Path
 from types import NoneType, UnionType
@@ -106,13 +107,14 @@ def _typed(value, where: str, hint):
     raise ArgumentError(f"{where}: expected {expected}, got {_describe_value(value)}")
 
 
-def _parse(cls, d, where: str, sections=None) -> dict:
-    """Keyword arguments for the dataclass `cls` from the object `d`.
+def load(cls, d, where: str):
+    """The dataclass `cls` built from the JSON object `d`.
 
     Every key must name a field, every field without a default must be
-    present, and every value must have its field's declared type;
-    `sections` maps keys to the parsers of nested objects.
-    Absent keys are left out, so that the dataclass defaults apply.
+    present, and every value must have its field's declared type; a field
+    whose type is a dataclass is loaded the same way, its messages naming
+    it by its key. Absent keys are left out, so that the dataclass
+    defaults apply, and the built dataclass checks its own ranges.
     """
     if not isinstance(d, dict):
         raise ArgumentError(f"{where}: expected an object, got {type(d).__name__}")
@@ -125,10 +127,9 @@ def _parse(cls, d, where: str, sections=None) -> dict:
     if missing:
         raise ArgumentError(f"{where}: missing required keys {missing}")
     hints = get_type_hints(cls)
-    sections = sections or {}
-    return {key: sections[key](value) if key in sections
-            else _typed(value, f"{where}.{key}", hints[key])
-            for key, value in d.items()}
+    return cls(**{key: load(hints[key], value, key) if is_dataclass(hints[key])
+                  else _typed(value, f"{where}.{key}", hints[key])
+                  for key, value in d.items()})
 
 
 def _check(where: str, check, *args, **kwargs):
@@ -165,25 +166,28 @@ class DatasetConfig:
     train_count: int | None = None
     test_count: int | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "dataset") -> "DatasetConfig":
+    def __post_init__(self):
         from .data import check_blob_args, check_raw_args
-        cfg = cls(**_parse(cls, d, where))
-        if cfg.shape is not None:
-            _at_least(cfg.shape, 1, f"{where}.shape", nonempty=True)
-        if cfg.kind == "blobs":
-            _check(where, check_blob_args, cfg.classes, cfg.per_class, cfg.dim,
-                   cfg.spread, cfg.shape)
-            return cfg
-        if cfg.classes < 2:
-            raise ArgumentError(f"{where}.classes: need at least 2, got {cfg.classes}")
-        if None in (cfg.train_features, cfg.train_labels, cfg.test_features, cfg.test_labels):
-            raise ArgumentError(f"{where}: kind 'files' requires all four file paths")
-        if None in (cfg.shape, cfg.train_count, cfg.test_count):
-            raise ArgumentError(f"{where}: kind 'files' requires shape, train_count, test_count")
+        if self.shape is not None:
+            _at_least(self.shape, 1, "dataset.shape", nonempty=True)
+        if self.kind == "blobs":
+            _check("dataset", check_blob_args, self.classes, self.per_class, self.dim,
+                   self.spread, self.shape)
+            named = [name for name in ("train_features", "train_labels", "test_features",
+                                       "test_labels", "train_count", "test_count")
+                     if getattr(self, name) is not None]
+            if named:
+                raise ArgumentError(f"dataset: keys {named} need kind 'files'")
+            return
+        if self.classes < 2:
+            raise ArgumentError(f"dataset.classes: need at least 2, got {self.classes}")
+        if None in (self.train_features, self.train_labels, self.test_features,
+                    self.test_labels):
+            raise ArgumentError("dataset: kind 'files' requires all four file paths")
+        if None in (self.shape, self.train_count, self.test_count):
+            raise ArgumentError("dataset: kind 'files' requires shape, train_count, test_count")
         for name in ("train_count", "test_count"):
-            _check(f"{where}.{name}", check_raw_args, cfg.shape, getattr(cfg, name))
-        return cfg
+            _check(f"dataset.{name}", check_raw_args, self.shape, getattr(self, name))
 
     @property
     def input_shape(self) -> tuple[int, ...]:
@@ -197,12 +201,9 @@ class ModelConfig:
     hidden: tuple[int, ...] = (128, 64)
     channels: tuple[int, ...] = (8, 16)
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "model") -> "ModelConfig":
-        cfg = cls(**_parse(cls, d, where))
-        _at_least(cfg.hidden, 1, f"{where}.hidden")
-        _at_least(cfg.channels, 1, f"{where}.channels")
-        return cfg
+    def __post_init__(self):
+        _at_least(self.hidden, 1, "model.hidden")
+        _at_least(self.channels, 1, "model.channels")
 
 
 def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...],
@@ -223,14 +224,12 @@ class SplitConfig:
     joint: bool = True
     stratified: bool = True
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "split") -> "SplitConfig":
+    def __post_init__(self):
         from .data import check_fractions
-        cfg = cls(**_parse(cls, d, where))
-        if len(cfg.fractions) < 2:
-            raise ArgumentError(f"{where}.fractions: need at least 2 tasks, got {len(cfg.fractions)}")
-        _check(f"{where}.fractions", check_fractions, cfg.fractions)
-        return cfg
+        if len(self.fractions) < 2:
+            raise ArgumentError(
+                f"split.fractions: need at least 2 tasks, got {len(self.fractions)}")
+        _check("split.fractions", check_fractions, self.fractions)
 
 
 # the gap analysis defaults are compute_gap's keyword defaults
@@ -246,19 +245,17 @@ class AnalysisConfig:
     lmc_step: float = 0.01
     theta2_epochs: int = 5
 
-    @classmethod
-    def from_dict(cls, d: dict, where: str = "analysis") -> "AnalysisConfig":
+    def __post_init__(self):
         from .connectivity import check_step
-        cfg = cls(**_parse(cls, d, where))
-        _check(where, check_gap_args, cfg.baseline_evals, cfg.recovery_window,
-               cfg.tolerance, cfg.window)
-        _check(f"{where}.lmc_step", check_step, cfg.lmc_step)
-        if cfg.theta2_epochs < 1:
-            raise ArgumentError(f"{where}.theta2_epochs: must be >= 1, got {cfg.theta2_epochs}")
-        return cfg
+        _check("analysis", check_gap_args, self.baseline_evals, self.recovery_window,
+               self.tolerance, self.window)
+        _check("analysis.lmc_step", check_step, self.lmc_step)
+        if self.theta2_epochs < 1:
+            raise ArgumentError(
+                f"analysis.theta2_epochs: must be >= 1, got {self.theta2_epochs}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """The config's `train` section: optimizer hyperparameters plus
     instrumentation cadence. The run's seed is not part of it; it is
@@ -268,7 +265,7 @@ class TrainConfig:
     task. The first `dense_window` and the last `dense_tail` iterations
     of each task, and its final iteration, are evaluated and checkpointed;
     in between, every `eval_every`-th / `checkpoint_every`-th iteration
-    is (`trainer.Schedule.plan`).
+    is (`trainer.Schedule.plan`). Its messages name the section (`train: `).
     """
 
     lr: float = 0.01
@@ -284,33 +281,29 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.lr < math.inf:
-            raise ArgumentError(f"lr must be positive and finite, got {self.lr}")
+            raise ArgumentError(f"train: lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ArgumentError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ArgumentError(f"train: momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
-            raise ArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ArgumentError(f"train: batch_size must be >= 1, got {self.batch_size}")
         epochs = self.epochs_per_task
         if isinstance(epochs, int):
             epochs = (epochs,)
-        self.epochs_per_task = tuple(int(e) for e in epochs)
+        object.__setattr__(self, "epochs_per_task", tuple(int(e) for e in epochs))
         if not self.epochs_per_task:
-            raise ArgumentError("epochs_per_task needs at least one entry")
+            raise ArgumentError("train: epochs_per_task needs at least one entry")
         if any(e < 0 for e in self.epochs_per_task):
-            raise ArgumentError("epochs_per_task entries must be >= 0")
+            raise ArgumentError("train: epochs_per_task entries must be >= 0")
         for name in ("eval_every", "checkpoint_every", "eval_batch"):
             if getattr(self, name) < 1:
-                raise ArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ArgumentError(f"train: {name} must be >= 1, got {getattr(self, name)}")
         if self.dense_window < 0 or self.dense_tail < 0:
-            raise ArgumentError("dense_window and dense_tail must be >= 0")
+            raise ArgumentError("train: dense_window and dense_tail must be >= 0")
 
     def epochs_for(self, task_id: int) -> int:
         if task_id < len(self.epochs_per_task):
             return self.epochs_per_task[task_id]
         return self.epochs_per_task[-1]
-
-
-def train_config_from_dict(d: dict, where: str = "train") -> TrainConfig:
-    return _check(where, TrainConfig, **_parse(TrainConfig, d, where))
 
 
 def _plain(value):
@@ -337,32 +330,27 @@ class ExperimentConfig:
     # a result, so to_dict (and with it config.json and the hash) omits it
     workers: int | None = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
+    def __post_init__(self):
         from .rng import check_seed
-        cfg = cls(**_parse(cls, d, "config", sections={
-            "dataset": DatasetConfig.from_dict,
-            "model": ModelConfig.from_dict,
-            "split": SplitConfig.from_dict,
-            "train": train_config_from_dict,
-            "analysis": AnalysisConfig.from_dict,
-        }))
-        if not cfg.seeds:
+        if not self.seeds:
             raise ArgumentError("config.seeds: must not be empty")
-        for seed in cfg.seeds:
+        for seed in self.seeds:
             check_seed(seed, "config.seeds")
-        if len(set(cfg.seeds)) != len(cfg.seeds):
+        if len(set(self.seeds)) != len(self.seeds):
             raise ArgumentError("config.seeds: duplicate seeds")
-        if cfg.workers is not None and cfg.workers < 1:
-            raise ArgumentError(f"config.workers: must be >= 1, got {cfg.workers}")
-        n_tasks = len(cfg.split.fractions)
-        epochs = cfg.train.epochs_per_task
+        if self.workers is not None and self.workers < 1:
+            raise ArgumentError(f"config.workers: must be >= 1, got {self.workers}")
+        n_tasks = len(self.split.fractions)
+        epochs = self.train.epochs_per_task
         if len(epochs) > n_tasks:
             raise ArgumentError(
                 f"train.epochs_per_task: {len(epochs)} entries for {n_tasks} tasks"
             )
-        cfg.model_spec  # a model that cannot take the dataset's input is a config error
-        return cfg
+        self.model_spec  # a model that cannot take the dataset's input is a config error
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        return load(cls, d, "config")
 
     @cached_property
     def model_spec(self) -> ModelSpec:

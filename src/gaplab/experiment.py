@@ -6,7 +6,7 @@ Run directory layout (one subdirectory per seed):
     out/
       config.json      canonicalized input configuration
       manifest.json    config hash, artifact list, versions, creation time
-      gap.txt          per-seed and median gap metrics (multi-task runs)
+      gap.txt          per-seed and median gap metrics (seeds that yield them)
       seed<k>/
         trace.csv      one row per training iteration
         gap.txt        gap metrics for the first task boundary
@@ -59,8 +59,8 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Dataset, Dataset]:
 @dataclass
 class SeedRunResult:
     """What one seed's run computed: its trace, its schedule (with the task
-    boundaries) and the gap at the first boundary (None for a single task, or
-    a trace too short to analyze)."""
+    boundaries) and the gap at the first boundary (None for a trace too short
+    to analyze)."""
 
     trace: TrainTrace
     plan: Schedule
@@ -98,20 +98,18 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
 
     write_trace_csv(run_dir / "trace.csv", recorder.trace)
 
-    gap = None
-    if task_seq.n_tasks >= 2:
-        try:
-            gap = compute_gap(
-                recorder.trace,
-                boundary_iteration=plan.boundaries[0],
-                baseline_evals=cfg.analysis.baseline_evals,
-                recovery_window=cfg.analysis.recovery_window,
-                tolerance=cfg.analysis.tolerance,
-                window=cfg.analysis.window,
-            )
-            (run_dir / "gap.txt").write_text(format_gap_doc(gap))
-        except InsufficientTraceError:
-            gap = None
+    try:
+        gap = compute_gap(
+            recorder.trace,
+            boundary_iteration=plan.boundaries[0],
+            baseline_evals=cfg.analysis.baseline_evals,
+            recovery_window=cfg.analysis.recovery_window,
+            tolerance=cfg.analysis.tolerance,
+            window=cfg.analysis.window,
+        )
+        (run_dir / "gap.txt").write_text(format_gap_doc(gap))
+    except InsufficientTraceError:
+        gap = None
 
     if store is not None and plan.theta2 is not None:
         theta1 = store.load_iteration(plan.boundaries[0], spec)
@@ -199,6 +197,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     if per_seed:
         (out / "gap.txt").write_text(format_gap_docs(per_seed))
         manifest.add("gap.txt")
+    else:  # an earlier run's aggregate must not outlive this run
+        (out / "gap.txt").unlink(missing_ok=True)
 
     for seed, outcome in zip(cfg.seeds, outcomes):
         manifest.seeds[str(seed)] = _status(outcome)

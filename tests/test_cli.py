@@ -465,6 +465,27 @@ def test_lmc_killed_worker_exit_4(trained, tmp_path, monkeypatch, capsys):
 
 
 @forks_on_linux
+def test_lmc_evaluates_in_at_most_workers_processes(trained, tmp_path, monkeypatch, capsys):
+    run_tmp, cfg = trained
+    ckpt_dir = run_tmp / "exp" / "seed0" / "checkpoints"
+    capped = tmp_path / "workers1.json"
+    capped.write_text(json.dumps(dict(json.loads(cfg.read_text()), workers=1)))
+    children, real = [], procs.Child.__init__
+
+    def counted(self, *args):
+        children.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(procs.Child, "__init__", counted)
+    uncapped = run_lmc(cfg, ckpt_dir, tmp_path / "figs", capsys)
+    assert children  # two CPUs and no cap: the slices are forked
+    children.clear()
+    assert run_lmc(capped, ckpt_dir, tmp_path / "figs", capsys) == uncapped
+    assert children == []
+
+
+@forks_on_linux
 def test_lmc_as_module_prints_one_wrote_line(trained, tmp_path):
     # `python -m gaplab.cli` on two CPUs: a forked child that returned into
     # `main` would print a second line

@@ -1,7 +1,7 @@
 """Config parsing: strict keys, typed fields, canonical hashing."""
 
 import json
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -14,7 +14,7 @@ from gaplab.config import (
     SplitConfig,
     canonical_json,
     config_hash,
-    train_config_from_dict,
+    load,
 )
 from gaplab.errors import ArgumentError
 from gaplab.trainer import TrainConfig
@@ -82,13 +82,13 @@ def test_seed_list_validation():
 
 def test_files_kind_requires_paths_and_counts():
     with pytest.raises(ArgumentError, match="requires all four file paths"):
-        DatasetConfig.from_dict({"kind": "files"})
+        load(DatasetConfig, {"kind": "files"}, "dataset")
     with pytest.raises(ArgumentError, match="requires shape"):
-        DatasetConfig.from_dict({
+        load(DatasetConfig, {
             "kind": "files",
             "train_features": "a", "train_labels": "b",
             "test_features": "c", "test_labels": "d",
-        })
+        }, "dataset")
 
 
 def test_epochs_cannot_exceed_tasks():
@@ -101,7 +101,7 @@ def test_epochs_cannot_exceed_tasks():
 
 
 def test_train_scalar_epochs_broadcast():
-    cfg = train_config_from_dict({"epochs_per_task": 7})
+    cfg = load(TrainConfig, {"epochs_per_task": 7}, "train")
     assert cfg.epochs_per_task == (7,)
 
 
@@ -140,23 +140,62 @@ def test_missing_file_is_argument_error(tmp_path):
 
 def test_split_validation():
     with pytest.raises(ArgumentError):
-        SplitConfig.from_dict({"fractions": [60, 60]})
+        load(SplitConfig, {"fractions": [60, 60]}, "split")
     with pytest.raises(ArgumentError):
-        SplitConfig.from_dict({"fractions": []})
+        load(SplitConfig, {"fractions": []}, "split")
 
 
 def test_analysis_validation():
     with pytest.raises(ArgumentError):
-        AnalysisConfig.from_dict({"lmc_step": 0.0})
+        load(AnalysisConfig, {"lmc_step": 0.0}, "analysis")
     with pytest.raises(ArgumentError):
-        AnalysisConfig.from_dict({"baseline_evals": 0})
+        load(AnalysisConfig, {"baseline_evals": 0}, "analysis")
 
 
 def test_model_validation():
     with pytest.raises(ArgumentError):
-        ModelConfig.from_dict({"name": "resnet"})
-    cfg = ModelConfig.from_dict({"name": "smallcnn", "channels": [4, 8]})
+        load(ModelConfig, {"name": "resnet"}, "model")
+    cfg = load(ModelConfig, {"name": "smallcnn", "channels": [4, 8]}, "model")
     assert cfg.channels == (4, 8)
+
+
+def test_sections_check_themselves_however_they_are_built():
+    cfg = ExperimentConfig.from_dict(MINIMAL)
+    with pytest.raises(ArgumentError, match=r"^config.seeds: must not be empty$"):
+        replace(cfg, seeds=())
+    with pytest.raises(ArgumentError, match=r"^config.workers: must be >= 1, got 0$"):
+        replace(cfg, workers=0)
+    with pytest.raises(ArgumentError, match=r"^train.epochs_per_task: 3 entries for 2 tasks$"):
+        replace(cfg, train=TrainConfig(epochs_per_task=(1, 1, 1)))
+    with pytest.raises(ArgumentError, match=r"^model: smallcnn needs"):
+        replace(cfg, model=ModelConfig(name="smallcnn"))
+    cases = [
+        (lambda: DatasetConfig(per_class=0), "dataset: "),
+        (lambda: DatasetConfig(train_count=5), "dataset: keys ['train_count'] need kind 'files'"),
+        (lambda: DatasetConfig(kind="files"), "dataset: kind 'files' requires all four"),
+        (lambda: ModelConfig(hidden=(0,)), "model.hidden: entries must be >= 1, got 0"),
+        (lambda: SplitConfig(fractions=(100.0,)), "split.fractions: need at least 2 tasks"),
+        (lambda: AnalysisConfig(theta2_epochs=0), "analysis.theta2_epochs: must be >= 1"),
+        (lambda: AnalysisConfig(lmc_step=0.0), "analysis.lmc_step: "),
+        (lambda: TrainConfig(lr=0.0), "train: lr must be positive and finite, got 0.0"),
+        (lambda: replace(cfg.train, batch_size=0), "train: batch_size must be >= 1, got 0"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ArgumentError) as err:
+            build()
+        assert str(err.value).startswith(message), message
+
+
+def test_a_built_config_cannot_be_changed_in_place():
+    # a changed `lr` would change the run and the hash under the same config
+    cfg = ExperimentConfig.from_dict(MINIMAL)
+    digest = cfg.hash()
+    for section, key in [(cfg, "seeds"), (cfg.train, "lr"), (cfg.dataset, "spread"),
+                         (cfg.model, "hidden"), (cfg.split, "joint"),
+                         (cfg.analysis, "window")]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(section, key, getattr(section, key))
+    assert cfg.hash() == digest
 
 
 def test_manifest_serialization_sorted():

@@ -20,7 +20,7 @@ import gaplab
 from gaplab import experiment, instrument, procs, trainer
 from gaplab.autodiff import init_params
 from gaplab.cli import main
-from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec
+from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec, load
 from gaplab.data import Dataset
 from gaplab.errors import ArgumentError, DivergenceError, GapLabError
 from gaplab.experiment import build_dataset, run_experiment
@@ -103,6 +103,20 @@ def test_rerun_into_an_existing_out_dir_starts_each_seed_afresh(tmp_path):
     assert files() == first
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["artifacts"] == sorted(first)
+
+
+def test_rerun_without_gap_metrics_leaves_no_aggregate_gap(tmp_path):
+    # 1000 baseline evaluations are more than the trace holds, so the second
+    # run yields no gap metrics, and the first run's aggregate must go
+    out = run_experiment(config(tmp_path, seeds=[0]))
+    assert (out / "gap.txt").is_file()
+    again = run_experiment(config(tmp_path, seeds=[0],
+                                  analysis={"window": 100, "baseline_evals": 1000}))
+    assert again == out and not (out / "gap.txt").exists()
+    assert not (out / "seed0" / "gap.txt").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == {"0": "ok"}
+    assert "gap.txt" not in manifest["artifacts"]
 
 
 # a conv model on [C, H, W] blobs, in-process and in seed processes
@@ -481,7 +495,7 @@ def test_a_seed_trains_from_its_own_initial_parameters(tmp_path):
 
 
 def test_build_model_spec_rejects_cnn_on_flat_data():
-    cfg = ModelConfig.from_dict({"name": "smallcnn"})
+    cfg = load(ModelConfig, {"name": "smallcnn"}, "model")
     with pytest.raises(ArgumentError):
         build_model_spec(cfg, (4,), 3)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gaplab import connectivity, trainer
-from gaplab.config import AnalysisConfig, ExperimentConfig, ModelConfig, build_model_spec
+from gaplab.config import AnalysisConfig, ExperimentConfig, ModelConfig, build_model_spec, load
 from gaplab.connectivity import lambda_grid
 from gaplab.experiment import run_experiment
 from gaplab.trainer import CheckpointStore
@@ -42,7 +42,7 @@ def test_quickstart_config_hash():
      "e76c30cab34c0c7008ae55243bfb9b9378a0fbfb76e257b728cb8cb79f625099"),
 ])
 def test_model_spec_digest(model, input_shape, digest):
-    spec = build_model_spec(ModelConfig.from_dict(model), input_shape, 8)
+    spec = build_model_spec(load(ModelConfig, model, "model"), input_shape, 8)
     assert spec.digest == digest
 
 

@@ -168,8 +168,16 @@ def test_files_dataset_with_count_0_writes_nothing(tmp_path, capsys, key):
     ({"train": 5}, "train: expected an object, got int"),
     ({"model": {"hidden": [0]}}, "model.hidden: entries must be >= 1, got 0"),
     ({"dataset": dict(CONFIG["dataset"], shape=[])}, "dataset.shape: must not be empty"),
+    ({"train": {"epochs_per_task": []}}, "train: epochs_per_task needs at least one entry"),
+    ({"train": {"dense_window": -1}}, "train: dense_window and dense_tail must be >= 0"),
+    ({"train": {"dense_tail": -1}}, "train: dense_window and dense_tail must be >= 0"),
+    # a files config that forgot `"kind": "files"` once trained on blobs
+    ({"dataset": dict(CONFIG["dataset"], shape=[4], train_features="a.bin",
+                      train_labels="b.bin", test_features=None, train_count=8)},
+     "dataset: keys ['train_features', 'train_labels', 'train_count'] need kind 'files'"),
 ], ids=["workers-0", "theta2-epochs-0", "files-one-class", "train-not-an-object",
-        "hidden-0", "empty-shape"])
+        "hidden-0", "empty-shape", "no-epochs", "dense-window-negative",
+        "dense-tail-negative", "file-keys-on-blobs"])
 def test_config_value_out_of_range_exits_2_before_any_file(tmp_path, capsys, override,
                                                           message):
     assert main(["train", "--config", str(write_config(tmp_path, **override))]) == 2
