@@ -209,25 +209,29 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
 
 def read_table(path: str | Path, header: list[str], parse, what: str) -> list:
     """`parse(row)` of every row of a CSV table with the given header.
-    A wrong header or field count, a ValueError from `parse` or a table
-    without rows raises FormatError naming the file and the line."""
+    A wrong header or field count, a ValueError from `parse`, a table
+    without rows or a file that is not UTF-8 text raises FormatError
+    naming the file (and the line, where there is one)."""
     items = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise FormatError(f"{path}: empty {what} file")
-        if got != header:
-            raise FormatError(f"{path}: line 1: unexpected header {got}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                items.append(parse(row))
-            except ValueError as err:
-                raise FormatError(f"{path}: line {line_no}: {err}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            got = next(reader, None)
+            if got is None:
+                raise FormatError(f"{path}: empty {what} file")
+            if got != header:
+                raise FormatError(f"{path}: line 1: unexpected header {got}")
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise FormatError(
+                        f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    items.append(parse(row))
+                except ValueError as err:
+                    raise FormatError(f"{path}: line {line_no}: {err}") from None
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
     if not items:
         raise FormatError(f"{path}: {what} contains no records")
     return items

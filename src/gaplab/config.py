@@ -8,10 +8,11 @@ Each section is a dataclass, and its fields are the one statement of the
 section's keys, types and defaults: a key's value must have its field's
 declared type (a JSON list for a tuple), an absent key keeps the field's
 default, and `null` is accepted only where the declared type allows None.
-Range rules belong to the code that uses the values; each section calls
-those checks when it is built (`__post_init__`), whether it is loaded,
-replaced or constructed directly, so a bad document is rejected before
-any run directory is written.
+Range rules belong to the code that uses the values. A section checks
+both, types first, when it is built (`__post_init__`), whether it is
+loaded, replaced or constructed directly, so a bad document is rejected
+before any run directory is written, and a section built in code holds
+the same values, and hashes the same, as the document that loads to it.
 
 This module loads without numpy: the model builders and the range checks
 of the numeric modules are imported where they are called.
@@ -23,7 +24,7 @@ import inspect
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import TYPE_CHECKING, Literal, get_args, get_origin, get_type_hints
@@ -89,6 +90,14 @@ def _describe_value(value) -> str:
     return type(value).__name__
 
 
+def _as(kind, value, where: str):
+    """`value`, of type `kind` by `_is`, as a `kind`: an int becomes a float."""
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ArgumentError(f"{where}: integer out of float range") from None
+
+
 def _typed(value, where: str, hint):
     """`value` as the declared type `hint`: a scalar type, a Literal of
     choices, tuple[T, ...] (a list of T), or a union of these."""
@@ -100,21 +109,30 @@ def _typed(value, where: str, hint):
         elif get_origin(option) is tuple:
             item = get_args(option)[0]
             if isinstance(value, (list, tuple)) and all(_is(v, item) for v in value):
-                return tuple(item(v) for v in value)
+                return tuple(_as(item, v, where) for v in value)
         elif _is(value, option):
-            return float(value) if option is float else value
+            return _as(option, value, where)
     expected = " or ".join(map(_describe, options))
     raise ArgumentError(f"{where}: expected {expected}, got {_describe_value(value)}")
+
+
+_hints = cache(get_type_hints)  # a section's hints, once per class: replace builds one
+
+
+def _typed_fields(section, where: str) -> None:
+    """Give each field of `section` its declared type: `__post_init__`'s first step."""
+    for key, hint in _hints(type(section)).items():
+        object.__setattr__(section, key, _typed(getattr(section, key), f"{where}.{key}", hint))
 
 
 def load(cls, d, where: str):
     """The dataclass `cls` built from the JSON object `d`.
 
-    Every key must name a field, every field without a default must be
-    present, and every value must have its field's declared type; a field
-    whose type is a dataclass is loaded the same way, its messages naming
-    it by its key. Absent keys are left out, so that the dataclass
-    defaults apply, and the built dataclass checks its own ranges.
+    Every key must name a field, and every field without a default must
+    be present; a field whose type is a dataclass is loaded the same way,
+    its messages naming it by its key. Other values are passed as they
+    are and absent keys are left out, so that the dataclass defaults
+    apply; the built dataclass checks its own types and ranges.
     """
     if not isinstance(d, dict):
         raise ArgumentError(f"{where}: expected an object, got {type(d).__name__}")
@@ -126,9 +144,8 @@ def load(cls, d, where: str):
                      and f.default is MISSING and f.default_factory is MISSING)
     if missing:
         raise ArgumentError(f"{where}: missing required keys {missing}")
-    hints = get_type_hints(cls)
-    return cls(**{key: load(hints[key], value, key) if is_dataclass(hints[key])
-                  else _typed(value, f"{where}.{key}", hints[key])
+    hints = _hints(cls)
+    return cls(**{key: load(hints[key], value, key) if is_dataclass(hints[key]) else value
                   for key, value in d.items()})
 
 
@@ -167,6 +184,7 @@ class DatasetConfig:
     test_count: int | None = None
 
     def __post_init__(self):
+        _typed_fields(self, "dataset")
         from .data import check_blob_args, check_raw_args
         if self.shape is not None:
             _at_least(self.shape, 1, "dataset.shape", nonempty=True)
@@ -202,6 +220,7 @@ class ModelConfig:
     channels: tuple[int, ...] = (8, 16)
 
     def __post_init__(self):
+        _typed_fields(self, "model")
         _at_least(self.hidden, 1, "model.hidden")
         _at_least(self.channels, 1, "model.channels")
 
@@ -225,6 +244,7 @@ class SplitConfig:
     stratified: bool = True
 
     def __post_init__(self):
+        _typed_fields(self, "split")
         from .data import check_fractions
         if len(self.fractions) < 2:
             raise ArgumentError(
@@ -246,6 +266,7 @@ class AnalysisConfig:
     theta2_epochs: int = 5
 
     def __post_init__(self):
+        _typed_fields(self, "analysis")
         from .connectivity import check_step
         _check("analysis", check_gap_args, self.baseline_evals, self.recovery_window,
                self.tolerance, self.window)
@@ -280,16 +301,15 @@ class TrainConfig:
     eval_batch: int = 256
 
     def __post_init__(self):
+        _typed_fields(self, "train")
         if not 0.0 < self.lr < math.inf:
             raise ArgumentError(f"train: lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ArgumentError(f"train: momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ArgumentError(f"train: batch_size must be >= 1, got {self.batch_size}")
-        epochs = self.epochs_per_task
-        if isinstance(epochs, int):
-            epochs = (epochs,)
-        object.__setattr__(self, "epochs_per_task", tuple(int(e) for e in epochs))
+        if isinstance(self.epochs_per_task, int):
+            object.__setattr__(self, "epochs_per_task", (self.epochs_per_task,))
         if not self.epochs_per_task:
             raise ArgumentError("train: epochs_per_task needs at least one entry")
         if any(e < 0 for e in self.epochs_per_task):
@@ -331,6 +351,7 @@ class ExperimentConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        _typed_fields(self, "config")
         from .rng import check_seed
         if not self.seeds:
             raise ArgumentError("config.seeds: must not be empty")
@@ -365,15 +386,15 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # a JSONDecodeError, or an int of too many digits
             raise ArgumentError(f"config: invalid JSON: {err}") from None
         return cls.from_dict(raw)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
-            text = Path(path).read_text()
-        except OSError as err:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
             raise ArgumentError(f"config: cannot read {path}: {err}") from None
         return cls.from_json(text)
 

@@ -125,16 +125,17 @@ def malformed(header, row):
         "field count": (f"{header}\n{row}\n1,0\n", f"line 3: expected {n_fields} fields, got 2"),
         "unparsable field": (f"{header}\n{row}\n{unparsable}\n", "line 3: "),
         "no records": (header + "\n", "no records"),
+        "not text": (f"{header}\n{row}\n".encode() + b"\xff\xfe\n", "not UTF-8 text"),
     }
 
 
 @pytest.mark.parametrize("case", ["empty file", "bad header", "field count",
-                                  "unparsable field", "no records"])
+                                  "unparsable field", "no records", "not text"])
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_reader_rejects_malformed_input(tmp_path, kind, case):
     reader, header, row = READERS[kind]
     text, message = malformed(header, row)[case]
     path = tmp_path / f"{kind}.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(FormatError, match=message):
         reader(path)

@@ -290,6 +290,15 @@ def test_gap_corrupt_trace_exit_4(tmp_path):
     assert main(["gap", "--trace", str(bad), "--boundary", "5"]) == 4
 
 
+@pytest.mark.parametrize("command", ["gap", "report"])
+def test_trace_that_is_not_text_exit_4(tmp_path, capsys, command):
+    bad = tmp_path / "trace.csv"
+    bad.write_bytes(b"iter,task\n\xff\xfe\n")
+    args = {"gap": ["gap", "--trace", str(bad)], "report": ["report", "--run", str(tmp_path)]}
+    assert main(args[command]) == 4
+    assert capsys.readouterr() == ("", f"gaplab: error: {bad}: not UTF-8 text\n")
+
+
 # --- lmc and report ---------------------------------------------------------------
 
 @pytest.fixture(scope="module")

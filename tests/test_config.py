@@ -1,9 +1,15 @@
 """Config parsing: strict keys, typed fields, canonical hashing."""
 
 import json
-from dataclasses import FrozenInstanceError, fields, replace
+import math
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_type_hints
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab.config import (
     AnalysisConfig,
@@ -205,3 +211,125 @@ def test_manifest_serialization_sorted():
     assert d["config_hash"] == "abc"
     assert d["artifacts"] == ["a", "b"]  # serialized sorted
     assert list(d) == sorted(d.keys())
+
+
+# --- a section built in code is typed as a loaded one ---------------------------------
+
+def test_a_section_built_in_code_is_typed_as_a_loaded_one():
+    cfg = ExperimentConfig.from_dict(MINIMAL)
+    # once built, and ran an mlp under a config naming "resnet"
+    with pytest.raises(ArgumentError,
+                       match=r"^model.name: expected 'mlp' or 'smallcnn', got 'resnet'$"):
+        replace(cfg, model=ModelConfig(name="resnet"))
+    # once trained every seed, then failed to write config.json
+    with pytest.raises(ArgumentError, match=r"^config.out_dir: expected str, got PosixPath$"):
+        replace(cfg, out_dir=Path("/tmp/exp"))
+    with pytest.raises(ArgumentError, match=r"^config.train: expected TrainConfig, got dict$"):
+        ExperimentConfig(out_dir="x", train={"lr": 1})
+    with pytest.raises(ArgumentError, match=r"^train.lr: integer out of float range$"):
+        TrainConfig(lr=10**400)
+    # once hashed as another study than the document that loads to it
+    built = ExperimentConfig(out_dir="x", train=TrainConfig(lr=1))
+    assert type(built.train.lr) is float
+    assert built.hash() == ExperimentConfig.from_dict({"out_dir": "x",
+                                                      "train": {"lr": 1}}).hash()
+
+
+SECTIONS = {"dataset": DatasetConfig, "model": ModelConfig, "split": SplitConfig,
+            "train": TrainConfig, "analysis": AnalysisConfig}
+
+
+def numbers(lo, hi):
+    """Ints and floats in [lo, hi]: a float field takes an int too."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+def counts(lo, hi, size=(0, 3)):
+    return st.lists(st.integers(lo, hi), min_size=size[0], max_size=size[1]).map(tuple)
+
+
+@st.composite
+def experiments(draw):
+    """Valid values of every section, as code passes them (tuples for lists),
+    and the top-level keys of an ExperimentConfig."""
+    dim = draw(st.integers(2, 16))
+    dataset = dict(classes=draw(st.integers(2, 8)), per_class=draw(st.integers(2, 50)),
+                   dim=dim, spread=draw(numbers(0, 10)),
+                   shape=draw(st.sampled_from([None, (dim,), (1, dim)])))
+    if draw(st.booleans()):
+        dataset.update(kind="files", shape=draw(counts(1, 4, size=(1, 3))),
+                       train_features="a.bin", train_labels="b.bin",
+                       test_features="c.bin", test_labels="d.bin",
+                       train_count=draw(st.integers(1, 99)), test_count=draw(st.integers(1, 99)))
+    first = draw(st.integers(1, 99))
+    fractions = draw(st.sampled_from([(first, 100 - first), (25.0, 25, 50.0)]))
+    epochs = draw(st.one_of(st.integers(0, 5), counts(0, 5, size=(1, len(fractions)))))
+    return {
+        "dataset": dataset,
+        "model": dict(name="mlp", hidden=draw(counts(1, 16)), channels=draw(counts(1, 8))),
+        "split": dict(fractions=fractions, joint=draw(st.booleans()),
+                      stratified=draw(st.booleans())),
+        "train": dict(lr=draw(numbers(1e-6, 10)), momentum=draw(numbers(0, 0.99)),
+                      batch_size=draw(st.integers(1, 128)), epochs_per_task=epochs,
+                      eval_every=draw(st.integers(1, 99)),
+                      checkpoint_every=draw(st.integers(1, 99)),
+                      dense_window=draw(st.integers(0, 400)),
+                      dense_tail=draw(st.integers(0, 50)),
+                      velocity_reset=draw(st.booleans()), eval_batch=draw(st.integers(1, 512))),
+        "analysis": dict(baseline_evals=draw(st.integers(1, 9)),
+                         recovery_window=draw(st.integers(1, 9)),
+                         tolerance=draw(numbers(0, 1)), window=draw(st.integers(1, 3000)),
+                         lmc_step=draw(st.floats(1e-3, 0.5)),
+                         theta2_epochs=draw(st.integers(1, 9))),
+        "config": dict(out_dir="/tmp/exp", checkpoints=draw(st.booleans()),
+                       seeds=tuple(draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                                                 max_size=3, unique=True))),
+                       workers=draw(st.one_of(st.none(), st.integers(1, 8)))),
+    }
+
+
+def as_json(values: dict):
+    return json.loads(json.dumps(values))  # tuples become lists
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(experiments())
+def test_a_config_built_in_code_equals_and_hashes_as_the_loaded_one(values):
+    sections = {key: cls(**values[key]) for key, cls in SECTIONS.items()}
+    for key, cls in SECTIONS.items():
+        assert load(cls, as_json(values[key]), key) == sections[key]
+    built = ExperimentConfig(**values["config"], **sections)
+    loaded = ExperimentConfig.from_dict(as_json({**values["config"], **{
+        key: values[key] for key in SECTIONS}}))
+    assert built == loaded
+    assert built.hash() == loaded.hash()
+
+
+# one value of each JSON kind; none of them is a Literal's choice or a list of numbers
+WRONG = {"int": 7, "float": 1.5, "str": "x", "bool": True, "null": None, "list": ["x"],
+         "object": {}}
+
+
+def accepted(hint) -> set[str]:
+    """The kinds of WRONG that a field declared `hint` holds."""
+    options = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    kinds = {int: {"int"}, float: {"int", "float"}, str: {"str"}, bool: {"bool"},
+             NoneType: {"null"}}
+    return set().union(*(kinds.get(option, set()) for option in options))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(experiments(), st.data())
+def test_a_value_of_the_wrong_type_is_named_built_or_loaded(values, data):
+    where = data.draw(st.sampled_from([*SECTIONS, "config"]))
+    cls = SECTIONS.get(where, ExperimentConfig)
+    hints = {key: hint for key, hint in get_type_hints(cls).items() if not is_dataclass(hint)}
+    key = data.draw(st.sampled_from(sorted(hints)))
+    kind = data.draw(st.sampled_from(sorted(set(WRONG) - accepted(hints[key]))))
+    bad = dict(values[where], **{key: WRONG[kind]})
+    with pytest.raises(ArgumentError) as built:
+        cls(**bad)
+    with pytest.raises(ArgumentError) as loaded:
+        load(cls, as_json(bad), where)
+    assert str(built.value).startswith(f"{where}.{key}: expected ")
+    assert str(loaded.value) == str(built.value)

@@ -132,6 +132,8 @@ def test_curve_validation():
         LmcCurve(np.array([0.1, 1.0]), np.zeros(2), np.zeros(2))
     with pytest.raises(ArgumentError):
         LmcCurve(np.array([0.0, 0.6, 0.5, 1.0]), np.zeros(4), np.zeros(4))
+    with pytest.raises(ArgumentError, match="at least one checkpoint"):
+        PathCurve((), (), ())
 
 
 # --- lmc_curve and sgd_path_loss ---------------------------------------------------
@@ -182,6 +184,13 @@ def test_sgd_path_missing_checkpoints_listed(tmp_path):
     store.save(0, 5, init_params(SPEC, 0))
     with pytest.raises(MissingCheckpointError, match="7"):
         sgd_path_loss(SPEC, store, [5, 7], blob_test())
+
+
+def test_sgd_path_with_no_iterations_is_argument_error(tmp_path):
+    store = CheckpointStore(tmp_path / "ck")
+    store.save(0, 5, init_params(SPEC, 0))
+    with pytest.raises(ArgumentError, match="^no iterations requested$"):
+        sgd_path_loss(SPEC, store, [], blob_test())
 
 
 def test_sgd_path_holds_one_checkpoint_at_a_time(tmp_path):

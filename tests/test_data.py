@@ -235,6 +235,11 @@ def test_batch_iter_rejects_empty_pool():
         list(batch_iter(np.array([], dtype=np.int64), 4, 1, Rng(0)))
 
 
+def test_batch_iter_rejects_batch_size_0():
+    with pytest.raises(ArgumentError, match="^batch size must be >= 1, got 0$"):
+        list(batch_iter(np.arange(4), 0, 1, Rng(0)))
+
+
 def test_batches_per_epoch_rounds_up():
     assert batches_per_epoch(800, 64) == 13
     assert batches_per_epoch(1600, 64) == 25

@@ -175,13 +175,38 @@ def test_files_dataset_with_count_0_writes_nothing(tmp_path, capsys, key):
     ({"dataset": dict(CONFIG["dataset"], shape=[4], train_features="a.bin",
                       train_labels="b.bin", test_features=None, train_count=8)},
      "dataset: keys ['train_features', 'train_labels', 'train_count'] need kind 'files'"),
+    # a JSON integer too large for a float once ended in an OverflowError
+    ({"train": {"lr": 10**400}}, "train.lr: integer out of float range"),
+    ({"dataset": dict(CONFIG["dataset"], spread=10**400)},
+     "dataset.spread: integer out of float range"),
+    ({"analysis": {"tolerance": 10**400}}, "analysis.tolerance: integer out of float range"),
 ], ids=["workers-0", "theta2-epochs-0", "files-one-class", "train-not-an-object",
         "hidden-0", "empty-shape", "no-epochs", "dense-window-negative",
-        "dense-tail-negative", "file-keys-on-blobs"])
+        "dense-tail-negative", "file-keys-on-blobs", "lr-past-float",
+        "spread-past-float", "tolerance-past-float"])
 def test_config_value_out_of_range_exits_2_before_any_file(tmp_path, capsys, override,
                                                           message):
     assert main(["train", "--config", str(write_config(tmp_path, **override))]) == 2
     assert capsys.readouterr() == ("", f"gaplab: error: {message}\n")
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'"seeds": [' + b"1" * 5000 + b"]",
+     "config: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    (b'"model": {"name": "ml\xff"}',
+     "config: cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+], ids=["int-past-digit-limit", "not-utf-8"])
+def test_config_file_that_json_cannot_read_exits_2_before_any_file(tmp_path, capsys, raw,
+                                                                   message):
+    # raw bytes: json.dumps refuses an integer past the digit limit too
+    path = tmp_path / "config.json"
+    out_dir = json.dumps(str(tmp_path / "exp")).encode()
+    path.write_bytes(b'{"out_dir": ' + out_dir + b", " + raw + b"}")
+    assert main(["train", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"gaplab: error: {message.format(path=path)}")
     assert not (tmp_path / "exp").exists()
 
 

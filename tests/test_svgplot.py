@@ -3,7 +3,9 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
+from gaplab.errors import ArgumentError
 from gaplab.svgplot import PALETTE, LinePlot, nice_ticks
 
 
@@ -83,3 +85,22 @@ def test_nice_ticks_cover_range():
 def test_nice_ticks_degenerate_range():
     ticks = nice_ticks(0.5, 0.5)
     assert len(ticks) >= 2 and ticks[0] <= 0.5 <= ticks[-1]
+
+
+@pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf"))])
+def test_nice_ticks_reject_a_non_finite_range(lo, hi):
+    with pytest.raises(ArgumentError, match="^tick range must be finite$"):
+        nice_ticks(lo, hi)
+
+
+def test_series_and_plots_without_points_are_refused():
+    plot = LinePlot()
+    with pytest.raises(ArgumentError, match="^series xs and ys must have equal length$"):
+        plot.add_series([0, 1], [0.5])
+    with pytest.raises(ArgumentError, match="^series must contain at least one point$"):
+        plot.add_series([], [])
+    with pytest.raises(ArgumentError, match="^plot has no series$"):
+        plot.render()
+    plot.add_series([0, 1], [float("nan"), float("inf")])
+    with pytest.raises(ArgumentError, match="^plot has no finite data$"):
+        plot.render()
