@@ -209,9 +209,9 @@ def write_table(path: str | Path, header: list[str], rows) -> None:
 
 def read_table(path: str | Path, header: list[str], parse, what: str) -> list:
     """`parse(row)` of every row of a CSV table with the given header.
-    A wrong header or field count, a ValueError from `parse`, a table
-    without rows or a file that is not UTF-8 text raises FormatError
-    naming the file (and the line, where there is one)."""
+    A wrong header or field count, a ValueError from `parse`, a csv.Error,
+    a table without rows or a file that is not UTF-8 text raises
+    FormatError naming the file (and the line, where there is one)."""
     items = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -232,6 +232,8 @@ def read_table(path: str | Path, header: list[str], parse, what: str) -> list:
                     raise FormatError(f"{path}: line {line_no}: {err}") from None
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
+    except csv.Error as err:  # a field past the csv module's size limit, say
+        raise FormatError(f"{path}: line {reader.line_num}: {err}") from None
     if not items:
         raise FormatError(f"{path}: {what} contains no records")
     return items

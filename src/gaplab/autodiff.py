@@ -23,7 +23,7 @@ vectors from different architectures cannot be mixed up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,14 +65,10 @@ class Dense:
     n_in: int
     n_out: int
 
-    def token(self) -> str:
-        return f"dense({self.n_in},{self.n_out})"
-
 
 @dataclass(frozen=True)
 class ReLU:
-    def token(self) -> str:
-        return "relu"
+    pass
 
 
 @dataclass(frozen=True)
@@ -82,23 +78,26 @@ class Conv3x3:
     in_channels: int
     out_channels: int
 
-    def token(self) -> str:
-        return f"conv3x3({self.in_channels},{self.out_channels})"
-
 
 @dataclass(frozen=True)
 class MaxPool2x2:
-    def token(self) -> str:
-        return "maxpool2x2"
+    pass
 
 
 @dataclass(frozen=True)
 class Flatten:
-    def token(self) -> str:
-        return "flatten"
+    pass
 
 
 Layer = Dense | ReLU | Conv3x3 | MaxPool2x2 | Flatten
+
+
+def _token(layer: Layer) -> str:
+    """A layer's part of the spec digest, as in `dense(32,128)` or `relu`: the
+    lowercased class name (so renaming a layer class moves the digest), then
+    its field values in parentheses if it has any."""
+    name, values = type(layer).__name__.lower(), astuple(layer)
+    return f"{name}({','.join(map(str, values))})" if values else name
 
 
 def _weight_shape(layer: Layer) -> tuple[int, ...] | None:
@@ -168,7 +167,7 @@ class ModelSpec:
         desc = "gapl-model-v1;input={};classes={};{}".format(
             list(self.input_shape),
             self.n_classes,
-            ",".join(layer.token() for layer in self.layers),
+            ",".join(map(_token, self.layers)),
         )
         return _sha256_hex(desc.encode("ascii"))
 

@@ -386,7 +386,7 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         try:
             raw = json.loads(text)
-        except ValueError as err:  # a JSONDecodeError, or an int of too many digits
+        except (ValueError, RecursionError) as err:  # also too many digits, or too deep
             raise ArgumentError(f"config: invalid JSON: {err}") from None
         return cls.from_dict(raw)
 
@@ -417,9 +417,6 @@ class RunManifest:
     created: str = ""
     # seed -> "ok" or the one-line error that seed ended with
     seeds: dict[str, str] = field(default_factory=dict)
-
-    def add(self, path: str) -> None:
-        self.artifacts.append(path)
 
     def to_json(self) -> str:
         d = asdict(self)

@@ -50,6 +50,11 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def blob_train_count(n_per_class: int) -> int:
+    """gen_blobs' training samples of each class: 80%, rounded half up."""
+    return _round_half_up(0.8 * n_per_class)
+
+
 def check_blob_args(
     n_classes: int,
     n_per_class: int,
@@ -62,8 +67,8 @@ def check_blob_args(
         raise ArgumentError(f"need at least 2 classes, got {n_classes}")
     if dim < 2:
         raise ArgumentError(f"need dim >= 2, got {dim}")
-    if n_per_class < 2:
-        raise ArgumentError(f"need at least 2 samples per class, got {n_per_class}")
+    if blob_train_count(n_per_class) >= n_per_class:
+        raise ArgumentError(f"need at least 3 samples per class, one for test, got {n_per_class}")
     if not 0.0 <= spread < math.inf:
         raise ArgumentError(f"spread must be finite and nonnegative, got {spread}")
     if shape is not None and math.prod(shape) != dim:
@@ -93,7 +98,7 @@ def gen_blobs(
     means = np.stack(
         [rng.uniforms(dim, -4.0, 4.0) for _ in range(n_classes)]
     )
-    n_train = _round_half_up(0.8 * n_per_class)
+    n_train = blob_train_count(n_per_class)
     train_feats, train_labels, test_feats, test_labels = [], [], [], []
     for c in range(n_classes):
         with overflow_checked():

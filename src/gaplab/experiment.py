@@ -190,13 +190,13 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
     (out / "config.json").write_text(canonical_json(cfg.to_dict()) + "\n")
-    manifest.add("config.json")
+    manifest.artifacts.append("config.json")
 
     per_seed = {seed: gap for seed, gap in zip(cfg.seeds, outcomes)
                 if isinstance(gap, GapMetrics)}
     if per_seed:
         (out / "gap.txt").write_text(format_gap_docs(per_seed))
-        manifest.add("gap.txt")
+        manifest.artifacts.append("gap.txt")
     else:  # an earlier run's aggregate must not outlive this run
         (out / "gap.txt").unlink(missing_ok=True)
 
@@ -204,7 +204,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         manifest.seeds[str(seed)] = _status(outcome)
         for item in sorted((out / f"seed{seed}").rglob("*")):
             if item.is_file():
-                manifest.add(str(item.relative_to(out)))
+                manifest.artifacts.append(str(item.relative_to(out)))
 
     (out / "manifest.json").write_text(manifest.to_json())
     for outcome in outcomes:

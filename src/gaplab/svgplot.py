@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from .errors import ArgumentError
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
+WIDTH = 720
+HEIGHT = 440
 SERIES_WIDTH = 1.5
 REF_LINE_COLOR = "#555555"
 
@@ -63,10 +65,8 @@ class LinePlot:
     title: str = ""
     xlabel: str = ""
     ylabel: str = ""
-    width: int = 720
-    height: int = 440
-    _series: list[_Series] = field(default_factory=list)
-    _vlines: list[tuple[float, str | None]] = field(default_factory=list)
+    _series: list[_Series] = field(default_factory=list, init=False)
+    _vlines: list[tuple[float, str | None]] = field(default_factory=list, init=False)
 
     # plot area margins: left, right, top, bottom
     _margins = (64, 18, 34, 48)
@@ -103,8 +103,8 @@ class LinePlot:
         if not self._series:
             raise ArgumentError("plot has no series")
         ml, mr, mt, mb = self._margins
-        pw = self.width - ml - mr
-        ph = self.height - mt - mb
+        pw = WIDTH - ml - mr
+        ph = HEIGHT - mt - mb
         x_lo, x_hi, y_lo, y_hi = self._data_range()
 
         def px(x: float) -> float:
@@ -115,10 +115,10 @@ class LinePlot:
 
         out = []
         out.append(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}">'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
         )
-        out.append(f'<rect width="{self.width}" height="{self.height}" fill="#ffffff"/>')
+        out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
 
         for tick in nice_ticks(x_lo, x_hi):
             tx = px(tick)
@@ -189,7 +189,7 @@ class LinePlot:
             )
         if self.xlabel:
             out.append(
-                f'<text x="{ml + pw / 2:.0f}" y="{self.height - 12}" {_FONT} '
+                f'<text x="{ml + pw / 2:.0f}" y="{HEIGHT - 12}" {_FONT} '
                 f'font-size="12" fill="#000000" text-anchor="middle">{self.xlabel}</text>'
             )
         if self.ylabel:

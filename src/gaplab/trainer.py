@@ -89,45 +89,41 @@ class TrainingHooks:
 
 CHECKPOINT_MAGIC = b"GAPL"
 CHECKPOINT_VERSION = 1
+# magic, version u16, spec digest (32 bytes), count u64
+_HEADER = struct.Struct("<4sH32sQ")
 
 
 def save_checkpoint(path: str | Path, params: ParamVector) -> None:
-    """Binary layout: magic, version u16, spec digest (32 bytes), count u64,
-    little-endian float64 values in canonical order."""
+    """Binary layout: the `_HEADER`, then little-endian float64 values in
+    canonical order."""
     digest = bytes.fromhex(params.spec_digest)
     if len(digest) != 32:
         raise ArgumentError("spec digest must be 32 bytes of hex")
     values = np.ascontiguousarray(params.values, dtype="<f8")  # no copy if already so
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(digest)
-        fh.write(struct.pack("<Q", len(params)))
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest, len(params)))
         fh.write(values)
 
 
 def load_checkpoint(path: str | Path, spec: ModelSpec | None = None) -> ParamVector:
     """The checkpoint's values are read straight into the one array returned."""
-    header = 4 + 2 + 32 + 8
     with open(path, "rb") as fh:
-        raw = fh.read(header)
-        if len(raw) < header:
+        raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
             raise FormatError(f"{path}: truncated checkpoint header ({len(raw)} bytes)")
-        if raw[:4] != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-        (version,) = struct.unpack_from("<H", raw, 4)
+        magic, version, digest, count = _HEADER.unpack(raw)
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        digest = raw[6:38].hex()
-        (count,) = struct.unpack_from("<Q", raw, 38)
         size = os.fstat(fh.fileno()).st_size
-        if size != header + 8 * count:
-            raise FormatError(f"{path}: expected {header + 8 * count} bytes, found {size}")
+        if size != _HEADER.size + 8 * count:
+            raise FormatError(f"{path}: expected {_HEADER.size + 8 * count} bytes, found {size}")
         values = np.empty(count, dtype="<f8")
         if fh.readinto(values) != values.nbytes:  # the file shrank while read
             raise FormatError(f"{path}: truncated checkpoint values")
-    params = ParamVector(values, digest)
-    if spec is not None and digest != spec.digest:
+    params = ParamVector(values, digest.hex())
+    if spec is not None and params.spec_digest != spec.digest:
         raise SpecMismatchError(f"{path}: checkpoint bound to a different model spec")
     return params
 
@@ -174,8 +170,7 @@ class CheckpointStore:
         return sorted(self._by_iteration)
 
     def load_iteration(self, iteration: int, spec: ModelSpec | None = None) -> ParamVector:
-        if iteration not in self._by_iteration:
-            raise MissingCheckpointError([iteration])
+        self.require([iteration])
         return load_checkpoint(self._by_iteration[iteration], spec)
 
     def require(self, iterations: list[int]) -> None:

@@ -126,11 +126,15 @@ def malformed(header, row):
         "unparsable field": (f"{header}\n{row}\n{unparsable}\n", "line 3: "),
         "no records": (header + "\n", "no records"),
         "not text": (f"{header}\n{row}\n".encode() + b"\xff\xfe\n", "not UTF-8 text"),
+        # the csv module's field limit (131072 characters) once raised csv.Error
+        "field too large": (f"{header}\n{row}\n{row}{'x' * 200_000}\n",
+                            "line 3: field larger than field limit"),
     }
 
 
 @pytest.mark.parametrize("case", ["empty file", "bad header", "field count",
-                                  "unparsable field", "no records", "not text"])
+                                  "unparsable field", "no records", "not text",
+                                  "field too large"])
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_reader_rejects_malformed_input(tmp_path, kind, case):
     reader, header, row = READERS[kind]

@@ -253,7 +253,7 @@ def experiments(draw):
     """Valid values of every section, as code passes them (tuples for lists),
     and the top-level keys of an ExperimentConfig."""
     dim = draw(st.integers(2, 16))
-    dataset = dict(classes=draw(st.integers(2, 8)), per_class=draw(st.integers(2, 50)),
+    dataset = dict(classes=draw(st.integers(2, 8)), per_class=draw(st.integers(3, 50)),
                    dim=dim, spread=draw(numbers(0, 10)),
                    shape=draw(st.sampled_from([None, (dim,), (1, dim)])))
     if draw(st.booleans()):

@@ -29,6 +29,15 @@ def test_blobs_sizes_and_split():
         assert (test.labels == c).sum() == 50
 
 
+def test_blobs_keep_a_test_sample_of_every_class():
+    # 80% of 3 rounds to 2, leaving 1 for test; 80% of 2 rounds to 2
+    train, test = gen_blobs(0, n_classes=2, n_per_class=3, dim=2, spread=1.0)
+    assert train.n == 4 and test.n == 2
+    assert sorted(test.labels) == [0, 1]
+    with pytest.raises(ArgumentError, match="^need at least 3 samples per class"):
+        gen_blobs(0, n_classes=2, n_per_class=2, dim=2, spread=1.0)
+
+
 def test_blobs_deterministic():
     a = gen_blobs(7, 4, 50, 8, 2.0)
     b = gen_blobs(7, 4, 50, 8, 2.0)

@@ -180,10 +180,13 @@ def test_files_dataset_with_count_0_writes_nothing(tmp_path, capsys, key):
     ({"dataset": dict(CONFIG["dataset"], spread=10**400)},
      "dataset.spread: integer out of float range"),
     ({"analysis": {"tolerance": 10**400}}, "analysis.tolerance: integer out of float range"),
+    # 2 per class once wrote config.json, manifest.json and an empty seed0/
+    ({"dataset": dict(CONFIG["dataset"], per_class=2)},
+     "dataset: need at least 3 samples per class, one for test, got 2"),
 ], ids=["workers-0", "theta2-epochs-0", "files-one-class", "train-not-an-object",
         "hidden-0", "empty-shape", "no-epochs", "dense-window-negative",
         "dense-tail-negative", "file-keys-on-blobs", "lr-past-float",
-        "spread-past-float", "tolerance-past-float"])
+        "spread-past-float", "tolerance-past-float", "per-class-2"])
 def test_config_value_out_of_range_exits_2_before_any_file(tmp_path, capsys, override,
                                                           message):
     assert main(["train", "--config", str(write_config(tmp_path, **override))]) == 2
@@ -196,7 +199,10 @@ def test_config_value_out_of_range_exits_2_before_any_file(tmp_path, capsys, ove
      "config: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
     (b'"model": {"name": "ml\xff"}',
      "config: cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
-], ids=["int-past-digit-limit", "not-utf-8"])
+    # json.loads once ended in a RecursionError here
+    (b'"seeds": ' + b"[" * 100_000 + b"]" * 100_000,
+     "config: invalid JSON: maximum recursion depth exceeded"),
+], ids=["int-past-digit-limit", "not-utf-8", "nested-past-recursion-limit"])
 def test_config_file_that_json_cannot_read_exits_2_before_any_file(tmp_path, capsys, raw,
                                                                    message):
     # raw bytes: json.dumps refuses an integer past the digit limit too

@@ -21,6 +21,7 @@ def test_render_is_valid_xml_with_polylines():
     svg = simple_plot().render()
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
+    assert (root.get("width"), root.get("height")) == ("720", "440")
     body = ET.tostring(root, encoding="unicode")
     assert body.count("polyline") >= 2
     assert "t" in body and "x" in body and "y" in body

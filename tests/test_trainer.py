@@ -170,6 +170,34 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(bad)
 
 
+def corruptions(raw):
+    """Every truncation of a checkpoint, one appended byte, and each byte
+    of the 46-byte header XORed with 0x01, 0x80 and 0xFF. Value bits are
+    not flipped: the format has no checksum to catch them."""
+    yield from (raw[:n] for n in range(len(raw)))
+    yield raw + b"\x00"
+    for i in range(46):
+        for mask in (0x01, 0x80, 0xFF):
+            yield raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
+
+
+def test_every_corrupted_checkpoint_is_refused(tmp_path):
+    spec = mlp(3, [2], 2)  # 14 values: a 158-byte file
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, init_params(spec, 0))
+    cases = list(corruptions(path.read_bytes()))
+    assert len(cases) == 158 + 1 + 46 * 3
+    accepted = []
+    for i, raw in enumerate(cases):
+        path.write_bytes(raw)
+        try:
+            load_checkpoint(path, spec)
+        except (FormatError, SpecMismatchError):
+            continue
+        accepted.append(i)
+    assert accepted == []
+
+
 def test_checkpoint_load_holds_one_copy(tmp_path):
     # the values are read into the returned array, not into bytes first
     params = vec(np.arange(65536.0))  # a 0.5 MB vector
