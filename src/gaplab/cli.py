@@ -205,7 +205,8 @@ def cmd_report(args) -> int:
     lmc_path = run_dir / "lmc.csv"
     if not lmc_path.is_file():
         raise ArgumentError(
-            f"{run_dir}: no lmc.csv; re-run train with checkpoints enabled"
+            f"{run_dir}: no lmc.csv; re-run train with checkpoints enabled and a second "
+            "task of at least analysis.theta2_epochs epochs"
         )
     curve = read_lmc_csv(lmc_path)
     path_file = run_dir / "path.csv"
@@ -312,7 +313,7 @@ def main(argv=None) -> int:
     except InsufficientTraceError as err:
         print(f"gaplab: {err}", file=sys.stderr)
         return 3
-    except (GapLabError, OSError) as err:
+    except (GapLabError, OSError, MemoryError) as err:
         print(f"gaplab: error: {err}", file=sys.stderr)
         return 4
 

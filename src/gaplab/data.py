@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,17 @@ def check_raw_args(shape: tuple[int, ...], count: int) -> None:
         raise ArgumentError(f"invalid record shape {shape} or count {count}")
 
 
+def read_labels(path: str | Path, count: int, n_classes: int) -> np.ndarray:
+    """A raw labels file: `count` bytes, each a class below `n_classes`."""
+    labels = np.frombuffer(_read_exactly(path, count), dtype=np.uint8).astype(np.int64)
+    bad = np.nonzero(labels >= n_classes)[0]
+    if bad.size:
+        raise FormatError(
+            f"{path}: label {labels[bad[0]]} out of range at byte offset {bad[0]}"
+        )
+    return labels
+
+
 def load_raw(
     features_path: str | Path,
     labels_path: str | Path,
@@ -155,13 +167,7 @@ def load_raw(
     record = math.prod(shape)
 
     feat_bytes = _read_exactly(features_path, count * record)
-    label_bytes = _read_exactly(labels_path, count)
-    labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
-    bad = np.nonzero(labels >= n_classes)[0]
-    if bad.size:
-        raise FormatError(
-            f"{labels_path}: label {labels[bad[0]]} out of range at byte offset {bad[0]}"
-        )
+    labels = read_labels(labels_path, count, n_classes)
     features = (
         np.frombuffer(feat_bytes, dtype=np.uint8)
         .astype(np.float64)
@@ -225,17 +231,6 @@ class TaskSequence:
         return np.sort(self.task_indices[k])
 
 
-def _cumulative_cuts(total: int, fractions: tuple[float, ...]) -> list[int]:
-    """Cut points from cumulative rounding; each task stays within 1 of exact."""
-    cuts = [0]
-    acc = 0.0
-    for f in fractions:
-        acc += f
-        cuts.append(_round_half_up(total * acc / 100.0))
-    cuts[-1] = total  # guard against float residue in the last cut
-    return cuts
-
-
 def check_fractions(fractions) -> tuple[float, ...]:
     """Task sizes as percentages of the training set: each in (0, 100],
     summing to 100. Returns them as floats."""
@@ -249,6 +244,28 @@ def check_fractions(fractions) -> tuple[float, ...]:
     return fractions
 
 
+def _task_cuts(n: int, fractions: tuple[float, ...], stratified: bool) -> list[int]:
+    """Cut points of `n` samples into tasks. Stratified: cumulative rounding,
+    so each task stays within 1 of exact; otherwise each fraction is rounded
+    on its own and the last task takes the rest."""
+    if stratified:
+        ends = [_round_half_up(n * acc / 100.0) for acc in accumulate(fractions[:-1])]
+    else:
+        ends = list(accumulate(_round_half_up(n * f / 100.0) for f in fractions[:-1]))
+    return [0, *ends, n]
+
+
+def task_sizes(class_counts, fractions: tuple[float, ...], stratified: bool) -> list[int]:
+    """Each task's sample count from the training set's samples per class:
+    each class is cut on its own when stratified, the whole set otherwise.
+    A task left without samples is an ArgumentError."""
+    groups = class_counts if stratified else [sum(class_counts)]
+    sizes = sum(np.diff(_task_cuts(int(n), fractions, stratified)) for n in groups)
+    if sizes.min() <= 0:
+        raise ArgumentError("a task received no samples; fractions too small for N")
+    return sizes.tolist()
+
+
 def split_tasks(
     train: Dataset,
     fractions: list[float],
@@ -256,34 +273,20 @@ def split_tasks(
     seed: int,
     stratified: bool = True,
 ) -> TaskSequence:
-    """Split a seeded permutation of the training indices into tasks.
-
-    Stratified (default) keeps every task's per-class counts within one
-    sample of exact proportionality; unstratified slices the permutation
-    directly with round(fraction * N / 100) sizes, remainder to the last.
-    """
+    """Cut a seeded permutation of the training indices into tasks of
+    `task_sizes`: each class's indices on their own when stratified (the
+    default), so every task's class counts stay within 1 of exact."""
     fractions = check_fractions(fractions)
-    rng = Rng(seed)
-    perm = rng.permutation(train.n)
-    k = len(fractions)
-    tasks: list[list[int]] = [[] for _ in range(k)]
-    if stratified:
-        for c in range(train.n_classes):
-            class_idx = perm[train.labels[perm] == c]
-            cuts = _cumulative_cuts(len(class_idx), fractions)
-            for i in range(k):
-                tasks[i].extend(class_idx[cuts[i]:cuts[i + 1]])
-    else:
-        sizes = [_round_half_up(train.n * f / 100.0) for f in fractions[:-1]]
-        sizes.append(train.n - sum(sizes))
-        offset = 0
-        for i, size in enumerate(sizes):
-            tasks[i].extend(perm[offset:offset + size])
-            offset += size
-    task_indices = [np.sort(np.array(t, dtype=np.int64)) for t in tasks]
-    if any(len(t) == 0 for t in task_indices):
-        raise ArgumentError("a task received no samples; fractions too small for N")
-    return TaskSequence(train, task_indices, joint)
+    perm = Rng(seed).permutation(train.n)
+    groups = ([perm[train.labels[perm] == c] for c in range(train.n_classes)]
+              if stratified else [perm])
+    task_sizes([len(group) for group in groups], fractions, stratified)
+    tasks: list[list[int]] = [[] for _ in fractions]
+    for group in groups:
+        cuts = _task_cuts(len(group), fractions, stratified)
+        for task, start, stop in zip(tasks, cuts, cuts[1:]):
+            task.extend(group[start:stop])
+    return TaskSequence(train, [np.sort(np.array(t, dtype=np.int64)) for t in tasks], joint)
 
 
 def batch_iter(pool: np.ndarray, batch_size: int, epochs: int, rng: Rng):

@@ -31,7 +31,8 @@ from .artifacts import (GapMetrics, PathCurve, TrainTrace, compute_gap, format_g
                         format_gap_docs, write_lmc_csv, write_path_csv, write_trace_csv)
 from .config import DatasetConfig, ExperimentConfig, RunManifest, canonical_json
 from .connectivity import lmc_curve, sgd_path_loss
-from .data import Dataset, gen_blobs, load_raw, split_tasks
+from .data import (Dataset, blob_train_count, gen_blobs, load_raw, read_labels, split_tasks,
+                   task_sizes)
 from .errors import InsufficientTraceError
 from .instrument import TraceRecorder
 from .rng import derive_seed
@@ -54,6 +55,15 @@ def build_dataset(cfg: DatasetConfig, seed: int) -> tuple[Dataset, Dataset]:
     test = load_raw(cfg.test_features, cfg.test_labels, cfg.shape,
                     cfg.test_count, cfg.classes)
     return train, test
+
+
+def _train_class_counts(cfg: DatasetConfig) -> list[int]:
+    """The training set's samples per class, without building it and
+    drawing no random number."""
+    if cfg.kind == "blobs":
+        return [blob_train_count(cfg.per_class)] * cfg.classes
+    return np.bincount(read_labels(cfg.train_labels, cfg.train_count, cfg.classes),
+                       minlength=cfg.classes).tolist()
 
 
 @dataclass
@@ -90,7 +100,8 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
         seed=derive_seed(seed, SPLIT_STREAM),
         stratified=cfg.split.stratified,
     )
-    plan = Schedule.plan(task_seq, cfg.train, cfg.analysis.theta2_epochs)
+    plan = Schedule.plan([len(task_seq.pool(k)) for k in range(task_seq.n_tasks)],
+                         cfg.train, cfg.analysis.theta2_epochs)
     store = CheckpointStore(run_dir / "checkpoints") if cfg.checkpoints else None
     with TraceRecorder(spec, test, eval_batch=cfg.train.eval_batch, store=store,
                        forked=_spare_cpu(cfg)) as recorder:
@@ -175,6 +186,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     forked, does not stop the others: every seed's status goes into the
     manifest, and then the first failing seed's error is raised.
     """
+    # the split's task sizes need only the training labels: a split that
+    # leaves a task empty, or an unreadable labels file, fails before any file
+    task_sizes(_train_class_counts(cfg.dataset), cfg.split.fractions, cfg.split.stratified)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -201,10 +201,9 @@ class Schedule:
     theta2: int | None
 
     @classmethod
-    def plan(cls, task_seq: TaskSequence, config: TrainConfig,
+    def plan(cls, pool_sizes: list[int], config: TrainConfig,
              theta2_epochs: int) -> "Schedule":
-        per_epoch = [batches_per_epoch(len(task_seq.pool(k)), config.batch_size)
-                     for k in range(task_seq.n_tasks)]
+        per_epoch = [batches_per_epoch(n, config.batch_size) for n in pool_sizes]
         lengths = [config.epochs_for(k) * n for k, n in enumerate(per_epoch)]
         boundaries = list(accumulate(lengths))
         evals, checkpoints = set(), {0}
@@ -217,7 +216,7 @@ class Schedule:
                 if dense or i % config.checkpoint_every == 0:
                     checkpoints.add(start + i)
         theta2 = None
-        if task_seq.n_tasks >= 2 and theta2_epochs <= config.epochs_for(1):
+        if len(pool_sizes) >= 2 and theta2_epochs <= config.epochs_for(1):
             theta2 = boundaries[0] + theta2_epochs * per_epoch[1]
             checkpoints.add(theta2)
         return cls(boundaries, frozenset(evals), frozenset(checkpoints), theta2)

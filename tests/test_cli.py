@@ -561,6 +561,20 @@ def test_report_without_lmc_exit_2_writes_nothing(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_report_when_theta2_is_past_the_second_task_names_both_conditions(tmp_path, capsys):
+    # checkpoints on, but theta2 (5 epochs into task 2) lies past its 2 epochs:
+    # the advice once named only the checkpoints
+    cfg = write_config(tmp_path, train=dict(CONFIG["train"], epochs_per_task=[4, 2]))
+    assert main(["train", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "exp" / "seed0"
+    assert (run_dir / "checkpoints").is_dir() and not (run_dir / "lmc.csv").exists()
+    capsys.readouterr()
+    assert main(["report", "--run", str(run_dir)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"gaplab: error: {run_dir}: no lmc.csv; re-run train with checkpoints enabled "
+        "and a second task of at least analysis.theta2_epochs epochs\n"))
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -2,7 +2,8 @@
 
 import json
 import math
-from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
+import re
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_type_hints
@@ -333,3 +334,22 @@ def test_a_value_of_the_wrong_type_is_named_built_or_loaded(values, data):
         load(cls, as_json(bad), where)
     assert str(built.value).startswith(f"{where}.{key}: expected ")
     assert str(loaded.value) == str(built.value)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_table_lists_every_key_with_its_default():
+    # one row per key: | `section.key` | `JSON default` or required | ... |
+    rows = dict(re.findall(r"^\| `([\w.]+)` \| (`[^`]*`|required) \|", README.read_text(),
+                           re.MULTILINE))
+    expected = {}
+    for section, cls in [("", ExperimentConfig), ("dataset.", DatasetConfig),
+                         ("model.", ModelConfig), ("split.", SplitConfig),
+                         ("train.", TrainConfig), ("analysis.", AnalysisConfig)]:
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is not MISSING:
+                continue  # a section: its keys have rows of their own
+            default = "required" if f.default is MISSING else f"`{json.dumps(f.default)}`"
+            expected[section + f.name] = default
+    assert rows == expected

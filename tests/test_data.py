@@ -1,7 +1,11 @@
 """Dataset generation, raw IO, task splits, and batch iteration."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab.data import (
     Dataset,
@@ -12,6 +16,7 @@ from gaplab.data import (
     normalize_unit,
     save_raw,
     split_tasks,
+    task_sizes,
 )
 from gaplab.errors import ArgumentError, FormatError, LabelRangeError
 from gaplab.rng import Rng
@@ -222,7 +227,57 @@ def test_pool_index_range():
         seq.pool(2)
 
 
+@st.composite
+def split_problems(draw):
+    """A shuffled label vector of 1-6 classes with 0-30 samples each (at
+    least one in all), and 2-4 integer percentages summing to 100."""
+    counts = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6)
+                  .filter(lambda c: sum(c) > 0))
+    labels = draw(st.permutations(np.repeat(np.arange(len(counts)), counts).tolist()))
+    k = draw(st.integers(2, 4))
+    cuts = sorted(draw(st.lists(st.integers(1, 99), min_size=k - 1, max_size=k - 1,
+                                unique=True)))
+    fractions = [b - a for a, b in zip([0] + cuts, cuts + [100])]
+    return np.array(labels, dtype=np.int64), len(counts), fractions
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(problem=split_problems())
+def test_split_has_the_task_sizes_and_covers_the_set_once(problem, stratified):
+    labels, n_classes, fractions = problem
+    train = Dataset(np.zeros((len(labels), 1)), labels, n_classes)
+
+    def split():
+        return split_tasks(train, fractions, joint=False, seed=0, stratified=stratified)
+
+    try:
+        sizes = task_sizes(np.bincount(labels, minlength=n_classes), fractions, stratified)
+    except ArgumentError as err:
+        with pytest.raises(ArgumentError, match=f"^{re.escape(str(err))}$"):
+            split()
+        return
+    seq = split()
+    assert [len(ix) for ix in seq.task_indices] == sizes
+    merged = np.sort(np.concatenate(seq.task_indices))
+    np.testing.assert_array_equal(merged, np.arange(len(labels)))  # disjoint, complete
+
+
 # --- batch iteration ---------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.lists(st.integers(0, 1000), min_size=1, max_size=40, unique=True),
+       st.integers(1, 12), st.integers(0, 3), st.integers(0, 2**32))
+def test_batch_iter_yields_each_index_once_per_epoch(pool, batch_size, epochs, seed):
+    batches = list(batch_iter(np.array(pool), batch_size, epochs, Rng(seed)))
+    per_epoch = batches_per_epoch(len(pool), batch_size)
+    assert len(batches) == epochs * per_epoch
+    for e in range(epochs):
+        epoch = batches[e * per_epoch:(e + 1) * per_epoch]
+        assert all(len(b) == batch_size for b in epoch[:-1])
+        assert 1 <= len(epoch[-1]) <= batch_size
+        assert sorted(np.concatenate(epoch).tolist()) == sorted(pool)
+
 
 def test_batch_iter_covers_pool_each_epoch():
     pool = np.arange(100, 150)

@@ -1,7 +1,8 @@
 """Outside input that once ended in a traceback, a silent wrong result or
 a run directory written before the error: null config values, too many
 classes for the raw format, a seed process that dies, non-finite numbers,
-and range rules that the config and the command line must share."""
+range rules that the config and the command line must share, a split that
+empties a task, a bad train labels file and a model too large to allocate."""
 
 import json
 import os
@@ -15,6 +16,7 @@ from gaplab import procs
 from gaplab.artifacts import write_trace_csv
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig
+from gaplab.data import blob_train_count
 
 from conftest import eval_trace, run_files
 
@@ -294,3 +296,75 @@ def test_nonfinite_lr_or_spread_exits_2_before_any_file(tmp_path, capsys, where,
 def test_largest_64_bit_seed_is_a_seed():
     cfg = ExperimentConfig.from_dict({"out_dir": "/t", "seeds": [0, 2**64 - 1]})
     assert cfg.seeds == (0, 2**64 - 1)
+
+
+EMPTY_TASK = "gaplab: error: a task received no samples; fractions too small for N\n"
+
+
+def files_dataset(tmp_path, classes=3, per_class=5, dim=4):
+    """The `dataset` section of a gen-data dataset of `classes` x `per_class`."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--classes", str(classes), "--per-class", str(per_class),
+                 "--dim", str(dim), "--out", str(data)]) == 0
+    n_train = blob_train_count(per_class) * classes
+    return {"kind": "files", "classes": classes, "shape": [dim],
+            "train_features": str(data / "train_features.bin"),
+            "train_labels": str(data / "train_labels.bin"),
+            "test_features": str(data / "test_features.bin"),
+            "test_labels": str(data / "test_labels.bin"),
+            "train_count": n_train, "test_count": classes * per_class - n_train}
+
+
+@pytest.mark.parametrize("per_class", [40, 50, "files"])
+def test_split_that_empties_a_task_exits_2_before_any_file(tmp_path, capsys, per_class):
+    # 32 or 40 (blobs) or 4 (files) training samples per class: 1% of a class
+    # rounds to none (though 1% of all 50 samples of a class would round to
+    # one). This once wrote config.json, manifest.json and seed0/
+    if per_class == "files":
+        dataset = files_dataset(tmp_path)
+        capsys.readouterr()
+    else:
+        dataset = dict(CONFIG["dataset"], per_class=per_class)
+    path = write_config(tmp_path, dataset=dataset, split={"fractions": [1, 99]})
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", EMPTY_TASK)
+    assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize("labels, message", [
+    (None, "[Errno 2] No such file or directory: '{path}'"),
+    (bytes(11), "{path}: expected 12 bytes, found 11 (mismatch at byte offset 11)"),
+    (bytes(11) + b"\x07", "{path}: label 7 out of range at byte offset 11"),
+], ids=["missing", "short", "out-of-range"])
+def test_bad_train_labels_file_exits_4_before_any_file(tmp_path, capsys, two_cpus,
+                                                       labels, message):
+    dataset = files_dataset(tmp_path)
+    capsys.readouterr()
+    path = tmp_path / "data" / "train_labels.bin"
+    path.unlink()
+    if labels is not None:
+        path.write_bytes(labels)
+    config = write_config(tmp_path, dataset=dataset, seeds=[0, 1])
+    assert main(["train", "--config", str(config)]) == 4
+    assert capsys.readouterr() == ("", f"gaplab: error: {message.format(path=path)}\n")
+    assert not (tmp_path / "exp").exists()
+
+
+# 2**55 parameters, 2**58 bytes: past any address space, so the allocation
+# is refused at once, whatever the system's overcommit policy
+TOO_LARGE = {"name": "mlp", "hidden": [2**52]}
+
+
+@pytest.mark.parametrize("seeds, workers", [([0], 1), ([0, 1], None)],
+                         ids=["one-seed", "two-forked-seeds"])
+def test_model_too_large_to_allocate_exits_4(tmp_path, capsys, two_cpus, seeds, workers):
+    # a MemoryError once ended in a traceback, exit 1
+    path = write_config(tmp_path, model=TOO_LARGE, seeds=seeds, workers=workers)
+    assert main(["train", "--config", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("gaplab: error: Unable to allocate ")
+    manifest = json.loads((tmp_path / "exp" / "manifest.json").read_text())
+    assert list(manifest["seeds"]) == [str(s) for s in seeds]
+    assert all("MemoryError: Unable to allocate " in status
+               for status in manifest["seeds"].values())

@@ -3,14 +3,12 @@ actually evaluated, checkpointed and wrote."""
 
 from itertools import accumulate
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab.artifacts import read_trace_csv
 from gaplab.config import ExperimentConfig
-from gaplab.data import TaskSequence
 from gaplab.experiment import run_single_seed
 from gaplab.trainer import CheckpointStore, Schedule, TrainConfig
 
@@ -36,16 +34,14 @@ def problems(draw):
         dense_window=draw(st.integers(0, 12)),
         dense_tail=draw(st.integers(0, 12)),
     )
-    task_seq = TaskSequence(base=None, task_indices=[np.arange(n) for n in pools],
-                            joint=False)
-    return task_seq, config, pools, draw(st.integers(1, 5))
+    return config, pools, draw(st.integers(1, 5))
 
 
 @settings(derandomize=True, deadline=None)
 @given(problems())
 def test_plan_properties(problem):
-    task_seq, config, pools, theta2_epochs = problem
-    plan = Schedule.plan(task_seq, config, theta2_epochs)
+    config, pools, theta2_epochs = problem
+    plan = Schedule.plan(pools, config, theta2_epochs)
     lengths = [config.epochs_for(k) * -(-n // config.batch_size)
                for k, n in enumerate(pools)]
     assert plan.boundaries == list(accumulate(lengths))

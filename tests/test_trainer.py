@@ -7,7 +7,7 @@ import pytest
 
 from gaplab.autodiff import ParamVector, backward, init_params, mlp
 from gaplab.config import AnalysisConfig
-from gaplab.data import TaskSequence, gen_blobs, split_tasks
+from gaplab.data import gen_blobs, split_tasks
 from gaplab.errors import (
     ArgumentError,
     DivergenceError,
@@ -112,8 +112,7 @@ def one_task_plan(task_len, **cadence):
     """The schedule of one task of `task_len` iterations (one epoch, one
     sample per batch)."""
     cfg = TrainConfig(batch_size=1, epochs_per_task=1, **cadence)
-    task_seq = TaskSequence(base=None, task_indices=[np.arange(task_len)], joint=False)
-    return Schedule.plan(task_seq, cfg, AnalysisConfig.theta2_epochs)
+    return Schedule.plan([task_len], cfg, AnalysisConfig.theta2_epochs)
 
 
 def test_tick_cadence_dense_window_tail_and_sparse():
@@ -271,7 +270,8 @@ def small_problem(seed=0, joint=True, fractions=(50, 50)):
 def train(spec, seq, cfg, hooks=None, seed=0):
     """run_sequence of `seed` under the plan of the default analysis;
     returns the plan and the final parameters."""
-    plan = Schedule.plan(seq, cfg, AnalysisConfig.theta2_epochs)
+    plan = Schedule.plan([len(seq.pool(k)) for k in range(seq.n_tasks)], cfg,
+                         AnalysisConfig.theta2_epochs)
     return plan, run_sequence(spec, seq, cfg, plan, seed, hooks)
 
 
