@@ -22,7 +22,8 @@ from pathlib import Path
 from ._version import __version__
 from .artifacts import (compute_gap, format_gap_doc, format_gap_docs, read_lmc_csv,
                         read_path_csv, read_trace_csv, write_lmc_csv, write_path_csv)
-from .config import RAW_MAX_CLASSES, AnalysisConfig, DatasetConfig, ExperimentConfig
+from .config import (RAW_MAX_CLASSES, AnalysisConfig, DatasetConfig, ExperimentConfig,
+                     check_raw_classes)
 from .errors import ArgumentError, GapLabError, InsufficientTraceError
 from .svgplot import LinePlot
 
@@ -64,6 +65,7 @@ def _shape_arg(text: str) -> tuple[int, ...]:
 
 
 def cmd_gen_data(args) -> int:
+    check_raw_classes(args.classes)
     train, test = gen_blobs(
         seed=check_seed(args.seed, "--seed"),
         n_classes=args.classes,
@@ -226,11 +228,10 @@ def cmd_report(args) -> int:
 
     probe_fig = LinePlot(title="Per-batch accuracy before and after each update",
                          xlabel="iteration", ylabel="batch accuracy")
-    probe_fig.add_series([r.iteration for r in trace.records],
-                         [r.batch_acc_pre for r in trace.records],
+    iterations = [r.iteration for r in trace.records]
+    probe_fig.add_series(iterations, [r.batch_acc_pre for r in trace.records],
                          label="before update")
-    probe_fig.add_series([r.iteration for r in trace.records],
-                         [r.batch_acc_post for r in trace.records],
+    probe_fig.add_series(iterations, [r.batch_acc_post for r in trace.records],
                          label="after update")
     for b in interior:
         probe_fig.add_vline(b)

@@ -50,6 +50,12 @@ except ImportError:
 RAW_MAX_CLASSES = 256  # a label of the raw data format is one byte
 
 
+def check_raw_classes(n_classes: int) -> None:
+    if n_classes > RAW_MAX_CLASSES:
+        raise ArgumentError(
+            f"the raw format holds at most {RAW_MAX_CLASSES} classes, got {n_classes}")
+
+
 def _sha256_hex(data: bytes) -> str:
     """The SHA-256 digest of `data` in hex, as `hashlib.sha256(data).hexdigest()`
     gives it, without loading OpenSSL (see `_sha256` above)."""

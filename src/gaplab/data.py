@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import overflow_checked
-from .config import RAW_MAX_CLASSES
+from .config import check_raw_classes
 from .errors import ArgumentError, FormatError, LabelRangeError
 from .rng import Rng
 
@@ -179,10 +179,7 @@ def load_raw(
 
 def save_raw(dataset: Dataset, features_path: str | Path, labels_path: str | Path) -> None:
     """Write the byte format; features must already lie in [0, 1]."""
-    if dataset.n_classes > RAW_MAX_CLASSES:
-        raise ArgumentError(
-            f"the raw format holds at most {RAW_MAX_CLASSES} classes, got {dataset.n_classes}"
-        )
+    check_raw_classes(dataset.n_classes)
     feats = dataset.features
     if not (feats.min() >= 0.0 and feats.max() <= 1.0):  # NaN fails too
         raise ArgumentError(

@@ -177,6 +177,29 @@ def _status(outcome) -> str:
     return "ok"
 
 
+def _cpu_paths() -> dict[str, str | None]:
+    """The OpenBLAS kernel and numpy's float64 `exp` and `log` loops, which move a
+    checkpoint's last bits across CPUs; None where the library or symbol is missing."""
+    import ctypes
+    libs = sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas*"))
+    lib = ctypes.CDLL(str(libs[0])) if libs else None  # numpy has loaded it already
+    paths = {}
+    for key, name in (("openblas_core", "corename"), ("openblas_config", "config")):
+        get = getattr(lib, f"scipy_openblas_get_{name}64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+        paths[key] = get().decode() if get is not None else None
+    try:
+        from numpy.lib.introspect import opt_func_info
+        info = opt_func_info(func_name="^(exp|log)$", signature="float64")
+    except ImportError:  # numpy < 2.0
+        info = {}
+    for name in ("exp", "log"):
+        loop = next(iter(info.get(name, {}).values()), {})
+        paths[f"numpy_{name}_float64"] = loop.get("current")
+    return paths
+
+
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """All seeds of one configuration, plus aggregate artifacts.
 
@@ -200,6 +223,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         versions={
             "gaplab": __version__,
             "numpy": np.__version__,
+            **_cpu_paths(),
         },
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

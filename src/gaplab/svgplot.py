@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import ArgumentError
 
@@ -19,8 +20,25 @@ WIDTH = 720
 HEIGHT = 440
 SERIES_WIDTH = 1.5
 REF_LINE_COLOR = "#555555"
+GRID_COLOR = "#e0e0e0"
+INK_COLOR = "#333333"  # tick and legend text, plot frame
+LABEL_COLOR = "#000000"  # title and axis labels
 
 _FONT = "font-family=\"Helvetica,Arial,sans-serif\""
+
+
+def _text(x, y, size, fill, body, anchor=None, extra="") -> str:
+    """A text element; `extra` is appended to its attributes as is."""
+    if anchor:
+        extra = f' text-anchor="{anchor}"{extra}'
+    return f'<text x="{x}" y="{y}" {_FONT} font-size="{size}" fill="{fill}"{extra}>{body}</text>'
+
+
+def _line(x1, y1, x2, y2, stroke, width=1, dash=None) -> str:
+    """A line element, dashed when `dash` is given."""
+    dashed = f' stroke-dasharray="{dash}"' if dash else ""
+    return (f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'stroke="{stroke}" stroke-width="{width}"{dashed}/>')
 
 
 def _fmt_coord(x: float) -> str:
@@ -103,8 +121,7 @@ class LinePlot:
         if not self._series:
             raise ArgumentError("plot has no series")
         ml, mr, mt, mb = self._margins
-        pw = WIDTH - ml - mr
-        ph = HEIGHT - mt - mb
+        pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
         x_lo, x_hi, y_lo, y_hi = self._data_range()
 
         def px(x: float) -> float:
@@ -113,110 +130,64 @@ class LinePlot:
         def py(y: float) -> float:
             return mt + (y_hi - y) / (y_hi - y_lo) * ph
 
-        out = []
-        out.append(
+        out = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
-            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
-        )
-        out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
+            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+            f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        ]
 
         for tick in nice_ticks(x_lo, x_hi):
-            tx = px(tick)
-            out.append(
-                f'<line x1="{_fmt_coord(tx)}" y1="{mt}" x2="{_fmt_coord(tx)}" '
-                f'y2="{mt + ph}" stroke="#e0e0e0" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_fmt_coord(tx)}" y="{mt + ph + 16}" {_FONT} font-size="11" '
-                f'fill="#333333" text-anchor="middle">{_fmt_tick(tick)}</text>'
-            )
+            tx = _fmt_coord(px(tick))
+            out.append(_line(tx, mt, tx, mt + ph, GRID_COLOR))
+            out.append(_text(tx, mt + ph + 16, 11, INK_COLOR, _fmt_tick(tick), "middle"))
         for tick in nice_ticks(y_lo, y_hi):
             ty = py(tick)
-            out.append(
-                f'<line x1="{ml}" y1="{_fmt_coord(ty)}" x2="{ml + pw}" '
-                f'y2="{_fmt_coord(ty)}" stroke="#e0e0e0" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{ml - 6}" y="{_fmt_coord(ty + 4)}" {_FONT} font-size="11" '
-                f'fill="#333333" text-anchor="end">{_fmt_tick(tick)}</text>'
-            )
+            out.append(_line(ml, _fmt_coord(ty), ml + pw, _fmt_coord(ty), GRID_COLOR))
+            out.append(_text(ml - 6, _fmt_coord(ty + 4), 11, INK_COLOR, _fmt_tick(tick), "end"))
 
         for x, label in self._vlines:
             tx = _fmt_coord(px(x))
-            out.append(
-                f'<line x1="{tx}" y1="{mt}" x2="{tx}" y2="{mt + ph}" '
-                f'stroke="{REF_LINE_COLOR}" stroke-width="1" stroke-dasharray="5,4"/>'
-            )
+            out.append(_line(tx, mt, tx, mt + ph, REF_LINE_COLOR, dash="5,4"))
             if label:
-                out.append(
-                    f'<text x="{_fmt_coord(px(x) + 4)}" y="{mt + 12}" {_FONT} '
-                    f'font-size="11" fill="{REF_LINE_COLOR}">{label}</text>'
-                )
+                out.append(_text(_fmt_coord(px(x) + 4), mt + 12, 11, REF_LINE_COLOR, label))
 
         for series in self._series:
-            # split the polyline at non-finite points instead of drawing through them
-            segment: list[str] = []
-            segments: list[list[str]] = []
-            for x, y in zip(series.xs, series.ys):
-                if math.isfinite(x) and math.isfinite(y):
-                    segment.append(f"{_fmt_coord(px(x))},{_fmt_coord(py(y))}")
-                elif segment:
-                    segments.append(segment)
-                    segment = []
-            if segment:
-                segments.append(segment)
-            for seg in segments:
-                if len(seg) == 1:
-                    cx, cy = seg[0].split(",")
-                    out.append(
-                        f'<circle cx="{cx}" cy="{cy}" r="2" fill="{series.color}"/>'
-                    )
+            # one element per finite run: a non-finite point splits the series
+            runs = groupby(zip(series.xs, series.ys),
+                           lambda p: math.isfinite(p[0]) and math.isfinite(p[1]))
+            for finite, run in runs:
+                if not finite:
+                    continue
+                points = [f"{_fmt_coord(px(x))},{_fmt_coord(py(y))}" for x, y in run]
+                if len(points) == 1:
+                    cx, cy = points[0].split(",")
+                    out.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{series.color}"/>')
                 else:
-                    out.append(
-                        f'<polyline points="{" ".join(seg)}" fill="none" '
-                        f'stroke="{series.color}" stroke-width="{SERIES_WIDTH}"/>'
-                    )
+                    out.append(f'<polyline points="{" ".join(points)}" fill="none" '
+                               f'stroke="{series.color}" stroke-width="{SERIES_WIDTH}"/>')
 
-        out.append(
-            f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
-            f'fill="none" stroke="#333333" stroke-width="1"/>'
-        )
+        out.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
+                   f'fill="none" stroke="{INK_COLOR}" stroke-width="1"/>')
 
-        if self.title:
-            out.append(
-                f'<text x="{ml + pw / 2:.0f}" y="{mt - 12}" {_FONT} font-size="14" '
-                f'fill="#000000" text-anchor="middle">{self.title}</text>'
-            )
-        if self.xlabel:
-            out.append(
-                f'<text x="{ml + pw / 2:.0f}" y="{HEIGHT - 12}" {_FONT} '
-                f'font-size="12" fill="#000000" text-anchor="middle">{self.xlabel}</text>'
-            )
-        if self.ylabel:
-            cx, cy = 16, mt + ph / 2
-            out.append(
-                f'<text x="{cx}" y="{cy:.0f}" {_FONT} font-size="12" fill="#000000" '
-                f'text-anchor="middle" transform="rotate(-90 {cx} {cy:.0f})">{self.ylabel}</text>'
-            )
+        cx, cy = ml + pw // 2, mt + ph // 2
+        for body, x, y, size, extra in (
+            (self.title, cx, mt - 12, 14, ""),
+            (self.xlabel, cx, HEIGHT - 12, 12, ""),
+            (self.ylabel, 16, cy, 12, f' transform="rotate(-90 16 {cy})"'),
+        ):
+            if body:
+                out.append(_text(x, y, size, LABEL_COLOR, body, "middle", extra))
 
         labeled = [s for s in self._series if s.label]
         if labeled:
             lx, ly = ml + pw - 150, mt + 8
-            out.append(
-                f'<rect x="{lx - 8}" y="{ly - 4}" width="154" '
-                f'height="{len(labeled) * 16 + 8}" fill="#ffffff" fill-opacity="0.85" '
-                f'stroke="#cccccc" stroke-width="1"/>'
-            )
+            out.append(f'<rect x="{lx - 8}" y="{ly - 4}" width="154" '
+                       f'height="{len(labeled) * 16 + 8}" fill="#ffffff" fill-opacity="0.85" '
+                       f'stroke="#cccccc" stroke-width="1"/>')
             for i, series in enumerate(labeled):
                 row = ly + 8 + 16 * i
-                out.append(
-                    f'<line x1="{lx}" y1="{row}" x2="{lx + 20}" y2="{row}" '
-                    f'stroke="{series.color}" stroke-width="{SERIES_WIDTH}"/>'
-                )
-                out.append(
-                    f'<text x="{lx + 26}" y="{row + 4}" {_FONT} font-size="11" '
-                    f'fill="#333333">{series.label}</text>'
-                )
+                out.append(_line(lx, row, lx + 20, row, series.color, SERIES_WIDTH))
+                out.append(_text(lx + 26, row + 4, 11, INK_COLOR, series.label))
 
         out.append("</svg>")
         return "\n".join(out) + "\n"

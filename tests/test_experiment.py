@@ -83,6 +83,15 @@ def test_manifest_lists_artifacts_and_hash(tmp_path):
     assert ExperimentConfig.from_json(text).hash() == cfg.hash()
 
 
+def test_manifest_records_the_cpu_paths(tmp_path):
+    # the BLAS kernel and numpy's exp/log loops move a checkpoint's last bits
+    out = run_experiment(config(tmp_path))
+    versions = json.loads((out / "manifest.json").read_text())["versions"]
+    for key in ("openblas_core", "openblas_config", "numpy_exp_float64", "numpy_log_float64"):
+        assert key in versions
+        assert versions[key] is None or isinstance(versions[key], str)
+
+
 def test_rerun_into_an_existing_out_dir_starts_each_seed_afresh(tmp_path):
     # a seed directory is recreated: no file of an earlier run survives,
     # not even a checkpoint the new schedule would never write

@@ -75,6 +75,7 @@ def test_gen_data_rejects_more_classes_than_a_label_byte_holds(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "256" in err
     assert not (out / "train_labels.bin").exists()
+    assert not out.exists()
     assert main(args + ["--classes", "256"]) == 0
     labels = np.frombuffer((out / "train_labels.bin").read_bytes(), dtype=np.uint8)
     assert len(np.unique(labels)) == 256

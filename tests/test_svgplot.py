@@ -1,5 +1,6 @@
 """Native SVG rendering: structure, determinism, axis arithmetic."""
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -67,6 +68,23 @@ def test_single_point_becomes_circle():
     plot.add_series([1], [1.0], label="pt")
     svg = plot.render()
     assert "<circle" in svg
+
+
+def test_every_element_kind_renders_the_pinned_bytes():
+    # ticks on both axes, a labelled and an unlabelled vline, title and axis
+    # labels, a legend of two labelled series beside an unlabelled one, a
+    # NaN that splits a series and a single point drawn as a circle
+    plot = LinePlot(title="post-switch dip", xlabel="iteration", ylabel="test accuracy")
+    plot.add_series([0, 10, 20, 30, 40], [0.1, 0.6, float("nan"), 0.75, 0.9], label="task 1")
+    plot.add_series([0, 10, 20, 30, 40], [0.2, 0.3, 0.35, 0.5, 0.55], label="task 2")
+    plot.add_series([25], [0.4])
+    plot.add_vline(20, label="switch")
+    plot.add_vline(35)
+    svg = plot.render()
+    kinds = ("<polyline", "<circle", "stroke-dasharray", 'text-anchor="end"', "rotate(-90")
+    assert all(kind in svg for kind in kinds)
+    assert (hashlib.sha256(svg.encode("utf-8")).hexdigest()
+            == "9f64a5e7933be0022c25942acacadcbc76c4e96ab4c3faf5a31b3d2b2a55768c")
 
 
 def test_save_writes_file(tmp_path):
