@@ -13,23 +13,11 @@ this module holds, so they run without loading numpy.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ArgumentError, FormatError, InsufficientTraceError
-
-TRACE_HEADER = [
-    "iter",
-    "task",
-    "batch_loss_pre",
-    "batch_acc_pre",
-    "batch_loss_post",
-    "batch_acc_post",
-    "test_loss",
-    "test_acc",
-    "ckpt",
-]
-
 
 @dataclass
 class TraceRecord:
@@ -199,97 +187,101 @@ def fmt_float(x: float | None) -> str:
     return "" if x is None else f"{x:.9g}"
 
 
-def write_table(path: str | Path, header: list[str], rows) -> None:
-    """A CSV table: the header line, then one line per row."""
+def _finite(field: str) -> float:
+    """A float field; a number that is not finite (nan, inf) is refused."""
+    x = float(field)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {field!r}")
+    return x
+
+
+# Each CSV table's columns in file order, header -> (text of a value, parse
+# of a field): integers, finite floats, and empty fields for unmeasured values
+_INT = (str, int)
+_FLOAT = (fmt_float, _finite)
+_UNMEASURED_FLOAT = (fmt_float, lambda field: _finite(field) if field else None)
+TRACE_COLUMNS = {
+    "iter": _INT, "task": _INT,
+    "batch_loss_pre": _FLOAT, "batch_acc_pre": _FLOAT,
+    "batch_loss_post": _FLOAT, "batch_acc_post": _FLOAT,
+    "test_loss": _UNMEASURED_FLOAT, "test_acc": _UNMEASURED_FLOAT,
+    "ckpt": (lambda ckpt: ckpt or "", lambda field: field or None),
+}
+LMC_COLUMNS = {"lambda": _FLOAT, "loss": _FLOAT, "accuracy": _FLOAT}
+PATH_COLUMNS = {"iter": _INT, "loss": _FLOAT, "accuracy": _FLOAT}
+
+
+def write_table(path: str | Path, columns: dict, rows) -> None:
+    """A CSV table: the header line, then one line per row of values, each
+    value written by its column's text function."""
+    texts = [text for text, _ in columns.values()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(columns)
+        writer.writerows([text(v) for text, v in zip(texts, row)] for row in rows)
 
 
-def read_table(path: str | Path, header: list[str], parse, what: str) -> list:
-    """`parse(row)` of every row of a CSV table with the given header.
-    A wrong header or field count, a ValueError from `parse`, a csv.Error,
-    a table without rows or a file that is not UTF-8 text raises
+def read_table(path: str | Path, columns: dict, what: str) -> list[list]:
+    """The parsed values of every row of a CSV table with the given columns.
+    A wrong header or field count, a field its column does not parse, a
+    csv.Error, a table without rows or a file that is not UTF-8 text raises
     FormatError naming the file (and the line, where there is one)."""
-    items = []
+    parsers = [parse for _, parse in columns.values()]
+    rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             got = next(reader, None)
             if got is None:
                 raise FormatError(f"{path}: empty {what} file")
-            if got != header:
+            if got != list(columns):
                 raise FormatError(f"{path}: line 1: unexpected header {got}")
             for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(header):
+                if len(row) != len(columns):
                     raise FormatError(
-                        f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}"
+                        f"{path}: line {line_no}: expected {len(columns)} fields, got {len(row)}"
                     )
                 try:
-                    items.append(parse(row))
+                    rows.append([parse(field) for parse, field in zip(parsers, row)])
                 except ValueError as err:
                     raise FormatError(f"{path}: line {line_no}: {err}") from None
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not UTF-8 text") from None
     except csv.Error as err:  # a field past the csv module's size limit, say
         raise FormatError(f"{path}: line {reader.line_num}: {err}") from None
-    if not items:
+    if not rows:
         raise FormatError(f"{path}: {what} contains no records")
-    return items
-
-
-def _trace_row(r: TraceRecord) -> list:
-    return [r.iteration, r.task, fmt_float(r.batch_loss_pre), fmt_float(r.batch_acc_pre),
-            fmt_float(r.batch_loss_post), fmt_float(r.batch_acc_post),
-            fmt_float(r.test_loss), fmt_float(r.test_acc), r.ckpt or ""]
-
-
-def _trace_record(row: list[str]) -> TraceRecord:
-    """The inverse of _trace_row: empty test fields were not evaluated."""
-    return TraceRecord(int(row[0]), int(row[1]), float(row[2]), float(row[3]),
-                       float(row[4]), float(row[5]), float(row[6]) if row[6] else None,
-                       float(row[7]) if row[7] else None, row[8] or None)
+    return rows
 
 
 def write_trace_csv(path: str | Path, trace: TrainTrace) -> None:
-    write_table(path, TRACE_HEADER, map(_trace_row, trace.records))
+    # a record's attributes are its fields, in the order of TRACE_COLUMNS
+    write_table(path, TRACE_COLUMNS, (vars(r).values() for r in trace.records))
 
 
 def read_trace_csv(path: str | Path) -> TrainTrace:
     """The trace of a trace.csv, whose iterations must strictly increase."""
-    records = read_table(path, TRACE_HEADER, _trace_record, "trace")
+    records = [TraceRecord(*row) for row in read_table(path, TRACE_COLUMNS, "trace")]
     for line_no, (prev, record) in enumerate(zip(records, records[1:]), start=3):
         if record.iteration <= prev.iteration:
             raise FormatError(f"{path}: line {line_no}: iterations must strictly increase")
     return TrainTrace(records=records)
 
 
-LMC_HEADER = ["lambda", "loss", "accuracy"]
-PATH_HEADER = ["iter", "loss", "accuracy"]
-
-
 def write_lmc_csv(path: str | Path, curve: LmcCurve) -> None:
-    write_table(path, LMC_HEADER, (
-        [fmt_float(lam), fmt_float(loss), fmt_float(acc)]
-        for lam, loss, acc in zip(curve.lambdas, curve.losses, curve.accuracies)))
+    write_table(path, LMC_COLUMNS, zip(curve.lambdas, curve.losses, curve.accuracies))
 
 
 def read_lmc_csv(path: str | Path) -> LmcCurve:
-    rows = read_table(path, LMC_HEADER, lambda row: [float(v) for v in row], "curve")
-    return LmcCurve(*zip(*rows))
+    return LmcCurve(*zip(*read_table(path, LMC_COLUMNS, "curve")))
 
 
 def write_path_csv(path: str | Path, curve: PathCurve) -> None:
-    write_table(path, PATH_HEADER, (
-        [it, fmt_float(loss), fmt_float(acc)]
-        for it, loss, acc in zip(curve.iterations, curve.losses, curve.accuracies)))
+    write_table(path, PATH_COLUMNS, zip(curve.iterations, curve.losses, curve.accuracies))
 
 
 def read_path_csv(path: str | Path) -> PathCurve:
-    rows = read_table(path, PATH_HEADER,
-                      lambda row: (int(row[0]), float(row[1]), float(row[2])), "curve")
-    return PathCurve(*zip(*rows))
+    return PathCurve(*zip(*read_table(path, PATH_COLUMNS, "curve")))
 
 
 def _gap_value(value) -> str:

@@ -28,9 +28,10 @@ _FONT = "font-family=\"Helvetica,Arial,sans-serif\""
 
 
 def _text(x, y, size, fill, body, anchor=None, extra="") -> str:
-    """A text element; `extra` is appended to its attributes as is."""
+    """A text element with its body escaped; `extra` is appended to its attributes as is."""
     if anchor:
         extra = f' text-anchor="{anchor}"{extra}'
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return f'<text x="{x}" y="{y}" {_FONT} font-size="{size}" fill="{fill}"{extra}>{body}</text>'
 
 

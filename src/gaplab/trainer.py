@@ -151,7 +151,10 @@ class CheckpointStore:
                 raise FormatError(
                     f"{path}: bad checkpoint name, expected task<k>_iter<n>.ckpt"
                 )
-            store._by_iteration[int(name[1])] = path
+            iteration = int(name[1])
+            other = store._by_iteration.setdefault(iteration, path)
+            if other != path:
+                raise FormatError(f"{other} and {path}: two checkpoints of iteration {iteration}")
         return store
 
     def save(self, task_id: int, iteration: int, params: ParamVector) -> str:

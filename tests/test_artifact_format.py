@@ -1,15 +1,21 @@
 """The text format of the artifacts: the exact text each writer produces
 from hand-built inputs, and the errors each CSV reader raises on malformed
-input. No training is involved, so the pinned text holds on any BLAS.
+input, and that the column tables are the columns the README documents. No
+training is involved, so the pinned text holds on any BLAS.
 
 A deliberate change of the number format (say, to floats that round-trip)
 shows up here as a failing test."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from gaplab.artifacts import (GapMetrics, LmcCurve, PathCurve, TraceRecord, TrainTrace,
-                              format_gap_doc, format_gap_docs, read_lmc_csv, read_path_csv,
-                              read_trace_csv, write_lmc_csv, write_path_csv, write_trace_csv)
+from gaplab.artifacts import (LMC_COLUMNS, PATH_COLUMNS, TRACE_COLUMNS, GapMetrics, LmcCurve,
+                              PathCurve, TraceRecord, TrainTrace, format_gap_doc,
+                              format_gap_docs, read_lmc_csv, read_path_csv, read_trace_csv,
+                              write_lmc_csv, write_path_csv, write_trace_csv)
 from gaplab.connectivity import lambda_grid
 from gaplab.errors import FormatError
 
@@ -119,11 +125,15 @@ def malformed(header, row):
     """(file text, expected error) for each way a table can be malformed."""
     n_fields = header.count(",") + 1
     unparsable = "x" + row[row.index(","):]
+    values = row.split(",")  # the third field is a float in every table
+    nan, inf = (",".join([*values[:2], v, *values[3:]]) for v in ("nan", "-inf"))
     return {
         "empty file": ("", "empty"),
         "bad header": ("iter,task\n" + row + "\n", "line 1: unexpected header"),
         "field count": (f"{header}\n{row}\n1,0\n", f"line 3: expected {n_fields} fields, got 2"),
         "unparsable field": (f"{header}\n{row}\n{unparsable}\n", "line 3: "),
+        "non-finite number": (f"{header}\n{row}\n{nan}\n", "line 3: non-finite number 'nan'$"),
+        "infinite number": (f"{header}\n{row}\n{inf}\n", "line 3: non-finite number '-inf'$"),
         "no records": (header + "\n", "no records"),
         "not text": (f"{header}\n{row}\n".encode() + b"\xff\xfe\n", "not UTF-8 text"),
         # the csv module's field limit (131072 characters) once raised csv.Error
@@ -133,7 +143,8 @@ def malformed(header, row):
 
 
 @pytest.mark.parametrize("case", ["empty file", "bad header", "field count",
-                                  "unparsable field", "no records", "not text",
+                                  "unparsable field", "non-finite number",
+                                  "infinite number", "no records", "not text",
                                   "field too large"])
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_reader_rejects_malformed_input(tmp_path, kind, case):
@@ -143,3 +154,24 @@ def test_reader_rejects_malformed_input(tmp_path, kind, case):
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(FormatError, match=message):
         reader(path)
+
+
+# --- the column tables are the documented format ---------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_trace_columns_are_the_trace_record_fields_in_order():
+    # the trace writer and reader pass a record's fields in column order
+    names = [{"iteration": "iter"}.get(f.name, f.name) for f in fields(TraceRecord)]
+    assert list(TRACE_COLUMNS) == names
+
+
+def test_readme_lists_every_table_column_in_order():
+    text = README.read_text()
+    start = text.index("The text artifacts share one format.")
+    paragraph = text[start:text.index("\n\n", start)]
+    tables = {name: re.findall(r"`(\w+)`", columns) for name, columns in
+              re.findall(r"`(\w+)\.csv` \(([^)]*)\)", paragraph)}
+    assert tables == {"trace": list(TRACE_COLUMNS), "lmc": list(LMC_COLUMNS),
+                      "path": list(PATH_COLUMNS)}

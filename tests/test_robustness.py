@@ -2,7 +2,8 @@
 a run directory written before the error: null config values, too many
 classes for the raw format, a seed process that dies, non-finite numbers,
 range rules that the config and the command line must share, a split that
-empties a task, a bad train labels file and a model too large to allocate."""
+empties a task, a bad train labels file, a model too large to allocate, a
+non-finite number in a trace and two checkpoints of one iteration."""
 
 import json
 import os
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 from gaplab import procs
+from gaplab.autodiff import init_params
 from gaplab.artifacts import write_trace_csv
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig
 from gaplab.data import blob_train_count
+from gaplab.trainer import CheckpointStore
 
 from conftest import eval_trace, run_files
 
@@ -291,6 +294,41 @@ def test_nonfinite_lr_or_spread_exits_2_before_any_file(tmp_path, capsys, where,
     assert captured.out == ""
     assert captured.err.startswith("gaplab: error: ") and captured.err.count("\n") == 1
     assert "finite" in captured.err
+    assert not out.exists()
+
+
+def test_non_finite_trace_number_exits_4(tmp_path, capsys):
+    # nan once parsed: gap printed gap_depth = nan and exit 3, "never recovers"
+    path = tmp_path / "trace.csv"
+    path.write_text(
+        "iter,task,batch_loss_pre,batch_acc_pre,batch_loss_post,batch_acc_post,"
+        "test_loss,test_acc,ckpt\n"
+        + "".join(f"{it},{it // 3},1,0.5,1,0.5,1,{acc},\n"
+                  for it, acc in [(1, 0.9), (2, "nan"), (3, 0.5), (4, 0.95), (5, 0.95)]))
+    assert main(["gap", "--trace", str(path), "--baseline-evals", "1",
+                 "--recovery-window", "1", "--out", str(tmp_path / "gap.txt")]) == 4
+    assert capsys.readouterr() == ("", f"gaplab: error: {path}: line 3: "
+                                       "non-finite number 'nan'\n")
+    assert not (tmp_path / "gap.txt").exists()
+
+
+def test_two_checkpoints_of_one_iteration_exit_4_before_any_file(tmp_path, capsys):
+    # the last of the sorted names once won: path.csv mixed in another file's
+    # parameters for that iteration, and lmc exited 0
+    config = write_config(tmp_path)
+    spec = ExperimentConfig.from_dict(json.loads(config.read_text())).model_spec
+    ckpts = tmp_path / "ckpts"
+    store = CheckpointStore(ckpts)
+    for it in (0, 5):
+        store.save(0, it, init_params(spec, it))
+    (ckpts / "task0_iter5.ckpt").write_bytes((ckpts / "task0_iter0000000.ckpt").read_bytes())
+    out = tmp_path / "figs"
+    assert main(["lmc", "--config", str(config), "--ckpt-a", str(ckpts / "task0_iter0000000.ckpt"),
+                 "--ckpt-b", str(ckpts / "task0_iter0000005.ckpt"), "--sgd-path", str(ckpts),
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", f"gaplab: error: {ckpts / 'task0_iter0000005.ckpt'} and "
+                                       f"{ckpts / 'task0_iter5.ckpt'}: "
+                                       "two checkpoints of iteration 5\n")
     assert not out.exists()
 
 

@@ -87,6 +87,17 @@ def test_every_element_kind_renders_the_pinned_bytes():
             == "9f64a5e7933be0022c25942acacadcbc76c4e96ab4c3faf5a31b3d2b2a55768c")
 
 
+def test_text_with_markup_characters_is_escaped():
+    # unescaped, `<` and `&` made a document that is not well-formed XML
+    texts = ["loss < 1 & acc > 0", "iter <n>", "a & b", "switch <&>", "a<b"]
+    plot = LinePlot(title=texts[0], xlabel=texts[1], ylabel=texts[2])
+    plot.add_series([0, 1], [0.0, 1.0], label=texts[4])
+    plot.add_vline(0.5, label=texts[3])
+    root = ET.fromstring(plot.render())
+    read = [el.text for el in root.iter() if el.tag.endswith("text")]
+    assert all(text in read for text in texts)
+
+
 def test_save_writes_file(tmp_path):
     out = tmp_path / "plot.svg"
     simple_plot().save(out)

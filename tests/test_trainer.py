@@ -258,6 +258,19 @@ def test_store_open_rejects_bad_checkpoint_names(tmp_path):
             CheckpointStore.open(directory)
 
 
+def test_store_open_refuses_two_checkpoints_of_one_iteration(tmp_path):
+    # the last of the sorted names was once read silently for the iteration
+    store = CheckpointStore(tmp_path / "ckpts")
+    store.save(0, 13, init_params(SPEC, 1))
+    store.save(0, 20, init_params(SPEC, 2))
+    (tmp_path / "ckpts" / "task0_iter13.ckpt").write_bytes(b"")
+    with pytest.raises(FormatError) as raised:
+        CheckpointStore.open(tmp_path / "ckpts")
+    assert str(raised.value) == (f"{tmp_path / 'ckpts' / 'task0_iter0000013.ckpt'} and "
+                                 f"{tmp_path / 'ckpts' / 'task0_iter13.ckpt'}: "
+                                 "two checkpoints of iteration 13")
+
+
 # --- training loop -----------------------------------------------------------
 
 def small_problem(seed=0, joint=True, fractions=(50, 50)):
