@@ -272,8 +272,17 @@ def write_lmc_csv(path: str | Path, curve: LmcCurve) -> None:
     write_table(path, LMC_COLUMNS, zip(curve.lambdas, curve.losses, curve.accuracies))
 
 
+def _read_curve(path: str | Path, columns: dict, curve_type):
+    """A curve from its CSV table; rows that break a curve rule raise
+    FormatError naming the file."""
+    try:
+        return curve_type(*zip(*read_table(path, columns, "curve")))
+    except ArgumentError as err:
+        raise FormatError(f"{path}: {err}") from None
+
+
 def read_lmc_csv(path: str | Path) -> LmcCurve:
-    return LmcCurve(*zip(*read_table(path, LMC_COLUMNS, "curve")))
+    return _read_curve(path, LMC_COLUMNS, LmcCurve)
 
 
 def write_path_csv(path: str | Path, curve: PathCurve) -> None:
@@ -281,7 +290,7 @@ def write_path_csv(path: str | Path, curve: PathCurve) -> None:
 
 
 def read_path_csv(path: str | Path) -> PathCurve:
-    return PathCurve(*zip(*read_table(path, PATH_COLUMNS, "curve")))
+    return _read_curve(path, PATH_COLUMNS, PathCurve)
 
 
 def _gap_value(value) -> str:

@@ -40,10 +40,6 @@ from .rng import Rng
 Tensor = np.ndarray
 
 
-def as_tensor(data) -> Tensor:
-    return np.asarray(data, dtype=np.float64)
-
-
 def overflow_checked() -> np.errstate:
     """The one rule for numeric trouble: no numpy warning, only a finiteness
     check's DivergenceError. Fresh per `with`: numpy 1.x keeps the replaced
@@ -110,11 +106,6 @@ def _weight_shape(layer: Layer) -> tuple[int, ...] | None:
     return None
 
 
-def _layer_param_count(layer: Layer) -> int:
-    shape = _weight_shape(layer)
-    return 0 if shape is None else math.prod(shape) + shape[0]
-
-
 def _layer_out_shape(layer: Layer, shape: tuple[int, ...]) -> tuple[int, ...]:
     """Shape produced by `layer` on a single (batchless) input, or raise."""
     if isinstance(layer, Dense):
@@ -135,7 +126,7 @@ def _layer_out_shape(layer: Layer, shape: tuple[int, ...]) -> tuple[int, ...]:
             raise ShapeError(f"MaxPool2x2 needs even nonzero H and W, got {h}x{w}")
         return (c, h // 2, w // 2)
     if isinstance(layer, Flatten):
-        return (int(np.prod(shape)),)
+        return (math.prod(shape),)
     raise ShapeError(f"unknown layer {layer!r}")
 
 
@@ -173,15 +164,17 @@ class ModelSpec:
 
     @cached_property
     def param_count(self) -> int:
-        return sum(_layer_param_count(layer) for layer in self.layers)
+        shapes = filter(None, map(_weight_shape, self.layers))
+        return sum(math.prod(shape) + shape[0] for shape in shapes)
 
 
-def _dense_head(n_in: int, hidden: list[int], n_classes: int) -> list[Layer]:
-    """Dense-ReLU layers through the `hidden` widths, then the output layer."""
-    layers: list[Layer] = []
+def _head(shape: tuple[int, ...], hidden: list[int], n_classes: int) -> list[Layer]:
+    """The layers after an input of `shape`: Flatten if it has more than one
+    dimension, Dense-ReLU through the `hidden` widths, then the output layer."""
+    layers: list[Layer] = [Flatten()] if len(shape) > 1 else []
+    n_in = math.prod(shape)
     for width in hidden:
-        layers.append(Dense(n_in, width))
-        layers.append(ReLU())
+        layers += [Dense(n_in, width), ReLU()]
         n_in = width
     layers.append(Dense(n_in, n_classes))
     return layers
@@ -191,30 +184,22 @@ def mlp(input_shape: int | tuple[int, ...], hidden: list[int], n_classes: int) -
     """Fully connected ReLU network input -> hidden... -> n_classes; input
     with more than one dimension is flattened first."""
     shape = (input_shape,) if np.ndim(input_shape) == 0 else tuple(input_shape)
-    layers: list[Layer] = [Flatten()] if len(shape) > 1 else []
-    layers += _dense_head(math.prod(shape), hidden, n_classes)
-    return ModelSpec(tuple(layers), shape, n_classes)
+    return ModelSpec(tuple(_head(shape, hidden, n_classes)), shape, n_classes)
 
 
-def small_cnn(
-    input_shape: tuple[int, int, int],
-    channels: list[int],
-    hidden: list[int],
-    n_classes: int,
-) -> ModelSpec:
-    """Conv-ReLU-pool blocks, then a flattened dense head."""
-    c, h, w = input_shape
+def small_cnn(input_shape: tuple[int, int, int], channels: list[int], hidden: list[int],
+              n_classes: int) -> ModelSpec:
+    """Conv-ReLU-pool blocks on [C, H, W] input, then the head."""
+    shape = tuple(input_shape)
+    if len(shape) != 3:
+        raise ShapeError(f"smallcnn needs channels x height x width input, got shape {shape}")
     layers: list[Layer] = []
-    prev_c = c
     for ch in channels:
-        layers.append(Conv3x3(prev_c, ch))
-        layers.append(ReLU())
-        layers.append(MaxPool2x2())
-        prev_c = ch
-        h //= 2
-        w //= 2
-    layers.append(Flatten())
-    layers += _dense_head(prev_c * h * w, hidden, n_classes)
+        block = [Conv3x3(shape[0], ch), ReLU(), MaxPool2x2()]
+        for layer in block:
+            shape = _layer_out_shape(layer, shape)
+        layers += block
+    layers += _head(shape, hidden, n_classes)
     return ModelSpec(tuple(layers), tuple(input_shape), n_classes)
 
 
@@ -292,7 +277,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 # ---------------------------------------------------------------------------
 
 def _check_batch(spec: ModelSpec, batch: Tensor) -> Tensor:
-    batch = as_tensor(batch)
+    batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != len(spec.input_shape) + 1 or batch.shape[1:] != spec.input_shape:
         raise ShapeError(
             f"batch shape {batch.shape} does not match [B]+{list(spec.input_shape)}"
@@ -377,24 +362,24 @@ def _checked_forward(spec: ModelSpec, params: ParamVector, batch: Tensor, caches
         for layer, lp in zip(spec.layers, layer_params):
             if isinstance(layer, Dense):
                 w, b = lp
-                keep(("dense", x))
+                keep(x)
                 x = x @ w.T
                 x += b
             elif isinstance(layer, ReLU):
                 x = np.maximum(x, 0.0, out=x) if owned else np.maximum(x, 0.0)
-                keep(("relu", x))  # > 0 where its input is; the next layer keeps it too
+                keep(x)  # > 0 where its input is; the next layer keeps it too
             elif isinstance(layer, Conv3x3):
                 w, b = lp
-                keep(("conv", x))
+                keep(x)
                 x = _conv3x3_forward(x, w, b)
             elif isinstance(layer, MaxPool2x2):
                 out = _maxpool_forward(x)
-                keep(("pool", (x, out)))
+                keep((x, out))
                 x = out
                 del out
             else:  # Flatten, in [N, C, H, W] order
                 x = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
-                keep(("flatten", x.shape))
+                keep(x.shape)
                 x = x.reshape(x.shape[0], -1)
             owned = isinstance(layer, (Dense, Conv3x3))
     _require_finite(x, "forward logits")
@@ -425,24 +410,24 @@ def backward(
     with overflow_checked():
         dx = dlogits
         for i in reversed(range(first, len(caches))):
-            (kind, saved), lp, gv = caches[i], layer_params[i], grad_views[i]
-            if kind == "dense":
+            layer, saved, lp, gv = spec.layers[i], caches[i], layer_params[i], grad_views[i]
+            if isinstance(layer, Dense):
                 w, _ = lp
                 gw, gb = gv
                 gw += dx.T @ saved
                 gb += dx.sum(axis=0)
                 dx = dx @ w if i > first else None
-            elif kind == "relu":
+            elif isinstance(layer, ReLU):
                 dx = dx * (saved > 0.0)
-            elif kind == "conv":
+            elif isinstance(layer, Conv3x3):
                 w, _ = lp
                 gw, gb = gv
                 dx, dw, db = _conv3x3_backward(saved, w, dx, i > first)
                 gw += dw
                 gb += db
-            elif kind == "pool":
+            elif isinstance(layer, MaxPool2x2):
                 dx = _maxpool_backward(*saved, dx)
-            else:  # flatten
+            else:  # Flatten
                 dx = dx.reshape(saved)
                 dx = dx.transpose(0, 2, 3, 1) if dx.ndim == 4 else dx
     _require_finite(grads, "parameter gradients")
@@ -451,7 +436,7 @@ def backward(
 
 def _check_logits(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Logits [B, C] and B labels in [0, C)."""
-    logits = as_tensor(logits)
+    logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be [B, C], got shape {logits.shape}")
     n, c = logits.shape

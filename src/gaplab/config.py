@@ -233,14 +233,14 @@ class ModelConfig:
 
 def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...],
                      n_classes: int) -> ModelSpec:
+    """The model `cfg` names; one that cannot take the input is an ArgumentError."""
     from .autodiff import mlp, small_cnn
-    if cfg.name == "smallcnn":
-        if len(input_shape) != 3:
-            raise ArgumentError(
-                f"smallcnn needs channels x height x width input, got shape {input_shape}"
-            )
-        return small_cnn(input_shape, cfg.channels, cfg.hidden, n_classes)
-    return mlp(input_shape, cfg.hidden, n_classes)
+    try:
+        if cfg.name == "smallcnn":
+            return small_cnn(input_shape, cfg.channels, cfg.hidden, n_classes)
+        return mlp(input_shape, cfg.hidden, n_classes)
+    except ShapeError as err:
+        raise ArgumentError(str(err)) from None
 
 
 @dataclass(frozen=True)
@@ -385,7 +385,7 @@ class ExperimentConfig:
         try:
             return build_model_spec(self.model, self.dataset.input_shape,
                                     self.dataset.classes)
-        except (ArgumentError, ShapeError) as err:
+        except ArgumentError as err:
             raise ArgumentError(f"model: {err}") from None
 
     @classmethod

@@ -18,6 +18,7 @@ from .errors import ArgumentError
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 WIDTH = 720
 HEIGHT = 440
+TICK_TARGET = 6  # about how many ticks an axis gets
 SERIES_WIDTH = 1.5
 REF_LINE_COLOR = "#555555"
 GRID_COLOR = "#e0e0e0"
@@ -52,16 +53,16 @@ def _fmt_tick(x: float) -> str:
     return f"{x:.6g}"
 
 
-def nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi] at a 1/2/2.5/5 step."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ArgumentError("tick range must be finite")
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / target))
+    step = 10.0 ** math.floor(math.log10(span / TICK_TARGET))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0, 20.0):
-        if span / (step * mult) <= target:
+        if span / (step * mult) <= TICK_TARGET:
             step *= mult
             break
     first = math.ceil(lo / step - 1e-9)

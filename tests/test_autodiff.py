@@ -157,26 +157,26 @@ def full_chain_backward(spec, params, batch, labels):
     loss, dlogits = softmax_cross_entropy(logits, labels)
     grads = np.zeros_like(params.values)
     dx = dlogits
-    for lp, gv, (kind, saved) in zip(reversed(layer_params),
-                                     reversed(_unflatten(spec, grads)),
-                                     reversed(caches)):
-        if kind == "dense":
+    for layer, lp, gv, saved in zip(reversed(spec.layers), reversed(layer_params),
+                                    reversed(_unflatten(spec, grads)),
+                                    reversed(caches)):
+        if isinstance(layer, Dense):
             w, _ = lp
             gw, gb = gv
             gw += dx.T @ saved
             gb += dx.sum(axis=0)
             dx = dx @ w
-        elif kind == "relu":
+        elif isinstance(layer, ReLU):
             dx = dx * (saved > 0.0)
-        elif kind == "conv":
+        elif isinstance(layer, Conv3x3):
             w, _ = lp
             gw, gb = gv
             dx, dw, db = _conv3x3_backward(saved, w, dx)
             gw += dw
             gb += db
-        elif kind == "pool":
+        elif isinstance(layer, MaxPool2x2):
             dx = _maxpool_backward(*saved, dx)
-        else:  # flatten
+        else:  # Flatten
             dx = dx.reshape(saved)
             dx = dx.transpose(0, 2, 3, 1) if dx.ndim == 4 else dx
     assert dx.size == np.size(batch)  # the chain reached the input
@@ -220,22 +220,22 @@ def caching_forward(spec, params, batch):
     for layer, lp in zip(spec.layers, _unflatten(spec, params.values)):
         if isinstance(layer, Dense):
             w, b = lp
-            caches.append(("dense", x))
+            caches.append(x)
             x = x @ w.T + b
         elif isinstance(layer, ReLU):
             x = np.maximum(x, 0.0)
-            caches.append(("relu", x))
+            caches.append(x)
         elif isinstance(layer, Conv3x3):
             w, b = lp
-            caches.append(("conv", x))
+            caches.append(x)
             x = caching_conv3x3_forward(x, w, b)
         elif isinstance(layer, MaxPool2x2):
             out = _maxpool_forward(x)
-            caches.append(("pool", (x, out)))
+            caches.append((x, out))
             x = out
         else:
             x = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
-            caches.append(("flatten", x.shape))
+            caches.append(x.shape)
             x = x.reshape(x.shape[0], -1)
     return x
 
@@ -469,6 +469,34 @@ def test_init_deterministic_per_seed():
 def test_param_count_mlp():
     # 32-128-64-8: 32*128+128 + 128*64+64 + 64*8+8 = 4224+8256+520
     assert mlp(32, [128, 64], 8).param_count == 13000
+
+
+@pytest.mark.parametrize("spec, layers", [
+    (mlp(6, [8, 5], 4), (Dense(6, 8), ReLU(), Dense(8, 5), ReLU(), Dense(5, 4))),
+    (mlp((2, 3, 4), [], 3), (Flatten(), Dense(24, 3))),
+    (small_cnn((2, 4, 4), [], [5], 3), (Flatten(), Dense(32, 5), ReLU(), Dense(5, 3))),
+    (small_cnn((3, 8, 8), [4, 6], [8], 3),
+     (Conv3x3(3, 4), ReLU(), MaxPool2x2(), Conv3x3(4, 6), ReLU(), MaxPool2x2(),
+      Flatten(), Dense(24, 8), ReLU(), Dense(8, 3))),
+    (small_cnn((2, 4, 6), [3], [], 3),
+     (Conv3x3(2, 3), ReLU(), MaxPool2x2(), Flatten(), Dense(18, 3))),
+], ids=["mlp", "mlp-flatten", "smallcnn-no-conv", "smallcnn", "smallcnn-non-square"])
+def test_builders_layers(spec, layers):
+    assert spec.layers == layers
+
+
+CHW = r"^smallcnn needs channels x height x width input, got shape "
+
+
+@pytest.mark.parametrize("args, message", [
+    (((32,), [], [8], 3), CHW + r"\(32,\)$"),
+    (((32,), [4], [], 3), CHW + r"\(32,\)$"),
+    (((3, 8, 8, 2), [4], [], 3), CHW + r"\(3, 8, 8, 2\)$"),
+    (((3, 6, 6), [4, 4], [], 3), r"^MaxPool2x2 needs even nonzero H and W, got 3x3$"),
+], ids=["flat-no-conv", "flat-conv", "four-dims", "odd-pool-input"])
+def test_small_cnn_refuses_input_it_cannot_take(args, message):
+    with pytest.raises(ShapeError, match=message):
+        small_cnn(*args)
 
 
 def test_spec_digest_distinguishes_architectures():

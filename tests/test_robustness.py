@@ -3,7 +3,8 @@ a run directory written before the error: null config values, too many
 classes for the raw format, a seed process that dies, non-finite numbers,
 range rules that the config and the command line must share, a split that
 empties a task, a bad train labels file, a model too large to allocate, a
-non-finite number in a trace and two checkpoints of one iteration."""
+non-finite number in a trace, two checkpoints of one iteration and a curve
+file that breaks a curve rule."""
 
 import json
 import os
@@ -329,6 +330,26 @@ def test_two_checkpoints_of_one_iteration_exit_4_before_any_file(tmp_path, capsy
     assert capsys.readouterr() == ("", f"gaplab: error: {ckpts / 'task0_iter0000005.ckpt'} and "
                                        f"{ckpts / 'task0_iter5.ckpt'}: "
                                        "two checkpoints of iteration 5\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lmc_rows, path_rows, bad, message", [
+    (["0,1,0.5", "0.5,1,0.5"], None, "lmc.csv", "lambda grid must run from 0 to 1"),
+    (["0,1,0.5", "1,1,0.5"], ["5,1,0.5", "3,1,0.5"], "path.csv",
+     "curve positions must be strictly ascending"),
+], ids=["lmc-grid-short-of-1", "path-iterations-descend"])
+def test_curve_file_that_breaks_a_curve_rule_exits_4_before_any_file(
+        tmp_path, capsys, lmc_rows, path_rows, bad, message):
+    # every field parses, so the curve's own rule once gave exit 2 naming no file
+    run = tmp_path / "seed0"
+    run.mkdir()
+    write_trace_csv(run / "trace.csv", eval_trace([0.9, 0.9], [0.5, 0.9]))
+    (run / "lmc.csv").write_text("lambda,loss,accuracy\n" + "".join(f"{r}\n" for r in lmc_rows))
+    if path_rows:
+        (run / "path.csv").write_text("iter,loss,accuracy\n" + "".join(f"{r}\n" for r in path_rows))
+    out = tmp_path / "figs"
+    assert main(["report", "--run", str(run), "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", f"gaplab: error: {run / bad}: {message}\n")
     assert not out.exists()
 
 
