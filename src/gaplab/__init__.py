@@ -36,8 +36,8 @@ from ._version import __version__  # noqa: E402  (after the thread variables)
 
 # The public names, by the module that defines each.
 _PUBLIC = {
-    "artifacts": """GapMetrics LmcCurve PathCurve TraceRecord TrainTrace compute_gap
-                    format_gap_doc format_gap_docs read_lmc_csv read_path_csv
+    "artifacts": """GapMetrics GapParams LmcCurve PathCurve TraceRecord TrainTrace
+                    compute_gap format_gap_doc format_gap_docs read_lmc_csv read_path_csv
                     read_trace_csv write_lmc_csv write_path_csv write_trace_csv""",
     "autodiff": """Conv3x3 Dense Flatten MaxPool2x2 ModelSpec ParamVector ReLU accuracy
                    backward forward init_params mlp small_cnn softmax_cross_entropy""",

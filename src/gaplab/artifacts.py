@@ -72,23 +72,25 @@ class GapMetrics:
     recovered: bool
 
 
-def check_gap_args(baseline_evals: int, recovery_window: int, tolerance: float,
-                   window: int) -> None:
-    """The argument rules of compute_gap, also used to check a config early."""
-    if baseline_evals < 1 or recovery_window < 1 or window < 1:
-        raise ArgumentError("baseline_evals, recovery_window and window must be >= 1")
-    if not tolerance >= 0:
-        raise ArgumentError(f"tolerance must be >= 0, got {tolerance}")
+@dataclass(frozen=True)
+class GapParams:
+    """The settings of compute_gap: the config's `analysis` keys of the same
+    names and the flags of `gaplab gap`, with their defaults and rules."""
+
+    baseline_evals: int = 5
+    recovery_window: int = 5
+    tolerance: float = 0.0
+    window: int = 2000
+
+    def __post_init__(self):
+        if self.baseline_evals < 1 or self.recovery_window < 1 or self.window < 1:
+            raise ArgumentError("baseline_evals, recovery_window and window must be >= 1")
+        if not self.tolerance >= 0:
+            raise ArgumentError(f"tolerance must be >= 0, got {self.tolerance}")
 
 
-def compute_gap(
-    trace: TrainTrace,
-    boundary_iteration: int,
-    baseline_evals: int = 5,
-    recovery_window: int = 5,
-    tolerance: float = 0.0,
-    window: int = 2000,
-) -> GapMetrics:
+def compute_gap(trace: TrainTrace, boundary_iteration: int,
+                params: GapParams = GapParams()) -> GapMetrics:
     """Extract GapMetrics from the evaluation ticks of a trace.
 
     Only records carrying test accuracy participate; everything between
@@ -96,27 +98,26 @@ def compute_gap(
     `baseline_evals` pre-boundary evaluations, and the minimum is taken
     over post-boundary evaluations within `window` iterations.
     """
-    check_gap_args(baseline_evals, recovery_window, tolerance, window)
     evals = trace.eval_records()
     pre = [r for r in evals if r.iteration <= boundary_iteration]
     post = [
         r
         for r in evals
-        if boundary_iteration < r.iteration <= boundary_iteration + window
+        if boundary_iteration < r.iteration <= boundary_iteration + params.window
     ]
-    if len(pre) < baseline_evals:
+    if len(pre) < params.baseline_evals:
         raise InsufficientTraceError(
-            f"need {baseline_evals} pre-boundary evals, found {len(pre)}"
+            f"need {params.baseline_evals} pre-boundary evals, found {len(pre)}"
         )
     if not post:
         raise InsufficientTraceError("no post-boundary evals inside the window")
 
-    baseline = sum(r.test_acc for r in pre[-baseline_evals:]) / baseline_evals
+    baseline = sum(r.test_acc for r in pre[-params.baseline_evals:]) / params.baseline_evals
     min_rec = min(post, key=lambda r: r.test_acc)  # ties: earliest wins
-    threshold = baseline - tolerance
+    threshold = baseline - params.tolerance
     recovery_iteration = None
-    for i in range(len(post) - recovery_window + 1):
-        if all(r.test_acc >= threshold for r in post[i:i + recovery_window]):
+    for i in range(len(post) - params.recovery_window + 1):
+        if all(r.test_acc >= threshold for r in post[i:i + params.recovery_window]):
             recovery_iteration = post[i].iteration - boundary_iteration
             break
     return GapMetrics(

@@ -16,14 +16,14 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from ._version import __version__
-from .artifacts import (compute_gap, format_gap_doc, format_gap_docs, read_lmc_csv,
-                        read_path_csv, read_trace_csv, write_lmc_csv, write_path_csv)
-from .config import (RAW_MAX_CLASSES, AnalysisConfig, DatasetConfig, ExperimentConfig,
-                     check_raw_classes)
+from .artifacts import (GapParams, compute_gap, format_gap_doc, format_gap_docs,
+                        read_lmc_csv, read_path_csv, read_trace_csv, write_lmc_csv,
+                        write_path_csv)
+from .config import RAW_MAX_CLASSES, DatasetConfig, ExperimentConfig, check_raw_classes
 from .errors import ArgumentError, GapLabError, InsufficientTraceError
 from .svgplot import LinePlot
 
@@ -104,6 +104,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    params = GapParams(**{f.name: getattr(args, f.name) for f in fields(GapParams)})
     docs = {}
     any_unrecovered = False
     for index, trace_path in enumerate(args.trace):
@@ -115,14 +116,7 @@ def cmd_gap(args) -> int:
                     f"{trace_path}: trace has a single task; pass --boundary explicitly"
                 )
             boundary = trace.boundaries[0]
-        metrics = compute_gap(
-            trace,
-            boundary_iteration=boundary,
-            baseline_evals=args.baseline_evals,
-            recovery_window=args.recovery_window,
-            tolerance=args.tolerance,
-            window=args.window,
-        )
+        metrics = compute_gap(trace, boundary, params)
         docs[index] = metrics
         any_unrecovered = any_unrecovered or not metrics.recovered
 
@@ -275,10 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace CSV path (repeat for per-seed + median output)")
     p.add_argument("--boundary", type=int, help="boundary iteration "
                    "(default: first task boundary recorded in the trace)")
-    p.add_argument("--baseline-evals", type=int, default=AnalysisConfig.baseline_evals)
-    p.add_argument("--recovery-window", type=int, default=AnalysisConfig.recovery_window)
-    p.add_argument("--tolerance", type=float, default=AnalysisConfig.tolerance)
-    p.add_argument("--window", type=int, default=AnalysisConfig.window)
+    for f in fields(GapParams):  # --baseline-evals and the rest: the analysis.* keys
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
     p.add_argument("--out", help="also write the document to this file")
     p.set_defaults(func=cmd_gap)
 

@@ -20,16 +20,16 @@ of the numeric modules are imported where they are called.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import TYPE_CHECKING, Literal, get_args, get_origin, get_type_hints
 
-from .artifacts import check_gap_args, compute_gap
+from .artifacts import GapParams
 from .errors import ArgumentError, ShapeError
 
 if TYPE_CHECKING:
@@ -48,12 +48,20 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 RAW_MAX_CLASSES = 256  # a label of the raw data format is one byte
+MAX_FLOATS = sys.maxsize // 8  # float64 values in one array: numpy's limit is sys.maxsize bytes
 
 
 def check_raw_classes(n_classes: int) -> None:
     if n_classes > RAW_MAX_CLASSES:
         raise ArgumentError(
             f"the raw format holds at most {RAW_MAX_CLASSES} classes, got {n_classes}")
+
+
+def check_floats(count: int, what: str) -> None:
+    """An array of `count` float64 values must fit the limit of numpy's arrays."""
+    if count > MAX_FLOATS:
+        raise ArgumentError(
+            f"{what} need {count} float64 values, more than one array holds ({MAX_FLOATS})")
 
 
 def _sha256_hex(data: bytes) -> str:
@@ -233,14 +241,18 @@ class ModelConfig:
 
 def build_model_spec(cfg: ModelConfig, input_shape: tuple[int, ...],
                      n_classes: int) -> ModelSpec:
-    """The model `cfg` names; one that cannot take the input is an ArgumentError."""
+    """The model `cfg` names; one that cannot take the input, or whose
+    parameters no array can hold, is an ArgumentError."""
     from .autodiff import mlp, small_cnn
     try:
         if cfg.name == "smallcnn":
-            return small_cnn(input_shape, cfg.channels, cfg.hidden, n_classes)
-        return mlp(input_shape, cfg.hidden, n_classes)
+            spec = small_cnn(input_shape, cfg.channels, cfg.hidden, n_classes)
+        else:
+            spec = mlp(input_shape, cfg.hidden, n_classes)
     except ShapeError as err:
         raise ArgumentError(str(err)) from None
+    check_floats(spec.param_count, "its parameters")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -258,24 +270,17 @@ class SplitConfig:
         _check("split.fractions", check_fractions, self.fractions)
 
 
-# the gap analysis defaults are compute_gap's keyword defaults
-_GAP_PARAMS = inspect.signature(compute_gap).parameters
-
-
 @dataclass(frozen=True)
-class AnalysisConfig:
-    baseline_evals: int = _GAP_PARAMS["baseline_evals"].default
-    recovery_window: int = _GAP_PARAMS["recovery_window"].default
-    tolerance: float = _GAP_PARAMS["tolerance"].default
-    window: int = _GAP_PARAMS["window"].default
+class AnalysisConfig(GapParams):
+    """compute_gap's settings (`GapParams`), then the LMC curve's."""
+
     lmc_step: float = 0.01
     theta2_epochs: int = 5
 
     def __post_init__(self):
         _typed_fields(self, "analysis")
         from .connectivity import check_step
-        _check("analysis", check_gap_args, self.baseline_evals, self.recovery_window,
-               self.tolerance, self.window)
+        _check("analysis", super().__post_init__)
         _check("analysis.lmc_step", check_step, self.lmc_step)
         if self.theta2_epochs < 1:
             raise ArgumentError(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import overflow_checked
-from .config import check_raw_classes
+from .config import check_floats, check_raw_classes
 from .errors import ArgumentError, FormatError, LabelRangeError
 from .rng import Rng
 
@@ -68,6 +68,7 @@ def check_blob_args(
         raise ArgumentError(f"need at least 2 classes, got {n_classes}")
     if dim < 2:
         raise ArgumentError(f"need dim >= 2, got {dim}")
+    check_floats(n_classes * n_per_class * dim, "the samples")
     if blob_train_count(n_per_class) >= n_per_class:
         raise ArgumentError(f"need at least 3 samples per class, one for test, got {n_per_class}")
     if not 0.0 <= spread < math.inf:
@@ -234,7 +235,7 @@ def check_fractions(fractions) -> tuple[float, ...]:
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) < 1:
         raise ArgumentError("need at least one task fraction")
-    if any(f <= 0 or f > 100 for f in fractions):
+    if not all(0 < f <= 100 for f in fractions):  # NaN fails too
         raise ArgumentError(f"fractions must be in (0, 100], got {fractions}")
     if abs(sum(fractions) - 100.0) > 1e-9:
         raise ArgumentError(f"fractions must sum to 100, got {sum(fractions)}")

@@ -110,14 +110,7 @@ def run_single_seed(cfg: ExperimentConfig, seed: int, run_dir: Path) -> SeedRunR
     write_trace_csv(run_dir / "trace.csv", recorder.trace)
 
     try:
-        gap = compute_gap(
-            recorder.trace,
-            boundary_iteration=plan.boundaries[0],
-            baseline_evals=cfg.analysis.baseline_evals,
-            recovery_window=cfg.analysis.recovery_window,
-            tolerance=cfg.analysis.tolerance,
-            window=cfg.analysis.window,
-        )
+        gap = compute_gap(recorder.trace, plan.boundaries[0], cfg.analysis)
         (run_dir / "gap.txt").write_text(format_gap_doc(gap))
     except InsufficientTraceError:
         gap = None

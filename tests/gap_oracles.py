@@ -8,11 +8,11 @@ at or above baseline - tolerance, requiring the full window to exist.
 Iterations sit at boundary 100 with spacing 10 (see conftest.eval_trace).
 """
 
-from gaplab.artifacts import compute_gap
+from gaplab.artifacts import GapParams, compute_gap
 
 from conftest import eval_trace
 
-# name, pre accs, post accs, compute_gap kwargs, expected GapMetrics fields
+# name, pre accs, post accs, GapParams kwargs, expected GapMetrics fields
 CASES = [
     # dip to 0.6 at +10, climb back; first run of 5 evals >= 0.9 starts at +40
     dict(
@@ -132,7 +132,7 @@ CASES = [
 def check_case(case):
     """Assert compute_gap reproduces the hand-computed fields exactly."""
     trace = eval_trace(case["pre"], case["post"])
-    got = compute_gap(trace, boundary_iteration=100, **case["kw"])
+    got = compute_gap(trace, 100, GapParams(**case["kw"]))
     expect = case["expect"]
     assert got.pre_switch_acc == expect["pre_switch_acc"], case["name"]
     assert got.min_acc == expect["min_acc"], case["name"]

@@ -1,19 +1,22 @@
 """Command line surface: artifacts, determinism, and exit codes."""
 
+import argparse
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import pytest
 
 import gaplab
 from gaplab import connectivity, procs
-from gaplab.artifacts import TraceRecord, TrainTrace, read_trace_csv, write_trace_csv
-from gaplab.cli import main
+from gaplab.artifacts import (GapParams, TraceRecord, TrainTrace, read_trace_csv,
+                              write_trace_csv)
+from gaplab.cli import build_parser, main
 
 from conftest import eval_trace, run_files, running_children
 
@@ -68,6 +71,16 @@ def test_gen_data_missing_out_is_usage_error(capsys):
 
 def test_gen_data_bad_values_exit_2(tmp_path):
     assert main(["gen-data", "--classes", "1", "--out", str(tmp_path)]) == 2
+
+
+def test_gen_data_past_any_array_exits_2_before_any_file(tmp_path, capsys):
+    # once a numpy ValueError traceback, exit 1
+    out = tmp_path / "data"
+    assert main(["gen-data", "--per-class", str(10**20), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("gaplab: error: the samples need ")
+    assert not out.exists()
 
 
 def test_train_on_a_files_dataset_from_gen_data(tmp_path, capsys):
@@ -282,6 +295,17 @@ def test_gap_single_task_trace_without_boundary_exit_2(tmp_path, capsys):
     assert main(["gap", "--trace", str(trace_path)]) == 2
     assert capsys.readouterr() == ("", f"gaplab: error: {trace_path}: trace has a "
                                        "single task; pass --boundary explicitly\n")
+
+
+def test_gap_flags_are_the_gap_params():
+    # the flags' names and defaults are compute_gap's settings, in field order
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    settings = [a for a in subparsers.choices["gap"]._actions
+                if a.dest not in ("help", "trace", "boundary", "out")]
+    assert [a.dest for a in settings] == [f.name for f in fields(GapParams)]
+    assert tuple(a.default for a in settings) == astuple(GapParams())
+    assert [a.type for a in settings] == [int, int, float, int]
 
 
 def test_gap_corrupt_trace_exit_4(tmp_path):

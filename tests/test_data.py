@@ -1,6 +1,8 @@
 """Dataset generation, raw IO, task splits, and batch iteration."""
 
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gaplab.data import (
     Dataset,
     batch_iter,
     batches_per_epoch,
+    check_fractions,
     gen_blobs,
     load_raw,
     normalize_unit,
@@ -93,6 +96,11 @@ def test_blobs_rejects_bad_arguments():
     for spread in (float("nan"), float("inf")):
         with pytest.raises(ArgumentError, match="finite"):
             gen_blobs(0, 2, 10, 4, spread)
+    # 2 x 10**18 x 2 values: past sys.maxsize bytes, once a numpy ValueError
+    message = (f"the samples need {4 * 10**18} float64 values, more than one array holds "
+               f"({sys.maxsize // 8})")
+    with pytest.raises(ArgumentError, match=f"^{re.escape(message)}$"):
+        gen_blobs(0, 2, 10**18, 2, 1.0)
 
 
 # --- raw byte IO -------------------------------------------------------------
@@ -216,7 +224,8 @@ def test_split_deterministic_and_seeded():
 
 
 def test_split_rejects_bad_fractions():
-    for fracs in ([60, 50], [0, 100], [-10, 110], []):
+    # NaN fails every comparison, so it once passed both fraction tests
+    for fracs in ([60, 50], [0, 100], [-10, 110], [], [math.nan, 100], [math.nan, math.nan]):
         with pytest.raises(ArgumentError):
             split_tasks(base_dataset(), fracs, joint=True, seed=0)
 
@@ -261,6 +270,39 @@ def test_split_has_the_task_sizes_and_covers_the_set_once(problem, stratified):
     assert [len(ix) for ix in seq.task_indices] == sizes
     merged = np.sort(np.concatenate(seq.task_indices))
     np.testing.assert_array_equal(merged, np.arange(len(labels)))  # disjoint, complete
+
+
+# NaN, an infinity, a float near the percent range or any float at all
+FRACTION = (st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(-1.0, 101.0)
+            | st.floats())
+
+
+@st.composite
+def fraction_tuples(draw):
+    """1-4 fractions, the last of them, half the time, 100 less the rest."""
+    fractions = draw(st.lists(FRACTION, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        fractions[-1] = 100.0 - sum(fractions[:-1])
+    return fractions
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(fractions=fraction_tuples(), counts=st.lists(st.integers(0, 12), min_size=1,
+                                                    max_size=4),
+       stratified=st.booleans())
+def test_fractions_are_refused_or_finite_percentages_that_split(fractions, counts,
+                                                                stratified):
+    try:
+        checked = check_fractions(fractions)
+    except ArgumentError:
+        return
+    assert all(math.isfinite(f) and 0 < f <= 100 for f in checked)
+    assert abs(sum(checked) - 100) <= 1e-9
+    try:
+        sizes = task_sizes(counts, checked, stratified)
+    except ArgumentError:
+        return
+    assert len(sizes) == len(checked) and sum(sizes) == sum(counts)
 
 
 # --- batch iteration ---------------------------------------------------------

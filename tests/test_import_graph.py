@@ -24,7 +24,8 @@ SPANS_PATH = SRC.parent / "perfbench" / "spans.py"
 PUBLIC = {
     "gaplab._version": ["__version__"],
     "gaplab.artifacts": [
-        "GapMetrics", "LmcCurve", "PathCurve", "TraceRecord", "TrainTrace", "compute_gap",
+        "GapMetrics", "GapParams", "LmcCurve", "PathCurve", "TraceRecord", "TrainTrace",
+        "compute_gap",
         "format_gap_doc", "format_gap_docs", "read_lmc_csv", "read_path_csv",
         "read_trace_csv", "write_lmc_csv", "write_path_csv", "write_trace_csv"],
     "gaplab.autodiff": [

@@ -12,6 +12,7 @@ from conftest import eval_trace
 from gap_oracles import CASES, check_case
 from gaplab.artifacts import (
     GapMetrics,
+    GapParams,
     TraceRecord,
     TrainTrace,
     _median,
@@ -154,7 +155,7 @@ def test_gap_rejects_bad_arguments():
     trace = eval_trace([0.9] * 5, [0.5] * 6)
     for kw in (dict(baseline_evals=0), dict(recovery_window=0), dict(window=0)):
         with pytest.raises(ArgumentError):
-            compute_gap(trace, 100, **kw)
+            compute_gap(trace, 100, GapParams(**kw))
 
 
 def test_gap_ignores_non_eval_records():

@@ -7,8 +7,10 @@ non-finite number in a trace, two checkpoints of one iteration and a curve
 file that breaks a curve rule."""
 
 import json
+import math
 import os
 import signal
+import sys
 import warnings
 
 import numpy as np
@@ -37,6 +39,8 @@ CONFIG = {
 
 
 OVERFLOWING_SPREAD = "gaplab: error: spread 1e+308 makes the samples non-finite\n"
+# numpy holds at most sys.maxsize bytes in one array
+PAST_ANY_ARRAY = f"float64 values, more than one array holds ({sys.maxsize // 8})"
 
 
 def write_config(tmp_path, **overrides):
@@ -152,6 +156,14 @@ def test_negative_tolerance_exits_2_in_gap_and_in_config(tmp_path, capsys):
     assert not (tmp_path / "exp").exists()
 
 
+def test_gap_checks_its_settings_before_it_reads_a_trace(tmp_path, capsys):
+    # a bad setting once surfaced only after the trace was read: exit 4 here
+    missing = tmp_path / "missing.csv"
+    assert main(["gap", "--window", "0", "--trace", str(missing)]) == 2
+    assert capsys.readouterr() == (
+        "", "gaplab: error: baseline_evals, recovery_window and window must be >= 1\n")
+
+
 @pytest.mark.parametrize("key", ["train_count", "test_count"])
 def test_files_dataset_with_count_0_writes_nothing(tmp_path, capsys, key):
     dataset = {"kind": "files", "classes": 3, "shape": [4],
@@ -190,10 +202,27 @@ def test_files_dataset_with_count_0_writes_nothing(tmp_path, capsys, key):
     # 2 per class once wrote config.json, manifest.json and an empty seed0/
     ({"dataset": dict(CONFIG["dataset"], per_class=2)},
      "dataset: need at least 3 samples per class, one for test, got 2"),
+    # NaN passed both fraction tests and ended in a ValueError traceback
+    ({"split": {"fractions": [math.nan, 100]}},
+     "split.fractions: fractions must be in (0, 100], got (nan, 100.0)"),
+    ({"split": {"fractions": [math.nan, math.nan]}},
+     "split.fractions: fractions must be in (0, 100], got (nan, nan)"),
+    # sizes that no array can hold once ended in an OverflowError or a numpy
+    # ValueError traceback, the last three after config.json and seed0/
+    ({"dataset": dict(CONFIG["dataset"], classes=10**20)},
+     f"dataset: the samples need {10**20 * 40 * 4} {PAST_ANY_ARRAY}"),
+    ({"dataset": dict(CONFIG["dataset"], per_class=10**20)},
+     f"dataset: the samples need {3 * 10**20 * 4} {PAST_ANY_ARRAY}"),
+    ({"dataset": dict(CONFIG["dataset"], dim=10**20)},
+     f"dataset: the samples need {3 * 40 * 10**20} {PAST_ANY_ARRAY}"),
+    ({"model": {"name": "mlp", "hidden": [10**20]}},
+     f"model: its parameters need {4 * 10**20 + 10**20 + 10**20 * 3 + 3} {PAST_ANY_ARRAY}"),
 ], ids=["workers-0", "theta2-epochs-0", "files-one-class", "train-not-an-object",
         "hidden-0", "empty-shape", "no-epochs", "dense-window-negative",
         "dense-tail-negative", "file-keys-on-blobs", "lr-past-float",
-        "spread-past-float", "tolerance-past-float", "per-class-2"])
+        "spread-past-float", "tolerance-past-float", "per-class-2", "fractions-nan-100",
+        "fractions-nan-nan", "classes-1e20", "per-class-1e20", "dim-1e20",
+        "hidden-1e20"])
 def test_config_value_out_of_range_exits_2_before_any_file(tmp_path, capsys, override,
                                                           message):
     assert main(["train", "--config", str(write_config(tmp_path, **override))]) == 2
