@@ -36,10 +36,9 @@ def eval_test(
     for start in range(0, test.n, eval_batch):
         x = test.features[start:start + eval_batch]
         y = test.labels[start:start + eval_batch]
-        logits = forward(spec, params, x)
-        batch_loss, _ = softmax_cross_entropy(logits, y)
+        batch_loss, batch_acc = softmax_cross_entropy(forward(spec, params, x), y, grad=False)
         loss_sum += batch_loss * len(y)
-        correct += accuracy(logits, y) * len(y)
+        correct += batch_acc * len(y)
     return loss_sum / test.n, correct / test.n
 
 
@@ -128,11 +127,9 @@ class TraceRecorder(TrainingHooks):
         ))
 
     def on_post_update(self, iteration, task_id, params, batch, labels):
-        logits = forward(self.spec, params, batch)
-        loss, _ = softmax_cross_entropy(logits, labels)
         record = self.trace.records[-1]
-        record.batch_loss_post = loss
-        record.batch_acc_post = accuracy(logits, labels)
+        record.batch_loss_post, record.batch_acc_post = softmax_cross_entropy(
+            forward(self.spec, params, batch), labels, grad=False)
 
     def on_eval(self, iteration, params):
         record = self.trace.records[-1]

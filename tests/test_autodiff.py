@@ -5,6 +5,7 @@ and the spec digest's SHA-256 against hashlib's."""
 
 import hashlib
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -40,7 +41,7 @@ from gaplab.autodiff import (
 )
 from gaplab.config import _sha256_hex
 from gaplab.data import Dataset
-from gaplab.errors import DivergenceError, ShapeError, SpecMismatchError
+from gaplab.errors import DivergenceError, LabelRangeError, ShapeError, SpecMismatchError
 from gaplab.instrument import eval_test
 from gaplab.rng import Rng
 from gaplab.trainer import sgd_step
@@ -427,6 +428,72 @@ def test_cross_entropy_rejects_flat_logits_and_too_few_labels():
         softmax_cross_entropy(np.zeros((2, 3)), np.array([0]))
 
 
+def test_cross_entropy_and_accuracy_reject_labels_out_of_range():
+    # a negative label would index from the end, and one past C would fail
+    # as an IndexError: the range check turns both into LabelRangeError
+    logits = np.zeros((2, 3))
+    for labels, got in (([0, -1], r"\[-1, 0\]"), ([0, 3], r"\[0, 3\]")):
+        message = rf"^labels must lie in \[0, 3\), got range {got}$"
+        for check in (softmax_cross_entropy, accuracy,
+                      lambda x, y: softmax_cross_entropy(x, y, grad=False)):
+            with pytest.raises(LabelRangeError, match=message):
+                check(logits, np.array(labels))
+
+
+def reference_cross_entropy(logits, labels):
+    """Reference: the row maximum as one reduction, the full log-softmax
+    and its mean, as softmax_cross_entropy computed them before it shifted
+    by a column-by-column maximum and took the loss without the gradient."""
+    n = len(labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        loss = float(-log_p[np.arange(n), labels].mean())
+        dlogits = np.exp(log_p)
+        dlogits[np.arange(n), labels] -= 1.0
+        dlogits /= n
+    return loss, dlogits
+
+
+# pools of logit values: argmax ties, rows whose maximum is 0.0 tied with
+# -0.0, and finite extremes whose difference overflows the shift to -inf
+LOGIT_POOLS = {
+    "ties": [-2.0, -1.0, 0.0, 1.0, 2.0],
+    "signed-zeros": [0.0, -0.0, -1.0, -3.0],
+    "extremes": [1.7e308, -1.7e308, -1e300, 2.0, 1.0, 0.0, -0.5],
+}
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(b=st.integers(1, 300), c=st.integers(2, 12),
+       kind=st.sampled_from(["normals"] + list(LOGIT_POOLS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_loss_and_accuracy_without_gradient_are_bit_identical(b, c, kind, seed):
+    rng = Rng(seed)
+    if kind == "normals":
+        logits = rng.normals(b * c).reshape(b, c) * 30.0
+    else:
+        pool = np.array(LOGIT_POOLS[kind])
+        logits = pool[(rng.uniforms(b * c, 0.0, len(pool))).astype(np.int64)].reshape(b, c)
+    labels = np.array([rng.next_below(c) for _ in range(b)])
+    want_loss, want_dlogits = reference_cross_entropy(logits, labels)
+    if not math.isfinite(want_loss):
+        for grad in (True, False):
+            with pytest.raises(DivergenceError, match=r"^non-finite cross-entropy loss$"):
+                softmax_cross_entropy(logits, labels, grad=grad)
+        return
+    loss, dlogits = softmax_cross_entropy(logits, labels)
+    assert bits(loss) == bits(want_loss)
+    assert dlogits.tobytes() == want_dlogits.tobytes()
+    loss_only, acc = softmax_cross_entropy(logits, labels, grad=False)
+    assert bits(loss_only) == bits(loss)
+    assert bits(acc) == bits(accuracy(logits, labels))
+
+
 # --- accuracy --------------------------------------------------------------
 
 def test_accuracy_basic_and_tie_break():
@@ -462,6 +529,66 @@ def test_init_deterministic_per_seed():
     a, b = init_params(spec, 9), init_params(spec, 9)
     np.testing.assert_array_equal(a.values, b.values)
     assert (init_params(spec, 10).values != a.values).any()
+
+
+# --- the per-layer views a vector binds once ---------------------------------
+
+def bound_vector(spec, seed=0):
+    """Parameters whose per-layer views a forward pass has bound."""
+    params = init_params(spec, seed)
+    forward(spec, params, np.zeros((1,) + spec.input_shape))
+    assert params._views is not None
+    return params
+
+
+def test_a_bound_vector_still_meets_the_spec_checks():
+    spec = mlp(4, [5], 3)
+    x = np.ones((2, 4))
+    params = bound_vector(spec)
+    params.spec_digest = mlp(4, [6], 3).digest
+    with pytest.raises(SpecMismatchError,
+                       match=r"^parameter vector is not bound to this model spec$"):
+        forward(spec, params, x)
+    params = bound_vector(spec)
+    params.values = params.values[:-1]
+    with pytest.raises(ShapeError, match=r"^parameter vector has 42 values, spec needs 43$"):
+        forward(spec, params, x)
+
+
+def test_a_bound_vector_given_another_spec_of_its_length_binds_again():
+    # both specs take 43 values, laid out differently; the views bound for
+    # the first would not fit the second
+    first, second = mlp(4, [5], 3), mlp(4, [1, 7], 3)
+    assert first.param_count == second.param_count
+    x = Rng(1).normals(8).reshape(2, 4)
+    params = bound_vector(first)
+    params.spec_digest = second.digest
+    fresh = ParamVector(params.values.copy(), second.digest)
+    assert forward(second, params, x).tobytes() == forward(second, fresh, x).tobytes()
+
+
+def test_a_bound_vector_sees_writes_to_its_values():
+    spec = mlp(4, [5], 3)
+    x = Rng(2).normals(8).reshape(2, 4)
+    params, other = bound_vector(spec, 0), init_params(spec, 1)
+    params.values[:] = other.values  # in place: the bound views see it
+    assert forward(spec, params, x).tobytes() == forward(spec, other, x).tobytes()
+    params = bound_vector(spec, 0)
+    params.values = other.values.copy()  # replaced: bound again
+    assert forward(spec, params, x).tobytes() == forward(spec, other, x).tobytes()
+
+
+def test_copies_and_pickles_carry_no_views_of_the_old_buffer():
+    spec = mlp(4, [5], 3)
+    x = Rng(3).normals(8).reshape(2, 4)
+    params = bound_vector(spec)
+    want = forward(spec, params, x).tobytes()
+    for twin in (params.copy(), pickle.loads(pickle.dumps(params))):
+        assert twin._views is None and twin.spec_digest == params.spec_digest
+        twin.values *= 2.0
+        assert forward(spec, twin, x).tobytes() == forward(
+            spec, ParamVector(params.values * 2.0, spec.digest), x).tobytes()
+        assert forward(spec, params, x).tobytes() == want
 
 
 # --- spec plumbing ----------------------------------------------------------
