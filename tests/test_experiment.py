@@ -726,6 +726,7 @@ def test_evaluator_evaluates_each_vector_read_into_its_one_array(monkeypatch):
     for record, params in zip(recorder.trace.records, vectors):
         assert (record.test_loss, record.test_acc) == instrument.eval_test(spec, params, test, 16)
 
+
 def evaluator_keeps_up(monkeypatch):
     """Patch the recorder so that each hand-off first waits until the
     evaluator has read every vector sent, or has ended: then every
