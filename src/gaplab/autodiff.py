@@ -17,11 +17,7 @@ as a transposed view, and Flatten restores [N, C, H, W] order.
 Parameters live in a single flat vector (`ParamVector`) in canonical
 order: layers in sequence, within a layer the weights row-major followed
 by the biases. The vector carries a digest of the model spec so that
-vectors from different architectures cannot be mixed up. Its per-layer
-(weights, biases) views are bound once per vector, by the first pass that
-needs them, and bound again only if `values` or the digest is replaced;
-they are never pickled or copied. Two threads that bind a vector's views
-at once bind the same views.
+vectors from different architectures cannot be mixed up.
 
 The checks each pass runs:
 - every forward pass (`forward`, and the one inside `backward`) checks
@@ -38,7 +34,7 @@ The checks each pass runs:
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -228,8 +224,6 @@ class ParamVector:
 
     values: np.ndarray
     spec_digest: str
-    # (values, spec_digest, per-layer views) as `_layer_views` last bound them
-    _views: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -238,11 +232,6 @@ class ParamVector:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __getstate__(self) -> dict:
-        """Pickled and copied without its views, which would be copies of
-        the old buffer, not views of the new one."""
-        return {**self.__dict__, "_views": None}
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.spec_digest)
@@ -262,17 +251,6 @@ def _check_bound(spec: ModelSpec, params: ParamVector) -> None:
         raise ShapeError(
             f"parameter vector has {len(params)} values, spec needs {spec.param_count}"
         )
-
-
-def _layer_views(spec: ModelSpec, params: ParamVector):
-    """`params`' per-layer views for `spec`, after `_check_bound`: bound on
-    the first call, and again only once `values` or the digest is replaced."""
-    _check_bound(spec, params)
-    views = params._views
-    if views is None or views[0] is not params.values or views[1] != params.spec_digest:
-        views = params._views = (params.values, params.spec_digest,
-                                 _unflatten(spec, params.values))
-    return views[2]
 
 
 def _unflatten(spec: ModelSpec, values: np.ndarray):
@@ -385,7 +363,8 @@ def _checked_forward(spec: ModelSpec, params: ParamVector, batch: Tensor, caches
     """Logits and per-layer parameter views of a batch. Appends what each
     backward pass needs to `caches` when given a list; without one, each
     activation is freed once the next layer has used it."""
-    layer_params = _layer_views(spec, params)
+    _check_bound(spec, params)
+    layer_params = _unflatten(spec, params.values)
     batch = _check_batch(spec, batch)
     keep = (lambda entry: None) if caches is None else caches.append
     x = batch.transpose(0, 2, 3, 1) if batch.ndim == 4 else batch
@@ -484,16 +463,6 @@ def _check_logits(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarra
     return logits, labels
 
 
-def _row_max(logits: Tensor) -> Tensor:
-    """`logits.max(axis=1)` as np.maximum over the columns of a transposed
-    copy, one whole column at a time: at 256 x 8 it takes 3 us where the
-    reduction along each short row takes 17. The values are the same but
-    for the sign of a maximum tied between 0.0 and -0.0, which the softmax
-    cannot see: it moves only the sign of a zero shifted logit, and
-    exp(+-0) is 1."""
-    return np.maximum.reduce(logits.T.copy(), axis=0)
-
-
 def softmax_cross_entropy(
     logits: Tensor, labels: np.ndarray, *, grad: bool = True
 ) -> tuple[float, Tensor | float]:
@@ -508,7 +477,7 @@ def softmax_cross_entropy(
     n = len(labels)
     rows = np.arange(n)
     with overflow_checked():
-        shifted = logits - _row_max(logits)[:, None]
+        shifted = logits - logits.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=1))
         loss = float(-(shifted[rows, labels] - log_z).sum() / n)  # the bits of .mean()
         if grad:

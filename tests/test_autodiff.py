@@ -5,7 +5,6 @@ and the spec digest's SHA-256 against hashlib's."""
 
 import hashlib
 import math
-import pickle
 import warnings
 
 import numpy as np
@@ -441,9 +440,8 @@ def test_cross_entropy_and_accuracy_reject_labels_out_of_range():
 
 
 def reference_cross_entropy(logits, labels):
-    """Reference: the row maximum as one reduction, the full log-softmax
-    and its mean, as softmax_cross_entropy computed them before it shifted
-    by a column-by-column maximum and took the loss without the gradient."""
+    """Reference: the full log-softmax and its mean, as softmax_cross_entropy
+    computed them before it took the loss without the log-softmax array."""
     n = len(labels)
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -529,66 +527,6 @@ def test_init_deterministic_per_seed():
     a, b = init_params(spec, 9), init_params(spec, 9)
     np.testing.assert_array_equal(a.values, b.values)
     assert (init_params(spec, 10).values != a.values).any()
-
-
-# --- the per-layer views a vector binds once ---------------------------------
-
-def bound_vector(spec, seed=0):
-    """Parameters whose per-layer views a forward pass has bound."""
-    params = init_params(spec, seed)
-    forward(spec, params, np.zeros((1,) + spec.input_shape))
-    assert params._views is not None
-    return params
-
-
-def test_a_bound_vector_still_meets_the_spec_checks():
-    spec = mlp(4, [5], 3)
-    x = np.ones((2, 4))
-    params = bound_vector(spec)
-    params.spec_digest = mlp(4, [6], 3).digest
-    with pytest.raises(SpecMismatchError,
-                       match=r"^parameter vector is not bound to this model spec$"):
-        forward(spec, params, x)
-    params = bound_vector(spec)
-    params.values = params.values[:-1]
-    with pytest.raises(ShapeError, match=r"^parameter vector has 42 values, spec needs 43$"):
-        forward(spec, params, x)
-
-
-def test_a_bound_vector_given_another_spec_of_its_length_binds_again():
-    # both specs take 43 values, laid out differently; the views bound for
-    # the first would not fit the second
-    first, second = mlp(4, [5], 3), mlp(4, [1, 7], 3)
-    assert first.param_count == second.param_count
-    x = Rng(1).normals(8).reshape(2, 4)
-    params = bound_vector(first)
-    params.spec_digest = second.digest
-    fresh = ParamVector(params.values.copy(), second.digest)
-    assert forward(second, params, x).tobytes() == forward(second, fresh, x).tobytes()
-
-
-def test_a_bound_vector_sees_writes_to_its_values():
-    spec = mlp(4, [5], 3)
-    x = Rng(2).normals(8).reshape(2, 4)
-    params, other = bound_vector(spec, 0), init_params(spec, 1)
-    params.values[:] = other.values  # in place: the bound views see it
-    assert forward(spec, params, x).tobytes() == forward(spec, other, x).tobytes()
-    params = bound_vector(spec, 0)
-    params.values = other.values.copy()  # replaced: bound again
-    assert forward(spec, params, x).tobytes() == forward(spec, other, x).tobytes()
-
-
-def test_copies_and_pickles_carry_no_views_of_the_old_buffer():
-    spec = mlp(4, [5], 3)
-    x = Rng(3).normals(8).reshape(2, 4)
-    params = bound_vector(spec)
-    want = forward(spec, params, x).tobytes()
-    for twin in (params.copy(), pickle.loads(pickle.dumps(params))):
-        assert twin._views is None and twin.spec_digest == params.spec_digest
-        twin.values *= 2.0
-        assert forward(spec, twin, x).tobytes() == forward(
-            spec, ParamVector(params.values * 2.0, spec.digest), x).tobytes()
-        assert forward(spec, params, x).tobytes() == want
 
 
 # --- spec plumbing ----------------------------------------------------------

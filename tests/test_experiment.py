@@ -18,11 +18,10 @@ import pytest
 
 import gaplab
 from gaplab import experiment, instrument, procs, trainer
-from gaplab.artifacts import TraceRecord
-from gaplab.autodiff import init_params, mlp
+from gaplab.autodiff import init_params
 from gaplab.cli import main
 from gaplab.config import ExperimentConfig, ModelConfig, build_model_spec, load
-from gaplab.data import Dataset, gen_blobs
+from gaplab.data import Dataset
 from gaplab.errors import ArgumentError, DivergenceError, GapLabError
 from gaplab.experiment import build_dataset, run_experiment
 from gaplab.instrument import TraceRecorder
@@ -708,24 +707,6 @@ def test_evaluator_reads_one_vector_at_a_time():
     rows, err = instrument._evaluate_sent(evaluate, read_end, os.dup(write_end), 4)
     assert int.from_bytes(unread[0], sys.byteorder) == 2 * 4 * 8
     assert rows == [[0.0] * 4, [1.0] * 4, [2.0] * 4] and err is None
-
-
-@forks_on_linux
-def test_evaluator_evaluates_each_vector_read_into_its_one_array(monkeypatch):
-    # every vector lands in the same array, whose views a vector's first
-    # evaluation binds: each result is still that vector's own
-    evaluator_keeps_up(monkeypatch)
-    spec = mlp(4, [8], 3)
-    _, test = gen_blobs(0, n_classes=3, n_per_class=20, dim=4, spread=1.0)
-    vectors = [init_params(spec, seed) for seed in range(4)]
-    with TraceRecorder(spec, test, eval_batch=16, forked=True) as recorder:
-        for i, params in enumerate(vectors):
-            recorder.trace.records.append(TraceRecord(i, 0, 0.0, 0.0, 0.0, 0.0))
-            recorder.on_eval(i, params)
-        assert len(recorder._owed) == len(vectors)  # the evaluator had them all
-    for record, params in zip(recorder.trace.records, vectors):
-        assert (record.test_loss, record.test_acc) == instrument.eval_test(spec, params, test, 16)
-
 
 def evaluator_keeps_up(monkeypatch):
     """Patch the recorder so that each hand-off first waits until the

@@ -4,15 +4,17 @@
 
 Each revision is unpacked with `git archive` under `.perfbench-work/` and
 runs its own, unedited `python3 perfbench/run.py --workload W --seed S`
-(at `BENCHMARK.json`'s `run_seconds` unless `--seconds` is given). The
-two sides alternate which runs first, pair by pair. The last stdout line
-of each run is its JSON result. The record, written to
-`BENCH_<workload>_<short head rev>.json`, holds every run's end-to-end
-metrics and `correct` flag, each metric's medians, quartiles and pair wins
-and whether the head's median stays within the metric's bound, and the
-gain gate: at least ten pairs, the head better in at least nine tenths
-of them (ties count for neither side), and medians further apart than
-the distance between the base's quartiles.
+for `BENCHMARK.json`'s `run_seconds`. The two sides alternate which runs
+first, pair by pair. The last stdout line of each run is its JSON result.
+The record, written to `BENCH_<workload>_<short head rev>.json` in the
+current directory, holds every run's end-to-end metrics and `correct`
+flag, each metric's medians, quartiles and pair wins and whether the
+head's median stays within the metric's bound, and the gain gate: at
+least ten pairs, the head better in at least nine tenths of all pairs
+run (ties, and pairs with an incorrect run, count for neither side),
+medians further apart than the distance between the base's quartiles,
+every head run correct, and no more failed operations on the head than
+on the base.
 
 Standard library only; it needs `git` and a checkout.
 """
@@ -85,9 +87,15 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
     pairs each side won, whether the head's median is within the bound, and
     the gain gate.
 
-    A run is {"pair", "side" ("base" or "head"), "correct", "metrics"}. A
-    pair counts only when both of its runs are correct and have the metric.
+    A run is {"pair", "side" ("base" or "head"), "correct", "metrics"} and,
+    when it printed a result, "failed". A pair is won only when both of its
+    runs are correct and have the metric, but every pair run counts towards
+    the nine tenths.
     """
+    pairs_run = len({r["pair"] for r in runs})
+    head_sound = all(r["correct"] for r in runs if r["side"] == "head") and (
+        sum(r.get("failed", 0) for r in runs if r["side"] == "head")
+        <= sum(r.get("failed", 0) for r in runs if r["side"] == "base"))
     summary = {}
     for m in declared:
         name, lower = m["name"], m["better"] == "lower"
@@ -109,17 +117,16 @@ def summarize(runs: list[dict], declared: list[dict]) -> dict:
                 wins["head" if (pair["head"] < pair["base"]) == lower else "base"] += 1
         base, head = quartiles(sides["base"]), quartiles(sides["head"])
         gain = base["median"] - head["median"] if lower else head["median"] - base["median"]
-        counted = sum(wins.values())
         spread = base["q3"] - base["q1"]
         summary[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "base": base, "head": head, "wins": wins,
             "relative_change": (head["median"] - base["median"]) / base["median"],
             "within_bound": -gain <= m["bound"] * base["median"],
-            "gain_gate": {"pairs": counted, "median_gain": gain, "base_iqr": spread,
-                          "passed": (counted >= MIN_PAIRS
-                                     and wins["head"] >= WIN_SHARE * counted
-                                     and gain > spread)},
+            "gain_gate": {"pairs": pairs_run, "median_gain": gain, "base_iqr": spread,
+                          "passed": (pairs_run >= MIN_PAIRS
+                                     and wins["head"] >= WIN_SHARE * pairs_run
+                                     and gain > spread and head_sound)},
         }
     return summary
 
@@ -131,9 +138,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length of each side (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--out", type=Path, default=ROOT, help="directory of the record")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -146,7 +150,7 @@ def main(argv=None) -> int:
             if rev not in trees:
                 trees[rev] = unpack(rev, WORK / rev[:12])
         spec = json.loads((trees[revs["head"]] / "BENCHMARK.json").read_text())
-        seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+        seconds = spec["run_seconds"]
         runs = []
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
@@ -169,8 +173,7 @@ def main(argv=None) -> int:
                     "platform": platform.platform()},
         "runs": runs, "summary": summary,
     }
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"BENCH_{args.workload}_{record['head']['short']}.json"
+    path = Path(f"BENCH_{args.workload}_{record['head']['short']}.json")
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path)
     for name, s in summary.items():

@@ -78,20 +78,47 @@ def test_higher_is_better_and_the_bound():
     assert gate(base, [v + 10 for v in base], "iters_per_s")["passed"]
 
 
-def test_a_pair_with_an_incorrect_run_does_not_count():
+def test_a_pair_with_an_incorrect_run_is_won_by_neither_side_but_counts():
     runs = runs_of(BASE, [v - 0.4 for v in BASE])
+    assert runs[0]["side"] == "base"
     runs[0]["correct"] = False
     s = benchpair.summarize(runs, DECLARED)["cpu_s"]
-    assert s["wins"]["head"] == 9 and s["gain_gate"]["pairs"] == 9
-    assert not s["gain_gate"]["passed"]
+    assert s["wins"]["head"] == 9 and s["gain_gate"]["pairs"] == 10
+    assert s["gain_gate"]["passed"]  # nine tenths of ten pairs
     assert benchpair.summarize([], DECLARED) == {}
 
 
+def test_an_incorrect_head_run_fails_the_gate():
+    # 10 of 11 pairs won is past nine tenths, but one head run is incorrect
+    base = BASE + [5.3]
+    runs = runs_of(base, [v - 0.4 for v in base])
+    (last_head,) = [r for r in runs if r["pair"] == 10 and r["side"] == "head"]
+    last_head["correct"] = False
+    s = benchpair.summarize(runs, DECLARED)["cpu_s"]
+    assert s["wins"]["head"] == 10 and s["gain_gate"]["pairs"] == 11
+    assert not s["gain_gate"]["passed"]
+
+
+def test_more_failed_operations_on_the_head_fail_the_gate():
+    runs = runs_of(BASE, [v - 0.4 for v in BASE])
+    for r in runs:
+        r["failed"] = 0
+    assert benchpair.summarize(runs, DECLARED)["cpu_s"]["gain_gate"]["passed"]
+    head_run, base_run = runs[1], runs[0]
+    assert (head_run["side"], base_run["side"]) == ("head", "base")
+    head_run["failed"] = 1
+    s = benchpair.summarize(runs, DECLARED)["cpu_s"]
+    assert s["wins"]["head"] == 10 and not s["gain_gate"]["passed"]
+    base_run["failed"] = 1  # as many on the base
+    assert benchpair.summarize(runs, DECLARED)["cpu_s"]["gain_gate"]["passed"]
+
+
 def test_head_against_head_on_cnn_files(tmp_path):
+    # the record is written to the current directory
     done = subprocess.run(
         [sys.executable, str(Path(benchpair.__file__)), "--base", "HEAD", "--head", "HEAD",
-         "--workload", "cnn-files", "--pairs", "1", "--seconds", "1", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=600)
+         "--workload", "cnn-files", "--pairs", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     (path,) = tmp_path.glob("BENCH_cnn-files_*.json")
     record = json.loads(path.read_text())
@@ -100,6 +127,8 @@ def test_head_against_head_on_cnn_files(tmp_path):
     assert path.name == f"BENCH_cnn-files_{record['head']['short']}.json"
     assert [(r["pair"], r["side"], r["correct"]) for r in record["runs"]] == [
         (0, "base", True), (0, "head", True)]
+    declared_seconds = json.loads((benchpair.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    assert record["seconds"] == declared_seconds
     declared = json.loads((benchpair.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert list(record["summary"]) == [m["name"] for m in declared]
     assert not any(s["gain_gate"]["passed"] for s in record["summary"].values())
