@@ -39,7 +39,7 @@ _PUBLIC = {
     "artifacts": """GapMetrics GapParams LmcCurve PathCurve TraceRecord TrainTrace
                     compute_gap format_gap_doc format_gap_docs read_lmc_csv read_path_csv
                     read_trace_csv write_lmc_csv write_path_csv write_trace_csv""",
-    "autodiff": """Conv3x3 Dense Flatten MaxPool2x2 ModelSpec ParamVector ReLU accuracy
+    "autodiff": """Conv3x3 Dense Flatten MaxPool2x2 ModelSpec ParamVector ReLU Workspace accuracy
                    backward forward init_params mlp small_cnn softmax_cross_entropy""",
     "config": """AnalysisConfig DatasetConfig ExperimentConfig ModelConfig RunManifest
                  SplitConfig TrainConfig build_model_spec canonical_json config_hash""",

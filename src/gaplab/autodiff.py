@@ -7,8 +7,23 @@ All arrays are 64-bit floats in row-major order. Every operation is a
 pure function of its inputs, so repeated calls are bit-identical and the
 whole module is safe to use from multiple threads on shared inputs. A
 pass writes in place only into arrays it allocated itself (a Dense or
-Conv3x3 output takes its bias and the ReLU after it in place), never into
-the caller's batch, a view of it, or the parameters.
+Conv3x3 output takes its bias and the ReLU after it in place) or into the
+caller's `Workspace`, never into the caller's batch, a view of it, or the
+parameters.
+
+`forward` and `eval_test` may take a `Workspace`: each layer then writes
+its output into a buffer of it, reused from pass to pass, instead of a new
+array, with the same bits. The caller owns the workspace, and one thread
+uses it at a time. The logits `forward` returns are then a view into it,
+valid until the next call that uses the same workspace.
+
+A 3x3 convolution is nine matrix products, one per kernel offset. Each
+multiplies by a C-order copy of its kernel slice, made once per call:
+BLAS takes it directly, where the strided slice `w[:, :, di, dj].T` took
+numpy's slower path. The products have the same bits as the strided form
+on each CPU path checked: OpenBLAS's SkylakeX, Haswell and Sandybridge
+kernels, and numpy with and without AVX-512 (`experiment._cpu_paths()`
+names a machine's).
 
 Image batches and ModelSpec shapes are channels-first, but inside the
 network image activations are channels-last [N, H, W, C]: the batch enters
@@ -22,7 +37,8 @@ vectors from different architectures cannot be mixed up.
 The checks each pass runs:
 - every forward pass (`forward`, and the one inside `backward`) checks
   the vector's digest and length against the spec and the batch's shape,
-  and that its logits are finite;
+  that a workspace is built for the spec and for at least the batch's
+  rows, and that its logits are finite;
 - `softmax_cross_entropy` checks the logits' shape and the labels'
   shape and range once, and then only that the loss is finite: finite
   logits give a finite gradient, and non-finite ones a non-finite loss.
@@ -296,54 +312,75 @@ def _check_batch(spec: ModelSpec, batch: Tensor) -> Tensor:
     return batch
 
 
-def _pad_channels_last(x: np.ndarray) -> np.ndarray:
+def _fresh(key, shape: tuple[int, ...]) -> np.ndarray:
+    """A new array for the buffer named `key`: where a pass without a
+    workspace takes its buffers."""
+    return np.empty(shape)
+
+
+def _pad_channels_last(x: np.ndarray, take=_fresh) -> np.ndarray:
     """[N, H+2, W+2, C] copy of [N, H, W, C] with a zero border; a window of
     it reshapes to an (N*H*W, C) matrix."""
     n, h, width, c = x.shape
-    xp = np.zeros((n, h + 2, width + 2, c), dtype=np.float64)
+    xp = take("pad", (n, h + 2, width + 2, c))
+    xp.fill(0.0)
     xp[:, 1:-1, 1:-1] = x
     return xp
 
 
-def _conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One matrix product per kernel offset: out += window @ w[:, :, di, dj].T."""
+def _conv3x3_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, take=_fresh,
+                     key="conv") -> np.ndarray:
+    """One matrix product per kernel offset: out += window @ w[:, :, di, dj].T,
+    with the kernel slice in C order. The padded copy, the window and the
+    product are the conv scratch, which every Conv3x3 of a pass shares."""
     n, h, width, c = x.shape
-    xp = _pad_channels_last(x)
-    out = np.zeros((n * h * width, w.shape[0]), dtype=np.float64)
+    c_out = w.shape[0]
+    xp = _pad_channels_last(x, take)
+    kernels = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # [di, dj] is w[:, :, di, dj].T
+    # each buffer is C-contiguous, so each 2-D reshape is a view of it
+    window = take("window", (n, h, width, c))
+    product = take("product", (n, h, width, c_out)).reshape(-1, c_out)
+    out = take(key, (n, h, width, c_out))
+    sums = out.reshape(-1, c_out)
+    sums.fill(0.0)
     for di in range(3):
         for dj in range(3):
-            window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
-            out += window @ w[:, :, di, dj].T
-    out += b
-    return out.reshape(n, h, width, -1)
+            window[...] = xp[:, di:di + h, dj:dj + width]
+            sums += np.matmul(window.reshape(-1, c), kernels[di, dj], out=product)
+    sums += b
+    return out
 
 
 def _conv3x3_backward(x, w, dy, need_dx=True):
     """Per kernel offset: dw[:, :, di, dj] = dy_mat.T @ window, and, if
-    need_dx (else dx is None), the window's share of dx is dy_mat @ w[:, :, di, dj]."""
+    need_dx (else dx is None), the window's share of dx is dy_mat @ w[:, :, di, dj],
+    with the kernel slice in C order."""
     n, h, width, c = x.shape
     xp = _pad_channels_last(x)
     dy_mat = dy.reshape(-1, w.shape[0])
     dxp = np.zeros_like(xp) if need_dx else None
     dw = np.zeros_like(w)
+    kernels = np.ascontiguousarray(w.transpose(2, 3, 0, 1)) if need_dx else None
     for di in range(3):
         for dj in range(3):
             window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
             dw[:, :, di, dj] = dy_mat.T @ window
             if need_dx:
-                dxp[:, di:di + h, dj:dj + width] += (dy_mat @ w[:, :, di, dj]).reshape(n, h, width, c)
+                dxp[:, di:di + h, dj:dj + width] += (dy_mat @ kernels[di, dj]).reshape(n, h, width, c)
     # summed in [N, C, H, W] memory order: the order of the sum sets the last bits
     db = np.ascontiguousarray(dy.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
     return dxp[:, 1:-1, 1:-1] if need_dx else None, dw, db
 
 
-def _maxpool_forward(x: np.ndarray) -> np.ndarray:
+def _maxpool_forward(x: np.ndarray, take=_fresh, key="pool") -> np.ndarray:
     """Maximum of the stride-2 quadrants of [N, H, W, C], in window order.
     np.maximum keeps its second operand on a tie of 0.0 and -0.0: the running
     maximum goes second, to keep the earlier quadrant as argmax does."""
-    out = x[:, ::2, ::2]
+    n, h, width, c = x.shape
+    out = take(key, (n, h // 2, width // 2, c))
+    out[...] = x[:, ::2, ::2]
     for i, j in ((0, 1), (1, 0), (1, 1)):
-        out = np.maximum(x[:, i::2, j::2], out)
+        np.maximum(x[:, i::2, j::2], out, out=out)
     return out
 
 
@@ -359,47 +396,85 @@ def _maxpool_backward(x, out, dy):
     return dx
 
 
-def _checked_forward(spec: ModelSpec, params: ParamVector, batch: Tensor, caches=None):
+class Workspace:
+    """Buffers that `forward` and `eval_test` reuse from pass to pass, for
+    batches of up to `rows` rows of one spec: an output for each layer that
+    makes a new array, and one conv scratch (padded copy, window, product)
+    that every Conv3x3 shares. A buffer is allocated, for `rows` rows, by
+    the first pass that needs it, and grown only for a wider conv scratch.
+    The caller owns it; one thread uses it at a time."""
+
+    def __init__(self, spec: ModelSpec, rows: int):
+        self.spec_digest = spec.digest
+        self.rows = rows
+        self._buffers: dict = {}
+
+    def take_for(self, spec: ModelSpec, rows: int):
+        """The `take(key, shape)` of a pass of `spec` over `rows` rows, or raise."""
+        if self.spec_digest != spec.digest:
+            raise SpecMismatchError("workspace is not built for this model spec")
+        if rows > self.rows:
+            raise ShapeError(f"batch of {rows} rows does not fit a workspace of {self.rows}")
+        return self._take
+
+    def _take(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous `shape` array, shape[0] <= rows, in buffer `key`."""
+        per_row = math.prod(shape[1:])
+        buf = self._buffers.get(key)
+        if buf is None or len(buf) < self.rows * per_row:
+            buf = self._buffers[key] = np.empty(self.rows * per_row)
+        return buf[:shape[0] * per_row].reshape(shape)
+
+
+def _checked_forward(spec: ModelSpec, params: ParamVector, batch: Tensor, caches=None,
+                     workspace: Workspace | None = None):
     """Logits and per-layer parameter views of a batch. Appends what each
     backward pass needs to `caches` when given a list; without one, each
-    activation is freed once the next layer has used it."""
+    activation is freed once the next layer has used it. Each layer output
+    is a buffer of `workspace` if given, else a new array."""
     _check_bound(spec, params)
     layer_params = _unflatten(spec, params.values)
     batch = _check_batch(spec, batch)
+    take = _fresh if workspace is None else workspace.take_for(spec, len(batch))
     keep = (lambda entry: None) if caches is None else caches.append
     x = batch.transpose(0, 2, 3, 1) if batch.ndim == 4 else batch
     owned = False  # x is a Dense or Conv3x3 output: never the batch, a view of it or a cache
     with overflow_checked():
-        for layer, lp in zip(spec.layers, layer_params):
+        for i, (layer, lp) in enumerate(zip(spec.layers, layer_params)):
             if isinstance(layer, Dense):
                 w, b = lp
                 keep(x)
-                x = x @ w.T
+                x = np.matmul(x, w.T, out=take(i, (len(x), w.shape[0])))
                 x += b
             elif isinstance(layer, ReLU):
-                x = np.maximum(x, 0.0, out=x) if owned else np.maximum(x, 0.0)
+                x = np.maximum(x, 0.0, out=x if owned else take(i, x.shape))
                 keep(x)  # > 0 where its input is; the next layer keeps it too
             elif isinstance(layer, Conv3x3):
                 w, b = lp
                 keep(x)
-                x = _conv3x3_forward(x, w, b)
+                x = _conv3x3_forward(x, w, b, take, i)
             elif isinstance(layer, MaxPool2x2):
-                out = _maxpool_forward(x)
+                out = _maxpool_forward(x, take, i)
                 keep((x, out))
                 x = out
                 del out
             else:  # Flatten, in [N, C, H, W] order
                 x = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
                 keep(x.shape)
-                x = x.reshape(x.shape[0], -1)
+                flat = take(i, x.shape)
+                flat[...] = x
+                x = flat.reshape(len(flat), -1)
+                del flat
             owned = isinstance(layer, (Dense, Conv3x3))
     _require_finite(x, "forward logits")
     return x, layer_params
 
 
-def forward(spec: ModelSpec, params: ParamVector, batch: Tensor) -> Tensor:
-    """Logits [B, n_classes] for a batch shaped [B] + input_shape."""
-    return _checked_forward(spec, params, batch)[0]
+def forward(spec: ModelSpec, params: ParamVector, batch: Tensor,
+            workspace: Workspace | None = None) -> Tensor:
+    """Logits [B, n_classes] for a batch shaped [B] + input_shape; with a
+    `workspace`, a view into it, valid until its next pass."""
+    return _checked_forward(spec, params, batch, workspace=workspace)[0]
 
 
 def backward(

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import procs
 from .artifacts import TraceRecord, TrainTrace
-from .autodiff import ModelSpec, ParamVector, accuracy, forward, softmax_cross_entropy
+from .autodiff import (ModelSpec, ParamVector, Workspace, accuracy, forward,
+                       softmax_cross_entropy)
 from .config import TrainConfig
 from .data import Dataset
 from .errors import ArgumentError, DivergenceError
@@ -26,9 +27,11 @@ def eval_test(
     params: ParamVector,
     test: Dataset,
     eval_batch: int = TrainConfig.eval_batch,
+    workspace: Workspace | None = None,
 ) -> tuple[float, float]:
     """Exact full-test-set mean loss and accuracy in fixed-size batches
-    (a `Dataset` holds at least one sample)."""
+    (a `Dataset` holds at least one sample), each batch evaluated into
+    `workspace` if given: one for `min(eval_batch, test.n)` rows fits."""
     if eval_batch < 1:
         raise ArgumentError(f"eval_batch must be >= 1, got {eval_batch}")
     loss_sum = 0.0
@@ -36,7 +39,8 @@ def eval_test(
     for start in range(0, test.n, eval_batch):
         x = test.features[start:start + eval_batch]
         y = test.labels[start:start + eval_batch]
-        batch_loss, batch_acc = softmax_cross_entropy(forward(spec, params, x), y, grad=False)
+        logits = forward(spec, params, x, workspace)
+        batch_loss, batch_acc = softmax_cross_entropy(logits, y, grad=False)
         loss_sum += batch_loss * len(y)
         correct += batch_acc * len(y)
     return loss_sum / test.n, correct / test.n
@@ -157,10 +161,13 @@ class TraceRecorder(TrainingHooks):
                 fcntl.fcntl(self._to_evaluator, fcntl.F_SETPIPE_SZ, nbytes)
             except OSError:  # past the system's limit: a hand-off could wait,
                 return  # so evaluate here
+            # its buffers are made by its first pass, in the evaluator at its
+            # first vector: this process never fills one
+            workspace = Workspace(self.spec, min(self.eval_batch, self.test.n))
             self._evaluator = procs.Child(partial(
                 _evaluate_sent,
                 lambda values: eval_test(self.spec, ParamVector(values, digest),
-                                         self.test, self.eval_batch),
+                                         self.test, self.eval_batch, workspace),
                 read_end, self._to_evaluator, len(params)))
         finally:
             os.close(read_end)

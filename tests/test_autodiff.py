@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradient, max_rel_error
@@ -40,6 +40,7 @@ from gaplab.autodiff import (
 )
 from gaplab.config import _sha256_hex
 from gaplab.data import Dataset
+from gaplab.experiment import _cpu_paths
 from gaplab.errors import DivergenceError, LabelRangeError, ShapeError, SpecMismatchError
 from gaplab.instrument import eval_test
 from gaplab.rng import Rng
@@ -147,6 +148,65 @@ def test_conv3x3_kernels_match_einsum_reference(n, c_in, c_out, h, w):
         assert np.ascontiguousarray(g).tobytes() == np.ascontiguousarray(a).tobytes()
 
 
+# --- conv kernels against the strided products -----------------------------
+
+def strided_conv3x3_forward(x, w, b):
+    """Reference: the conv forward as nine products with the strided kernel
+    slice, window @ w[:, :, di, dj].T, and an out-of-place bias add."""
+    n, h, width, c = x.shape
+    xp = _pad_channels_last(x)
+    out = np.zeros((n * h * width, w.shape[0]), dtype=np.float64)
+    for di in range(3):
+        for dj in range(3):
+            window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
+            out += window @ w[:, :, di, dj].T
+    return out.reshape(n, h, width, -1) + b
+
+
+def strided_conv3x3_backward(x, w, dy, need_dx):
+    """Reference: the conv backward with dx's products dy_mat @ w[:, :, di, dj]
+    on the strided kernel slice."""
+    n, h, width, c = x.shape
+    xp = _pad_channels_last(x)
+    dy_mat = dy.reshape(-1, w.shape[0])
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for di in range(3):
+        for dj in range(3):
+            window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
+            dw[:, :, di, dj] = dy_mat.T @ window
+            dxp[:, di:di + h, dj:dj + width] += (dy_mat @ w[:, :, di, dj]).reshape(n, h, width, c)
+    db = np.ascontiguousarray(dy.transpose(0, 3, 1, 2)).sum(axis=(0, 2, 3))
+    return dxp[:, 1:-1, 1:-1] if need_dx else None, dw, db
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(n=st.integers(1, 5), h=st.integers(1, 6), w=st.integers(1, 6),
+       c_in=st.integers(1, 9), c_out=st.integers(1, 17), need_dx=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=64, h=8, w=8, c_in=3, c_out=8, need_dx=False, seed=1)   # the cnn-files layers
+@example(n=64, h=4, w=4, c_in=8, c_out=16, need_dx=True, seed=2)
+def test_conv3x3_kernels_equal_the_strided_products_bit_for_bit(n, h, w, c_in, c_out,
+                                                                need_dx, seed):
+    # the kernels multiply by C-order copies of the kernel slices, which BLAS
+    # takes directly; the bits must stay those of the strided slices
+    rng = Rng(seed)
+    x = rng.normals(n * h * w * c_in).reshape(n, h, w, c_in)
+    weights = rng.normals(c_out * c_in * 9).reshape(c_out, c_in, 3, 3)
+    bias = rng.normals(c_out)
+    dy = rng.normals(n * h * w * c_out).reshape(n, h, w, c_out)
+    got = (_conv3x3_forward(x, weights, bias),) + _conv3x3_backward(x, weights, dy, need_dx)
+    want = ((strided_conv3x3_forward(x, weights, bias),)
+            + strided_conv3x3_backward(x, weights, dy, need_dx))
+    for name, g, e in zip(("out", "dx", "dw", "db"), got, want):
+        if e is None:
+            assert g is None, name
+            continue
+        assert g.shape == e.shape and bits(g) == bits(e), (
+            f"conv {name} differs from the strided products on the CPU paths "
+            f"experiment._cpu_paths() = {_cpu_paths()}")
+
+
 # --- backward against the full chain ----------------------------------------
 
 def full_chain_backward(spec, params, batch, labels):
@@ -200,18 +260,6 @@ def test_backward_equals_full_chain(spec):
 
 # --- the lean forward pass against the caching reference -------------------
 
-def caching_conv3x3_forward(x, w, b):
-    """Reference: the conv forward with an out-of-place bias add."""
-    n, h, width, c = x.shape
-    xp = _pad_channels_last(x)
-    out = np.zeros((n * h * width, w.shape[0]), dtype=np.float64)
-    for di in range(3):
-        for dj in range(3):
-            window = xp[:, di:di + h, dj:dj + width].reshape(-1, c)
-            out += window @ w[:, :, di, dj].T
-    return out.reshape(n, h, width, -1) + b
-
-
 def caching_forward(spec, params, batch):
     """Reference: the layer chain with out-of-place bias and ReLU, keeping
     every layer's cache alive until the pass ends."""
@@ -228,7 +276,7 @@ def caching_forward(spec, params, batch):
         elif isinstance(layer, Conv3x3):
             w, b = lp
             caches.append(x)
-            x = caching_conv3x3_forward(x, w, b)
+            x = strided_conv3x3_forward(x, w, b)
         elif isinstance(layer, MaxPool2x2):
             out = _maxpool_forward(x)
             caches.append((x, out))

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from gaplab.artifacts import (
     read_trace_csv,
     write_trace_csv,
 )
-from gaplab.autodiff import (ParamVector, accuracy, backward, forward, init_params,
-                             mlp, softmax_cross_entropy)
+from gaplab.autodiff import (ParamVector, Workspace, accuracy, backward, forward,
+                             init_params, mlp, small_cnn, softmax_cross_entropy)
 from gaplab.data import Dataset, gen_blobs
-from gaplab.errors import ArgumentError, FormatError, InsufficientTraceError
+from gaplab.errors import (ArgumentError, FormatError, InsufficientTraceError, ShapeError,
+                           SpecMismatchError)
 from gaplab.instrument import TraceRecorder, eval_test
+from gaplab.rng import Rng
 
 SPEC = mlp(6, [8], 4)
 
@@ -80,6 +83,74 @@ def test_eval_zero_params_hand_values():
     loss, acc = eval_test(SPEC, params, test)
     assert acc == pytest.approx(float((test.labels == 0).mean()), abs=1e-15)
     assert loss == pytest.approx(math.log(4), abs=1e-12)
+
+
+# --- eval_test into a workspace ---------------------------------------------
+
+SMALL_CNN = small_cnn((3, 8, 8), [4, 8], [8], 3)  # two conv blocks
+
+
+def normal_test_set(spec, n, seed):
+    rng = Rng(seed)
+    x = rng.normals(n * math.prod(spec.input_shape)).reshape((n,) + spec.input_shape)
+    return Dataset(x, np.array([rng.next_below(spec.n_classes) for _ in range(n)]),
+                   spec.n_classes)
+
+
+@pytest.mark.parametrize("spec", [SPEC, SMALL_CNN], ids=["mlp", "smallcnn"])
+@pytest.mark.parametrize("eval_batch", [8, 32], ids=["short-last-batch", "batch-past-the-set"])
+def test_eval_into_one_workspace_is_bit_identical(spec, eval_batch):
+    test = normal_test_set(spec, 20, 3)  # 2.5 batches of 8, or less than one of 32
+    workspace = Workspace(spec, min(eval_batch, test.n))
+    rng = Rng(4)
+    for scale in (0.1, 1.0, 3.0, 10.0, 30.0):  # five vectors in a row through it
+        params = ParamVector(scale * rng.normals(spec.param_count), spec.digest)
+        for rows in {test.n % eval_batch or eval_batch, min(eval_batch, test.n)}:
+            x = test.features[:rows]
+            assert forward(spec, params, x, workspace).tobytes() == forward(spec, params, x).tobytes()
+        want = np.array(eval_test(spec, params, test, eval_batch))
+        got = np.array(eval_test(spec, params, test, eval_batch, workspace))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_workspace_of_another_spec_or_too_few_rows_is_refused():
+    test = normal_test_set(SMALL_CNN, 20, 3)
+    params = init_params(SMALL_CNN, 0)
+    with pytest.raises(SpecMismatchError, match="workspace is not built for this model spec"):
+        eval_test(SMALL_CNN, params, test, 8, Workspace(SPEC, 8))
+    with pytest.raises(ShapeError, match="batch of 8 rows does not fit a workspace of 7"):
+        eval_test(SMALL_CNN, params, test, 8, Workspace(SMALL_CNN, 7))
+    with pytest.raises(ShapeError, match="batch of 20 rows does not fit a workspace of 8"):
+        forward(SMALL_CNN, params, test.features, Workspace(SMALL_CNN, 8))
+
+
+def peak_allocated(work) -> int:
+    """Peak bytes that `work()` held allocated at once, numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_workspace_allocates_less_than_one_layer_output():
+    # without a workspace every batch allocates each layer's output again,
+    # which glibc can trim from the heap and fault back in. numpy still
+    # allocates a buffer of up to `np.getbufsize()` values to broadcast a
+    # bias, so the layers here, those of cnn-files, are larger than that
+    spec = small_cnn((3, 8, 8), [8, 16], [64], 8)
+    test = normal_test_set(spec, 160, 3)  # 2.5 batches of 64
+    params = init_params(spec, 0)
+    first_conv_output = 64 * (8 * 8 * 8) * 8  # bytes: 64 rows of [8, 8, 8] float64
+    assert first_conv_output >= 4 * 8 * np.getbufsize()
+    workspace = Workspace(spec, 64)
+
+    def evaluate(*ws):
+        return eval_test(spec, params, test, 64, *ws)
+    assert peak_allocated(evaluate) >= first_conv_output
+    assert peak_allocated(lambda: evaluate(workspace)) >= first_conv_output  # it fills up
+    assert peak_allocated(lambda: evaluate(workspace)) < first_conv_output
 
 
 # --- batch probe: TraceRecorder.on_pre_update / on_post_update ---------------

@@ -7,8 +7,9 @@ runs its own, unedited `python3 perfbench/run.py --workload W --seed S`
 for `BENCHMARK.json`'s `run_seconds`. The two sides alternate which runs
 first, pair by pair. The last stdout line of each run is its JSON result.
 The record, written to `BENCH_<workload>_<short head rev>.json` in the
-current directory, holds every run's end-to-end metrics and `correct`
-flag, each metric's medians, quartiles and pair wins and whether the
+current directory, holds the CPU paths that move a run's last bits (as
+the head tree's gaplab reports them), every run's end-to-end metrics and
+`correct` flag, each metric's medians, quartiles and pair wins and whether the
 head's median stays within the metric's bound, and the gain gate: at
 least ten pairs, the head better in at least nine tenths of all pairs
 run (ties, and pairs with an incorrect run, count for neither side),
@@ -72,6 +73,19 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": bool(result["correct"]), "exit": done.returncode,
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def cpu_paths(tree: Path) -> dict | None:
+    """`experiment._cpu_paths()` of the gaplab in `tree`, run in a process of
+    its own with this one's environment: the OpenBLAS core and config and
+    numpy's float64 `exp`/`log` targets. None where the tree has no such
+    function."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import json; from gaplab.experiment import _cpu_paths; "
+                               "print(json.dumps(_cpu_paths()))"],
+        cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+        capture_output=True, text=True)
+    return json.loads(done.stdout) if done.returncode == 0 else None
 
 
 def quartiles(values: list[float]) -> dict:
@@ -150,6 +164,7 @@ def main(argv=None) -> int:
             if rev not in trees:
                 trees[rev] = unpack(rev, WORK / rev[:12])
         spec = json.loads((trees[revs["head"]] / "BENCHMARK.json").read_text())
+        paths = cpu_paths(trees[revs["head"]])
         seconds = spec["run_seconds"]
         runs = []
         for pair in range(args.pairs):
@@ -170,7 +185,7 @@ def main(argv=None) -> int:
         "base": {"rev": revs["base"], "short": git("rev-parse", "--short", revs["base"])},
         "head": {"rev": revs["head"], "short": git("rev-parse", "--short", revs["head"])},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "platform": platform.platform()},
+                    "platform": platform.platform(), "cpu_paths": paths},
         "runs": runs, "summary": summary,
     }
     path = Path(f"BENCH_{args.workload}_{record['head']['short']}.json")

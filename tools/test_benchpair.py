@@ -5,6 +5,7 @@ one HEAD-against-HEAD pair of the real benchmark.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,32 @@ def test_more_failed_operations_on_the_head_fail_the_gate():
     assert benchpair.summarize(runs, DECLARED)["cpu_s"]["gain_gate"]["passed"]
 
 
+TINY_RUN = {
+    "dataset": {"kind": "blobs", "classes": 3, "per_class": 10, "dim": 4},
+    "model": {"name": "mlp", "hidden": [4]},
+    "train": {"epochs_per_task": [1, 1]},
+    "out_dir": "run", "checkpoints": False,
+}
+
+
+def test_cpu_paths_are_those_a_run_of_the_tree_records(tmp_path, monkeypatch):
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY_RUN))
+    done = subprocess.run(
+        [sys.executable, "-m", "gaplab.cli", "train", "--config", "cfg.json"], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(benchpair.ROOT / "src")),
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    versions = json.loads((tmp_path / "run" / "manifest.json").read_text())["versions"]
+    paths = benchpair.cpu_paths(benchpair.ROOT)
+    assert set(paths) == {"openblas_core", "openblas_config",
+                          "numpy_exp_float64", "numpy_log_float64"}
+    assert paths == {key: versions[key] for key in paths}
+    assert benchpair.cpu_paths(tmp_path) is None  # no gaplab there
+    if paths["openblas_core"] is not None:  # the runs' environment counts
+        monkeypatch.setenv("OPENBLAS_CORETYPE", "Sandybridge")
+        assert benchpair.cpu_paths(benchpair.ROOT)["openblas_core"] == "Sandybridge"
+
+
 def test_head_against_head_on_cnn_files(tmp_path):
     # the record is written to the current directory
     done = subprocess.run(
@@ -124,6 +151,7 @@ def test_head_against_head_on_cnn_files(tmp_path):
     record = json.loads(path.read_text())
     head = benchpair.git("rev-parse", "HEAD")
     assert record["base"]["rev"] == record["head"]["rev"] == head
+    assert record["machine"]["cpu_paths"] == benchpair.cpu_paths(benchpair.ROOT)
     assert path.name == f"BENCH_cnn-files_{record['head']['short']}.json"
     assert [(r["pair"], r["side"], r["correct"]) for r in record["runs"]] == [
         (0, "base", True), (0, "head", True)]
