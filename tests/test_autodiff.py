@@ -21,6 +21,7 @@ from gaplab.autodiff import (
     ModelSpec,
     ParamVector,
     ReLU,
+    Workspace,
     accuracy,
     backward,
     forward,
@@ -342,6 +343,7 @@ def test_passes_never_write_the_callers_arrays(spec):
     forward(spec, params, x)
     backward(spec, params, x, y)
     eval_test(spec, params, test, 4)
+    eval_test(spec, params, test, 4, Workspace(spec, 4))
     assert x.tobytes() == want_x
     assert test.features.tobytes() == want_features
 

@@ -742,6 +742,31 @@ def test_each_seed_process_forks_its_own_evaluator(tmp_path, monkeypatch):
     assert run_files(pool) == run_files(single)
 
 
+@forks_on_linux
+def test_the_evaluator_alone_evaluates_into_its_one_workspace(tmp_path, monkeypatch):
+    # each evaluation writes its process and the workspace it was given
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    real = instrument.eval_test
+
+    def marked(*args):
+        workspace = args[4] if len(args) > 4 else None
+        with open(marks / str(os.getpid()), "a") as mark:
+            mark.write("none\n" if workspace is None else f"{id(workspace)} {workspace.rows}\n")
+        return real(*args)
+
+    monkeypatch.setattr(instrument, "eval_test", marked)
+    monkeypatch.setattr(procs, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(TraceRecorder, "_unread", alternate)  # both evaluate
+    run_experiment(config(tmp_path / "exp", seeds=[0]))
+    evaluations = {int(p.name): p.read_text().splitlines() for p in marks.iterdir()}
+    here = evaluations.pop(os.getpid())
+    ((_, given),) = evaluations.items()
+    assert set(here) == {"none"}
+    # 24 test samples, under the default eval_batch: one workspace of 24 rows
+    assert len(set(given)) == 1 and given[0].endswith(" 24")
+
+
 def fail_evaluation(monkeypatch, n, error=None):
     """Patch `instrument.eval_test` so that its n-th call raises `error` (a
     divergence by default), in whichever process evaluates. Every iteration

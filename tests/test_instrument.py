@@ -107,7 +107,8 @@ def test_eval_into_one_workspace_is_bit_identical(spec, eval_batch):
         params = ParamVector(scale * rng.normals(spec.param_count), spec.digest)
         for rows in {test.n % eval_batch or eval_batch, min(eval_batch, test.n)}:
             x = test.features[:rows]
-            assert forward(spec, params, x, workspace).tobytes() == forward(spec, params, x).tobytes()
+            want = forward(spec, params, x).tobytes()
+            assert forward(spec, params, x, workspace).tobytes() == want
         want = np.array(eval_test(spec, params, test, eval_batch))
         got = np.array(eval_test(spec, params, test, eval_batch, workspace))
         assert got.tobytes() == want.tobytes()
